@@ -7,6 +7,7 @@ import sys
 from typing import Sequence
 
 from .diagnostics import analyze_convergence, default_grid
+from .engine import NonFiniteIterateError
 from .problems import (
     BUILTIN_COUNT,
     InvalidProblemError,
@@ -176,7 +177,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ProblemFormatError, InvalidProblemError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except SingularJacobianError as exc:
+    except (SingularJacobianError, NonFiniteIterateError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER_FAILURE
 

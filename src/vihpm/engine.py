@@ -8,6 +8,10 @@ degree by m, so the k-th iterate lives at truncation ``W + k*m``; the
 correction vanishes to order m at 0, which preserves every origin
 condition exactly.
 
+The series arithmetic does not check its results (see :mod:`vihpm.series`);
+:func:`iterate` checks every correction once and raises
+:class:`NonFiniteIterateError` when the arithmetic has overflowed.
+
 He coefficients (the p-expansion orders of F applied to a parameter-embedded
 sum) are computed by direct polynomial convolution in the embedding
 parameter; the order-0 coefficient is computed in the same operation order
@@ -35,6 +39,7 @@ from .series import (
 )
 
 __all__ = [
+    "NonFiniteIterateError",
     "PerturbationExpansion",
     "IterationState",
     "initial_approx",
@@ -43,6 +48,10 @@ __all__ = [
     "he_coefficients",
     "iterate",
 ]
+
+
+class NonFiniteIterateError(ArithmeticError):
+    """A correction produced an infinite or NaN series coefficient."""
 
 
 @dataclass(frozen=True)
@@ -187,15 +196,25 @@ def iterate(
     constants: Sequence[float],
     n_iter: int | None = None,
 ) -> IterationState:
-    """Run the correction map ``n_iter`` times from the initial polynomial."""
+    """Run the correction map ``n_iter`` times from the initial polynomial.
+
+    Raises :class:`NonFiniteIterateError` when a correction is not finite.
+    The initial polynomial is validated, so by induction a finite
+    correction also means a finite iterate.
+    """
     if n_iter is None:
         n_iter = spec.iterations
     if n_iter < 0:
         raise ValueError("iteration count must be non-negative")
     iterates = [initial_approx(spec, constants)]
     corrections = []
-    for _ in range(n_iter):
+    for k in range(1, n_iter + 1):
         nxt = correct_once(iterates[-1], spec)
-        corrections.append(sub(nxt, pad_to(iterates[-1], nxt.truncation)))
+        correction = sub(nxt, pad_to(iterates[-1], nxt.truncation))
+        if not all(map(math.isfinite, correction.coeffs)):
+            raise NonFiniteIterateError(
+                f"correction {k} has non-finite series coefficients"
+            )
+        corrections.append(correction)
         iterates.append(nxt)
     return IterationState(tuple(iterates), tuple(corrections))

@@ -20,8 +20,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import mul
 
-from .series import Series
+from .series import CACHE_SIZE, Series, _trusted
 
 __all__ = ["CorrectionKernel"]
 
@@ -51,9 +53,8 @@ class CorrectionKernel:
         """Apply the correction integral to a residual series.
 
         The degree-j input coefficient lands at degree ``j + order`` scaled
-        by ``-j!/(j+order)!``; the ratio is accumulated as a running product
-        of reciprocals so no factorial overflows.  Degrees of the image that
-        exceed the kernel truncation are discarded.
+        by ``-j!/(j+order)!`` (see :func:`_kernel_weights`).  Degrees of the
+        image that exceed the kernel truncation are discarded.
         """
         if f.truncation != self.truncation:
             raise ValueError(
@@ -61,14 +62,23 @@ class CorrectionKernel:
                 f"kernel truncation {self.truncation}"
             )
         m = self.order
-        w = self.truncation
-        out = [0.0] * (w + 1)
-        for j, c in enumerate(f.coeffs):
-            k = j + m
-            if k > w:
-                break
-            ratio = 1.0  # j!/(j+m)! built without forming either factorial
-            for i in range(j + 1, k + 1):
-                ratio /= i
-            out[k] = -c * ratio
-        return Series(tuple(out))
+        out = [0.0] * (self.truncation + 1)
+        out[m:] = map(mul, f.coeffs, _kernel_weights(m, self.truncation))
+        return _trusted(tuple(out))
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _kernel_weights(order: int, truncation: int) -> tuple[float, ...]:
+    """``-j!/(j+order)!`` for ``j = 0 .. truncation - order``.
+
+    Each ratio is accumulated as a running product of reciprocals, so no
+    factorial overflows.  Negating the ratio rather than the coefficient
+    gives the same bits: round-to-nearest is symmetric in sign.
+    """
+    table = []
+    for j in range(truncation + 1 - order):
+        ratio = 1.0
+        for i in range(j + 1, j + order + 1):
+            ratio /= i
+        table.append(-ratio)
+    return tuple(table)

@@ -146,6 +146,8 @@ def validate(spec: ProblemSpec) -> list[str]:
                 f"boundary condition point {bc.point} outside "
                 f"[0, {spec.domain_end}]"
             )
+        if not math.isfinite(bc.value):
+            errors.append(f"boundary condition value must be finite, got {bc.value}")
         key = (bc.point, bc.derivative_order)
         if key in seen:
             errors.append(

@@ -5,6 +5,18 @@ A :class:`Series` holds the coefficients ``c_0 .. c_W`` of a polynomial
 every operation returns a new series and refuses operands whose truncation
 degrees disagree, so a computation can never silently mix rings.
 
+Validation happens where data enters: ``Series(...)`` and
+:func:`make_series` convert every coefficient to float and reject empty or
+non-finite input.  The ring operations trust their operands and build their
+results through :func:`_trusted` without re-checking them, so an overflow
+inside the arithmetic propagates as ``inf``/``nan``.
+:func:`vihpm.engine.iterate` checks each correction once for finiteness, so
+no non-finite series reaches the solver or a printed table.
+
+Tables that depend only on a derivative order and a truncation degree, and
+the expansion of an :class:`ExpPoly` at a given degree, are cached with a
+fixed bound of ``CACHE_SIZE`` entries each.
+
 :class:`ExpPoly` represents a finite sum of ``exp(rate * x) * p(x)`` terms
 with polynomial ``p``.  It is the closed function class used for forcing
 terms and reference solutions, and :func:`expand_exppoly` projects it into
@@ -15,6 +27,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import islice
+from operator import add as _fadd, mul as _fmul, sub as _fsub
 from typing import Sequence
 
 __all__ = [
@@ -33,10 +48,18 @@ __all__ = [
     "expand_exppoly",
 ]
 
+CACHE_SIZE = 256
+
 
 @dataclass(frozen=True)
 class Series:
-    """Coefficients ``c_0 .. c_W`` of a power series truncated at degree W."""
+    """Coefficients ``c_0 .. c_W`` of a power series truncated at degree W.
+
+    Constructing one validates its input: coefficients become floats, and
+    empty or non-finite input raises ``ValueError``.  Results of the ring
+    operations skip that check (see the module docstring); their
+    finiteness is checked once per correction by the iteration engine.
+    """
 
     coeffs: tuple[float, ...]
 
@@ -71,6 +94,13 @@ class Series:
         return scale(self, -1.0)
 
 
+def _trusted(coeffs: tuple[float, ...]) -> Series:
+    """Wrap a ring-operation result, a non-empty tuple of floats, unchecked."""
+    s = object.__new__(Series)
+    object.__setattr__(s, "coeffs", coeffs)
+    return s
+
+
 def make_series(coeffs: Sequence[float], truncation: int) -> Series:
     """Build a series at degree ``truncation``, zero-padding short input.
 
@@ -79,19 +109,22 @@ def make_series(coeffs: Sequence[float], truncation: int) -> Series:
     """
     if truncation < 0:
         raise ValueError("truncation degree must be non-negative")
-    coeffs = tuple(float(c) for c in coeffs)
-    if len(coeffs) > truncation + 1:
+    values = [float(c) for c in coeffs]
+    if len(values) > truncation + 1:
         raise ValueError(
-            f"{len(coeffs)} coefficients exceed truncation degree {truncation}"
+            f"{len(values)} coefficients exceed truncation degree {truncation}"
         )
-    return Series(coeffs + (0.0,) * (truncation + 1 - len(coeffs)))
+    values += [0.0] * (truncation + 1 - len(values))
+    return Series(tuple(values))
 
 
 def pad_to(f: Series, truncation: int) -> Series:
     """Re-embed ``f`` in a ring of higher truncation degree (exact)."""
     if truncation < f.truncation:
         raise ValueError("padding cannot lower the truncation degree")
-    return Series(f.coeffs + (0.0,) * (truncation - f.truncation))
+    out = [0.0] * (truncation + 1)
+    out[: len(f.coeffs)] = f.coeffs
+    return _trusted(tuple(out))
 
 
 def _check_same_ring(f: Series, g: Series) -> None:
@@ -104,13 +137,13 @@ def _check_same_ring(f: Series, g: Series) -> None:
 def add(f: Series, g: Series) -> Series:
     """Coefficient-wise sum at equal truncation."""
     _check_same_ring(f, g)
-    return Series(tuple(a + b for a, b in zip(f.coeffs, g.coeffs)))
+    return _trusted(tuple(map(_fadd, f.coeffs, g.coeffs)))
 
 
 def sub(f: Series, g: Series) -> Series:
     """Coefficient-wise difference at equal truncation."""
     _check_same_ring(f, g)
-    return Series(tuple(a - b for a, b in zip(f.coeffs, g.coeffs)))
+    return _trusted(tuple(map(_fsub, f.coeffs, g.coeffs)))
 
 
 def scale(f: Series, c: float) -> Series:
@@ -118,7 +151,7 @@ def scale(f: Series, c: float) -> Series:
     c = float(c)
     if not math.isfinite(c):
         raise ValueError("scale factor must be finite")
-    return Series(tuple(c * a for a in f.coeffs))
+    return _trusted(tuple([c * a for a in f.coeffs]))
 
 
 def mul(f: Series, g: Series) -> Series:
@@ -131,7 +164,7 @@ def mul(f: Series, g: Series) -> Series:
             continue
         for j in range(w + 1 - i):
             out[i + j] += a * g.coeffs[j]
-    return Series(tuple(out))
+    return _trusted(tuple(out))
 
 
 def differentiate(f: Series, order: int) -> Series:
@@ -143,13 +176,22 @@ def differentiate(f: Series, order: int) -> Series:
     if order < 0:
         raise ValueError("derivative order must be non-negative")
     w = f.truncation
+    falls = _falling_factorials(order, w)
     out = [0.0] * (w + 1)
-    for k in range(w + 1 - order):
+    out[: len(falls)] = map(_fmul, islice(f.coeffs, order, None), falls)
+    return _trusted(tuple(out))
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _falling_factorials(order: int, truncation: int) -> tuple[float, ...]:
+    """``(k+1)(k+2)...(k+order)`` for ``k = 0 .. truncation - order``."""
+    table = []
+    for k in range(truncation + 1 - order):
         fall = 1.0
         for i in range(k + 1, k + order + 1):
             fall *= i
-        out[k] = f.coeffs[k + order] * fall
-    return Series(tuple(out))
+        table.append(fall)
+    return tuple(table)
 
 
 def evaluate(f: Series, x: float) -> float:
@@ -189,6 +231,10 @@ class ExpPoly:
 
     terms: tuple[ExpTerm, ...]
 
+    def __post_init__(self) -> None:
+        # a tuple keeps the value hashable, as expand_exppoly's cache needs
+        object.__setattr__(self, "terms", tuple(self.terms))
+
     @classmethod
     def from_terms(cls, terms: Sequence[tuple[float, Sequence[float]]]) -> "ExpPoly":
         return cls(tuple(ExpTerm(rate, tuple(poly)) for rate, poly in terms))
@@ -213,6 +259,13 @@ def expand_exppoly(e: ExpPoly, truncation: int) -> Series:
     """
     if truncation < 0:
         raise ValueError("truncation degree must be non-negative")
+    return _expand_exppoly(e, truncation)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _expand_exppoly(e: ExpPoly, truncation: int) -> Series:
+    # ExpPoly equality treats 0.0 and -0.0 alike; both expand to the same
+    # bits, because every coefficient is a sum that starts from +0.0.
     out = [0.0] * (truncation + 1)
     for term in e.terms:
         # weights[k] = rate**k / k!
@@ -224,4 +277,4 @@ def expand_exppoly(e: ExpPoly, truncation: int) -> Series:
                 continue
             for n in range(j, truncation + 1):
                 out[n] += p * weights[n - j]
-    return Series(tuple(out))
+    return _trusted(tuple(out))

@@ -125,9 +125,11 @@ def solve(
 ) -> SolveResult:
     """Newton iteration from zero constants to meet off-origin conditions.
 
-    Raises :class:`InvalidProblemError` on a malformed spec and
-    :class:`SingularJacobianError` on a degenerate Jacobian; plain failure
-    to converge is reported through the result flags, not an exception.
+    Raises :class:`InvalidProblemError` on a malformed spec,
+    :class:`SingularJacobianError` on a degenerate Jacobian and
+    :class:`~vihpm.engine.NonFiniteIterateError` when the series arithmetic
+    overflows; plain failure to converge is reported through the result
+    flags, not an exception.
     """
     errors = validate(spec)
     if errors:

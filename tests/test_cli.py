@@ -169,6 +169,30 @@ class TestErrorPaths:
         assert code == 2
         assert "solver failure" in err
 
+    @pytest.mark.parametrize("second_bc", ["bc 0 1 0", "bc 1 0 0"])
+    def test_non_finite_iterate_is_solver_failure(self, capsys, tmp_path, second_bc):
+        # u'' = 1e300 u^2 with u(0) = 1e10 overflows in the first correction,
+        # both as an initial-value problem and with a shooting condition
+        path = tmp_path / "overflow.txt"
+        path.write_text(
+            "order 2\ndomain 0 1\nterm 0.0 1e300 ; 0 0\nbc 0 0 1e10\n"
+            f"{second_bc}\n",
+            encoding="utf-8",
+        )
+        code, out, err = run_cli(capsys, "solve", str(path))
+        assert code == 2
+        assert "solver failure" in err
+        assert "non-finite" in err
+        assert out == ""
+
+    def test_non_finite_boundary_value(self, capsys, tmp_path):
+        path = tmp_path / "nan_bc.txt"
+        path.write_text("order 2\ndomain 0 1\nbc 0 0 0\nbc 1 0 nan\n")
+        code, out, err = run_cli(capsys, "solve", str(path))
+        assert code == 1
+        assert "boundary condition value must be finite" in err
+        assert out == ""
+
     def test_bad_grid_step(self, capsys):
         code, _, err = run_cli(
             capsys, "solve", "--builtin", "1", "--grid-step", "-0.1"

@@ -135,6 +135,21 @@ class TestValidate:
         )
         assert any("outside" in e for e in validate(bad))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_condition_value(self, value):
+        bad = ProblemSpec(
+            order=2,
+            domain_end=1.0,
+            terms=(),
+            bcs=(
+                BoundaryCondition(0.0, 0, 0.0),
+                BoundaryCondition(1.0, 0, value),
+            ),
+        )
+        assert validate(bad) == [
+            f"boundary condition value must be finite, got {value}"
+        ]
+
     def test_truncation_and_iterations(self):
         base = builtin(1)
         with pytest.raises(InvalidProblemError):
