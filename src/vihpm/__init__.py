@@ -8,107 +8,9 @@ shooting on the off-origin conditions.  Four seventh-order two- and
 three-point benchmark problems ship as built-ins.
 """
 
-from .diagnostics import ConvergenceReport, analyze_convergence, ode_residual_report
-from .engine import (
-    IterationState,
-    PerturbationExpansion,
-    correct_once,
-    he_coefficients,
-    initial_approx,
-    iterate,
-    residual,
-)
-from .kernel import CorrectionKernel
-from .problems import (
-    BoundaryCondition,
-    InvalidProblemError,
-    ProblemFormatError,
-    ProblemSpec,
-    RhsTerm,
-    builtin,
-    parse_problem,
-    render_problem,
-    validate,
-    with_settings,
-)
-from .reporting import (
-    ErrorRow,
-    ErrorTable,
-    emit_csv,
-    emit_series_csv,
-    error_table,
-    max_abs_error,
-)
-from .series import (
-    ExpPoly,
-    ExpTerm,
-    Series,
-    add,
-    differentiate,
-    evaluate,
-    evaluate_derivative,
-    expand_exppoly,
-    make_series,
-    mul,
-    pad_to,
-    scale,
-    sub,
-)
-from .solver import (
-    SingularJacobianError,
-    SolveResult,
-    bc_residuals,
-    fd_jacobian,
-    solve,
-)
+from .problems import builtin, with_settings
+from .solver import solve
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "Series",
-    "ExpTerm",
-    "ExpPoly",
-    "make_series",
-    "pad_to",
-    "add",
-    "sub",
-    "scale",
-    "mul",
-    "differentiate",
-    "evaluate",
-    "evaluate_derivative",
-    "expand_exppoly",
-    "CorrectionKernel",
-    "BoundaryCondition",
-    "RhsTerm",
-    "ProblemSpec",
-    "ProblemFormatError",
-    "InvalidProblemError",
-    "validate",
-    "parse_problem",
-    "render_problem",
-    "builtin",
-    "with_settings",
-    "PerturbationExpansion",
-    "IterationState",
-    "initial_approx",
-    "residual",
-    "correct_once",
-    "he_coefficients",
-    "iterate",
-    "SolveResult",
-    "SingularJacobianError",
-    "bc_residuals",
-    "fd_jacobian",
-    "solve",
-    "ConvergenceReport",
-    "analyze_convergence",
-    "ode_residual_report",
-    "ErrorRow",
-    "ErrorTable",
-    "error_table",
-    "max_abs_error",
-    "emit_csv",
-    "emit_series_csv",
-]
+__all__ = ["__version__", "builtin", "solve", "with_settings"]

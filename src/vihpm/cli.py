@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Sequence
 
@@ -23,6 +24,9 @@ from .solver import SingularJacobianError, solve
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_SOLVER_FAILURE = 2
+
+# bounds the work ``--grid-step`` can request
+MAX_GRID_POINTS = 100_000
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -77,9 +81,18 @@ def _load_spec(args: argparse.Namespace) -> ProblemSpec:
     return with_settings(spec, truncation=args.truncation, iterations=args.iterations)
 
 
+def _check_grid_step(end: float, step: float) -> None:
+    if not (math.isfinite(step) and step > 0.0):
+        raise InvalidProblemError([f"grid step must be positive and finite, got {step}"])
+    # the grid has at most end / step + 1 points; a non-finite domain end is
+    # left for validate() to report
+    if math.isfinite(end) and end / step > MAX_GRID_POINTS - 1:
+        raise InvalidProblemError(
+            [f"grid step {step} gives over {MAX_GRID_POINTS} points on [0, {end}]"]
+        )
+
+
 def _make_grid(end: float, step: float) -> tuple[float, ...]:
-    if step <= 0.0:
-        raise InvalidProblemError([f"grid step must be positive, got {step}"])
     n = round(end / step)
     if n >= 1 and abs(n * step - end) <= 1e-9 * max(1.0, end):
         return tuple(i * end / n for i in range(n + 1))
@@ -105,6 +118,7 @@ def _print_table(table: ErrorTable) -> None:
 
 def _run_solve(args: argparse.Namespace) -> int:
     spec = _load_spec(args)
+    _check_grid_step(spec.domain_end, args.grid_step)
     result = solve(spec)
 
     degrees = spec.unknown_degrees()

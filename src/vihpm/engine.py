@@ -9,7 +9,7 @@ correction vanishes to order m at 0, which preserves every origin
 condition exactly.
 
 The series arithmetic does not check its results (see :mod:`vihpm.series`);
-:func:`iterate` checks every correction once and raises
+:func:`iterate` checks every new iterate once and raises
 :class:`NonFiniteIterateError` when the arithmetic has overflowed.
 
 He coefficients (the p-expansion orders of F applied to a parameter-embedded
@@ -74,18 +74,12 @@ class PerturbationExpansion:
 
 @dataclass(frozen=True)
 class IterationState:
-    """Successive approximations v_0..v_n and their corrections u_1..u_n.
+    """Successive approximations v_0..v_n, all with finite coefficients.
 
-    ``iterates[k]`` has truncation degree W + k*m; ``corrections[k-1]``
-    equals ``iterates[k] - iterates[k-1]`` after padding to the larger ring.
+    ``iterates[k]`` has truncation degree W + k*m.
     """
 
     iterates: tuple[Series, ...]
-    corrections: tuple[Series, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.iterates) != len(self.corrections) + 1:
-            raise ValueError("need exactly one more iterate than corrections")
 
     @property
     def final(self) -> Series:
@@ -198,23 +192,20 @@ def iterate(
 ) -> IterationState:
     """Run the correction map ``n_iter`` times from the initial polynomial.
 
-    Raises :class:`NonFiniteIterateError` when a correction is not finite.
-    The initial polynomial is validated, so by induction a finite
-    correction also means a finite iterate.
+    Raises :class:`NonFiniteIterateError` when the iterate produced by a
+    correction is not finite.  The initial polynomial is validated, so
+    every iterate in the returned state is finite.
     """
     if n_iter is None:
         n_iter = spec.iterations
     if n_iter < 0:
         raise ValueError("iteration count must be non-negative")
     iterates = [initial_approx(spec, constants)]
-    corrections = []
     for k in range(1, n_iter + 1):
         nxt = correct_once(iterates[-1], spec)
-        correction = sub(nxt, pad_to(iterates[-1], nxt.truncation))
-        if not all(map(math.isfinite, correction.coeffs)):
+        if not all(map(math.isfinite, nxt.coeffs)):
             raise NonFiniteIterateError(
-                f"correction {k} has non-finite series coefficients"
+                f"correction {k} made the iterate non-finite"
             )
-        corrections.append(correction)
         iterates.append(nxt)
-    return IterationState(tuple(iterates), tuple(corrections))
+    return IterationState(tuple(iterates))

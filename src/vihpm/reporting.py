@@ -13,7 +13,6 @@ __all__ = [
     "ErrorRow",
     "ErrorTable",
     "error_table",
-    "max_abs_error",
     "emit_csv",
     "emit_series_csv",
 ]
@@ -31,6 +30,8 @@ class ErrorRow:
 
 @dataclass(frozen=True)
 class ErrorTable:
+    """Rows on the grid; ``max_abs_error`` is None without a reference."""
+
     rows: tuple[ErrorRow, ...]
     max_abs_error: float | None
 
@@ -59,13 +60,6 @@ def error_table(
             err = None
         rows.append(ErrorRow(x=x, exact=exact, approx=approx, abs_error=err))
     return ErrorTable(rows=tuple(rows), max_abs_error=worst)
-
-
-def max_abs_error(table: ErrorTable) -> float:
-    """Largest defect in the table; requires a reference solution."""
-    if table.max_abs_error is None:
-        raise ValueError("table has no reference solution to compare against")
-    return table.max_abs_error
 
 
 def _fmt(value: float | None) -> str:

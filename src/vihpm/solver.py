@@ -118,12 +118,11 @@ def _solve_dense(matrix: list[list[float]], rhs: list[float]) -> list[float]:
     return x
 
 
-def solve(
-    spec: ProblemSpec,
-    tolerance: float = NEWTON_TOLERANCE,
-    max_iterations: int = NEWTON_MAX_ITERATIONS,
-) -> SolveResult:
+def solve(spec: ProblemSpec) -> SolveResult:
     """Newton iteration from zero constants to meet off-origin conditions.
+
+    Stops once the boundary residual sup-norm is at most
+    ``NEWTON_TOLERANCE`` or after ``NEWTON_MAX_ITERATIONS`` steps.
 
     Raises :class:`InvalidProblemError` on a malformed spec,
     :class:`SingularJacobianError` on a degenerate Jacobian and
@@ -140,7 +139,7 @@ def solve(
     r = _bc_residuals_of(solution, spec)
     norm = max((abs(v) for v in r), default=0.0)
     steps = 0
-    while norm > tolerance and steps < max_iterations:
+    while norm > NEWTON_TOLERANCE and steps < NEWTON_MAX_ITERATIONS:
         jacobian = fd_jacobian(spec, constants)
         delta = _solve_dense(jacobian, [-v for v in r])
         constants = [c + d for c, d in zip(constants, delta)]
@@ -153,5 +152,5 @@ def solve(
         solution=solution,
         newton_iterations=steps,
         bc_residual_norm=norm,
-        converged=norm <= tolerance,
+        converged=norm <= NEWTON_TOLERANCE,
     )

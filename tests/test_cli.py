@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from vihpm.cli import main
+from vihpm.cli import MAX_GRID_POINTS, main
 
 
 def run_cli(capsys, *argv):
@@ -159,6 +159,14 @@ class TestErrorPaths:
         assert code == 1
         assert "expected 7 boundary conditions" in err
 
+    def test_non_finite_domain_reported_before_grid(self, capsys, tmp_path):
+        path = tmp_path / "inf_domain.txt"
+        path.write_text("order 1\ndomain 0 inf\nbc 0 0 1\n")
+        code, out, err = run_cli(capsys, "solve", str(path))
+        assert code == 1
+        assert "domain end must be positive" in err
+        assert out == ""
+
     def test_singular_jacobian_exit_code(self, capsys, tmp_path):
         # slope-only conditions leave the constant coefficient unobservable
         path = tmp_path / "singular.txt"
@@ -193,11 +201,19 @@ class TestErrorPaths:
         assert "boundary condition value must be finite" in err
         assert out == ""
 
-    def test_bad_grid_step(self, capsys):
-        code, _, err = run_cli(
-            capsys, "solve", "--builtin", "1", "--grid-step", "-0.1"
+    @pytest.mark.parametrize(
+        "step",
+        ["-0.1", "nan", "inf", repr(1.0 / MAX_GRID_POINTS)],
+        ids=["negative", "nan", "inf", "past-cap"],
+    )
+    def test_bad_grid_step(self, capsys, step):
+        # rejected before solving: nothing of the solution is printed
+        code, out, err = run_cli(
+            capsys, "solve", "--builtin", "1", "--grid-step", step
         )
         assert code == 1
+        assert "grid step" in err
+        assert out == ""
 
 
 class TestEntryPoint:

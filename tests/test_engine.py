@@ -6,7 +6,6 @@ import random
 import pytest
 
 from vihpm.engine import (
-    IterationState,
     correct_once,
     he_coefficients,
     initial_approx,
@@ -250,26 +249,12 @@ class TestIterate:
         assert state.final.coeffs == initial_approx(
             builtin(1), (0.1, 0.2, 0.3)
         ).coeffs
-        assert state.corrections == ()
 
     def test_state_shape_and_consistency(self):
         state = iterate(builtin(3), (0.0, 0.0, 0.0), 3)
         assert len(state.iterates) == 4
-        assert len(state.corrections) == 3
         for k in range(1, 4):
             assert state.iterates[k].truncation == 12 + 7 * k
-            rebuilt = add(
-                pad_to(state.iterates[k - 1], state.iterates[k].truncation),
-                state.corrections[k - 1],
-            )
-            assert rebuilt.coeffs == pytest.approx(
-                state.iterates[k].coeffs, rel=1e-15, abs=1e-30
-            )
-
-    def test_invalid_state_shape_rejected(self):
-        v = make_series([1.0], 5)
-        with pytest.raises(ValueError):
-            IterationState((v,), (v,))
 
     def test_default_depth_comes_from_spec(self):
         spec = with_settings(builtin(1), iterations=2)

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from vihpm import solver
 from vihpm.engine import iterate
 from vihpm.problems import (
     BoundaryCondition,
@@ -146,8 +147,9 @@ class TestSolve:
         with pytest.raises(SingularJacobianError):
             solve(spec)
 
-    def test_non_convergence_reported_in_flags(self):
-        result = solve(builtin(1), max_iterations=0)
+    def test_non_convergence_reported_in_flags(self, monkeypatch):
+        monkeypatch.setattr(solver, "NEWTON_MAX_ITERATIONS", 0)
+        result = solve(builtin(1))
         assert not result.converged
         assert result.newton_iterations == 0
         assert result.bc_residual_norm > 1e-12
