@@ -7,12 +7,11 @@ import math
 import sys
 from typing import Sequence
 
-from .diagnostics import analyze_convergence, default_grid
+from .diagnostics import analyze_convergence, check_depth, default_grid
 from .engine import NonFiniteIterateError
 from .problems import (
     BUILTIN_COUNT,
     InvalidProblemError,
-    ProblemFormatError,
     ProblemSpec,
     builtin,
     parse_problem,
@@ -158,6 +157,7 @@ def _run_solve(args: argparse.Namespace) -> int:
 
 def _run_convergence(args: argparse.Namespace) -> int:
     spec = _load_spec(args)
+    check_depth(spec, args.depth)
     result = solve(spec)
     if not result.converged:
         print(
@@ -188,7 +188,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "solve":
             return _run_solve(args)
         return _run_convergence(args)
-    except (ProblemFormatError, InvalidProblemError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except (SingularJacobianError, NonFiniteIterateError) as exc:

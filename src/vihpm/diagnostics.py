@@ -15,12 +15,13 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .engine import iterate, residual
-from .problems import ProblemSpec
+from .problems import MAX_SERIES_DEGREE, ProblemSpec
 from .series import Series, evaluate
 
 __all__ = [
     "ConvergenceReport",
     "analyze_convergence",
+    "check_depth",
     "ode_residual_report",
     "default_grid",
 ]
@@ -47,14 +48,29 @@ class ConvergenceReport:
     fixed_point_reached: bool
 
 
-def default_grid(spec: ProblemSpec, points: int = 11) -> tuple[float, ...]:
-    """Evenly spaced evaluation grid over the problem domain."""
+def default_grid(spec: ProblemSpec) -> tuple[float, ...]:
+    """Eleven evenly spaced evaluation points over the problem domain."""
     b = spec.domain_end
-    return tuple(b * i / (points - 1) for i in range(points))
+    return tuple(b * i / 10 for i in range(11))
 
 
 def _grid_sup(f: Series, g: Series, grid: Sequence[float]) -> float:
     return max(abs(evaluate(f, x) - evaluate(g, x)) for x in grid)
+
+
+def check_depth(spec: ProblemSpec, depth: int) -> None:
+    """Reject a correction depth that gives no ratio or exceeds the degree cap.
+
+    The last of ``depth`` corrections lives at degree W + depth * m, which
+    must stay within ``MAX_SERIES_DEGREE`` like the solve itself.
+    """
+    if depth < 2:
+        raise ValueError("need at least two corrections to estimate a ratio")
+    top = spec.truncation + depth * spec.order
+    if top > MAX_SERIES_DEGREE:
+        raise ValueError(
+            f"depth {depth} reaches series degree {top}, above {MAX_SERIES_DEGREE}"
+        )
 
 
 def analyze_convergence(
@@ -72,12 +88,10 @@ def analyze_convergence(
     which is the triangle-inequality consequence of a true contraction
     constant gamma_max; the slack absorbs grid evaluation roundoff.
     """
-    if depth < 2:
-        raise ValueError("need at least two corrections to estimate a ratio")
+    check_depth(spec, depth)
     if grid is None:
         grid = default_grid(spec)
-    state = iterate(spec, constants, depth)
-    v = state.iterates
+    v = iterate(spec, constants, depth)
     deltas = tuple(_grid_sup(v[k + 1], v[k], grid) for k in range(depth))
 
     estimates = tuple(

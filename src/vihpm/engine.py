@@ -41,7 +41,6 @@ from .series import (
 __all__ = [
     "NonFiniteIterateError",
     "PerturbationExpansion",
-    "IterationState",
     "initial_approx",
     "residual",
     "correct_once",
@@ -70,20 +69,6 @@ class PerturbationExpansion:
     def evaluate_at(self, p: float, x: float) -> float:
         """Value of sum_k h_k(x) p**k; used to test the expansion."""
         return sum(evaluate(h, x) * p**k for k, h in enumerate(self.orders))
-
-
-@dataclass(frozen=True)
-class IterationState:
-    """Successive approximations v_0..v_n, all with finite coefficients.
-
-    ``iterates[k]`` has truncation degree W + k*m.
-    """
-
-    iterates: tuple[Series, ...]
-
-    @property
-    def final(self) -> Series:
-        return self.iterates[-1]
 
 
 def initial_approx(spec: ProblemSpec, constants: Sequence[float]) -> Series:
@@ -164,19 +149,11 @@ def he_coefficients(
         conv: list[Series] = [expand_exppoly(term.coeff, w)]
         for d in term.factors:
             factor = [differentiate(u, d) for u in parts]
-            out: list[Series | None] = [None] * (
-                min(len(conv) - 1 + cap, cap) + 1
-            )
-            for i, left in enumerate(conv):
-                if i > cap:
-                    break
-                for j, right in enumerate(factor):
-                    k = i + j
-                    if k > cap:
-                        break
-                    prod = mul(left, right)
-                    out[k] = prod if out[k] is None else add(out[k], prod)
-            conv = [s for s in out if s is not None]
+            out = [mul(conv[0], right) for right in factor]
+            for i in range(1, len(conv)):
+                for k in range(i, cap + 1):
+                    out[k] = add(out[k], mul(conv[i], factor[k - i]))
+            conv = out
         for k, h in enumerate(conv):
             totals[k] = h if totals[k] is None else add(totals[k], h)
     zero = make_series((), w)
@@ -189,12 +166,14 @@ def iterate(
     spec: ProblemSpec,
     constants: Sequence[float],
     n_iter: int | None = None,
-) -> IterationState:
+) -> tuple[Series, ...]:
     """Run the correction map ``n_iter`` times from the initial polynomial.
 
-    Raises :class:`NonFiniteIterateError` when the iterate produced by a
-    correction is not finite.  The initial polynomial is validated, so
-    every iterate in the returned state is finite.
+    Returns the successive approximations v_0..v_n; ``v_k`` has truncation
+    degree W + k*m, so the last entry is the solution.  The initial
+    polynomial is validated and each correction is checked, so every
+    returned iterate is finite: :class:`NonFiniteIterateError` is raised
+    when the iterate produced by a correction is not.
     """
     if n_iter is None:
         n_iter = spec.iterations
@@ -208,4 +187,4 @@ def iterate(
                 f"correction {k} made the iterate non-finite"
             )
         iterates.append(nxt)
-    return IterationState(tuple(iterates))
+    return tuple(iterates)

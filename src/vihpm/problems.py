@@ -26,9 +26,14 @@ __all__ = [
     "render_problem",
     "builtin",
     "BUILTIN_COUNT",
+    "MAX_SERIES_DEGREE",
 ]
 
 BUILTIN_COUNT = 4
+
+# bounds the work a problem can request: every series product costs
+# O(degree**2), and the k-th correction lives at truncation + k * order
+MAX_SERIES_DEGREE = 1000
 
 
 class ProblemFormatError(ValueError):
@@ -132,6 +137,12 @@ def validate(spec: ProblemSpec) -> list[str]:
         )
     if spec.iterations < 1:
         errors.append(f"iteration count must be at least 1, got {spec.iterations}")
+    top = spec.truncation + spec.iterations * m
+    if top > MAX_SERIES_DEGREE:
+        errors.append(
+            f"series degree {top} (truncation + iterations * order) "
+            f"exceeds {MAX_SERIES_DEGREE}"
+        )
     if len(spec.bcs) != m:
         errors.append(f"expected {m} boundary conditions, found {len(spec.bcs)}")
     seen: set[tuple[float, int]] = set()
@@ -201,10 +212,8 @@ def parse_problem(text: str) -> ProblemSpec:
         bc <point> <derivative_order> <value>
         exact <rate> <c0> <c1> ...          (optional, repeatable, summed)
     """
-    order: int | None = None
+    ints: dict[str, int] = {"truncation": 12, "iterations": 1}
     domain_end: float | None = None
-    truncation = 12
-    iterations = 1
     terms: list[RhsTerm] = []
     bcs: list[BoundaryCondition] = []
     exact_terms: list[ExpTerm] = []
@@ -214,10 +223,10 @@ def parse_problem(text: str) -> ProblemSpec:
         if not line:
             continue
         keyword, *rest = line.split()
-        if keyword == "order":
+        if keyword in ("order", "truncation", "iterations"):
             if len(rest) != 1:
-                raise ProblemFormatError(line_number, "order takes one integer")
-            order = _parse_int(rest[0], line_number)
+                raise ProblemFormatError(line_number, f"{keyword} takes one integer")
+            ints[keyword] = _parse_int(rest[0], line_number)
         elif keyword == "domain":
             if len(rest) != 2:
                 raise ProblemFormatError(line_number, "domain takes two numbers")
@@ -227,14 +236,6 @@ def parse_problem(text: str) -> ProblemSpec:
                     line_number, "domain must start at 0"
                 )
             domain_end = end
-        elif keyword == "truncation":
-            if len(rest) != 1:
-                raise ProblemFormatError(line_number, "truncation takes one integer")
-            truncation = _parse_int(rest[0], line_number)
-        elif keyword == "iterations":
-            if len(rest) != 1:
-                raise ProblemFormatError(line_number, "iterations takes one integer")
-            iterations = _parse_int(rest[0], line_number)
         elif keyword == "term":
             if ";" in rest:
                 split = rest.index(";")
@@ -269,20 +270,20 @@ def parse_problem(text: str) -> ProblemSpec:
         else:
             raise ProblemFormatError(line_number, f"unknown keyword {keyword!r}")
 
-    if order is None:
+    if "order" not in ints:
         raise ProblemFormatError(0, "missing 'order' line")
     if domain_end is None:
         raise ProblemFormatError(0, "missing 'domain' line")
 
     return _checked(
         ProblemSpec(
-            order=order,
+            order=ints["order"],
             domain_end=domain_end,
             terms=tuple(terms),
             bcs=tuple(bcs),
             exact=ExpPoly(tuple(exact_terms)) if exact_terms else None,
-            truncation=truncation,
-            iterations=iterations,
+            truncation=ints["truncation"],
+            iterations=ints["iterations"],
         )
     )
 
@@ -326,6 +327,19 @@ def _exppoly(rate: float, poly: Sequence[float]) -> ExpPoly:
     return ExpPoly((ExpTerm(rate, tuple(poly)),))
 
 
+# builtins 1 and 3 share the exact solution exp(x)(x - x^2) and these
+# conditions on it
+_EXP_X_TIMES_X_MINUS_X2_BCS = (
+    BoundaryCondition(0.0, 0, 0.0),
+    BoundaryCondition(1.0, 0, 0.0),
+    BoundaryCondition(0.0, 1, 1.0),
+    BoundaryCondition(1.0, 1, -math.e),
+    BoundaryCondition(0.0, 2, 0.0),
+    BoundaryCondition(1.0, 2, -4.0 * math.e),
+    BoundaryCondition(0.0, 3, -3.0),
+)
+
+
 def builtin(n: int) -> ProblemSpec:
     """Benchmark problems 1..4 with machine-precision boundary data."""
     e = math.e
@@ -339,15 +353,7 @@ def builtin(n: int) -> ProblemSpec:
                     RhsTerm(_exppoly(1.0, (-35.0, -12.0, -2.0))),
                     RhsTerm(_exppoly(0.0, (-1.0,)), (0,)),
                 ),
-                bcs=(
-                    BoundaryCondition(0.0, 0, 0.0),
-                    BoundaryCondition(1.0, 0, 0.0),
-                    BoundaryCondition(0.0, 1, 1.0),
-                    BoundaryCondition(1.0, 1, -e),
-                    BoundaryCondition(0.0, 2, 0.0),
-                    BoundaryCondition(1.0, 2, -4.0 * e),
-                    BoundaryCondition(0.0, 3, -3.0),
-                ),
+                bcs=_EXP_X_TIMES_X_MINUS_X2_BCS,
                 exact=_exppoly(1.0, (0.0, 1.0, -1.0)),
             )
         )
@@ -381,15 +387,7 @@ def builtin(n: int) -> ProblemSpec:
                     RhsTerm(_exppoly(1.0, (-35.0, -13.0, -1.0))),
                     RhsTerm(_exppoly(2.0, (0.0, 1.0, -2.0, 0.0, 1.0))),
                 ),
-                bcs=(
-                    BoundaryCondition(0.0, 0, 0.0),
-                    BoundaryCondition(1.0, 0, 0.0),
-                    BoundaryCondition(0.0, 1, 1.0),
-                    BoundaryCondition(1.0, 1, -e),
-                    BoundaryCondition(0.0, 2, 0.0),
-                    BoundaryCondition(1.0, 2, -4.0 * e),
-                    BoundaryCondition(0.0, 3, -3.0),
-                ),
+                bcs=_EXP_X_TIMES_X_MINUS_X2_BCS,
                 exact=_exppoly(1.0, (0.0, 1.0, -1.0)),
             )
         )

@@ -76,23 +76,6 @@ class Series:
         """Highest retained degree W."""
         return len(self.coeffs) - 1
 
-    def __add__(self, other: "Series") -> "Series":
-        return add(self, other)
-
-    def __sub__(self, other: "Series") -> "Series":
-        return sub(self, other)
-
-    def __mul__(self, other: "Series | float") -> "Series":
-        if isinstance(other, Series):
-            return mul(self, other)
-        return scale(self, other)
-
-    def __rmul__(self, other: float) -> "Series":
-        return scale(self, other)
-
-    def __neg__(self) -> "Series":
-        return scale(self, -1.0)
-
 
 def _trusted(coeffs: tuple[float, ...]) -> Series:
     """Wrap a ring-operation result, a non-empty tuple of floats, unchecked."""

@@ -3,7 +3,7 @@
 The initial approximation leaves one unknown coefficient per boundary
 condition imposed away from the origin.  Since the iteration engine is a
 deterministic map from those constants to a series, the off-origin
-conditions become a small nonlinear system r(c) = 0, solved by damped-free
+conditions become a small nonlinear system r(c) = 0, solved by undamped
 Newton iteration with a central finite-difference Jacobian and dense
 Gaussian elimination with partial pivoting.  The systems here are at most
 m-by-m with m tiny, so robustness beats speed everywhere.
@@ -61,8 +61,7 @@ def bc_residuals(
     Origin conditions are satisfied identically by construction, so only
     conditions at points other than 0 contribute equations.
     """
-    solution = iterate(spec, constants).final
-    return _bc_residuals_of(solution, spec)
+    return _bc_residuals_of(iterate(spec, constants)[-1], spec)
 
 
 def _bc_residuals_of(solution: Series, spec: ProblemSpec) -> tuple[float, ...]:
@@ -73,16 +72,17 @@ def _bc_residuals_of(solution: Series, spec: ProblemSpec) -> tuple[float, ...]:
 
 
 def fd_jacobian(
-    spec: ProblemSpec,
-    constants: Sequence[float],
-    step_scale: float = FD_STEP_SCALE,
+    spec: ProblemSpec, constants: Sequence[float]
 ) -> list[list[float]]:
-    """Central-difference Jacobian of bc_residuals, column by column."""
+    """Central-difference Jacobian of bc_residuals, column by column.
+
+    Column j steps constant j by ``FD_STEP_SCALE * max(1, |c_j|)``.
+    """
     constants = [float(c) for c in constants]
     q = len(constants)
     columns = []
     for j in range(q):
-        h = step_scale * max(1.0, abs(constants[j]))
+        h = FD_STEP_SCALE * max(1.0, abs(constants[j]))
         bumped = list(constants)
         bumped[j] = constants[j] + h
         upper = bc_residuals(spec, bumped)
@@ -135,17 +135,16 @@ def solve(spec: ProblemSpec) -> SolveResult:
         raise InvalidProblemError(errors)
 
     constants = [0.0] * spec.unknown_count()
-    solution = iterate(spec, constants).final
-    r = _bc_residuals_of(solution, spec)
-    norm = max((abs(v) for v in r), default=0.0)
     steps = 0
-    while norm > NEWTON_TOLERANCE and steps < NEWTON_MAX_ITERATIONS:
-        jacobian = fd_jacobian(spec, constants)
-        delta = _solve_dense(jacobian, [-v for v in r])
-        constants = [c + d for c, d in zip(constants, delta)]
-        solution = iterate(spec, constants).final
+    while True:
+        solution = iterate(spec, constants)[-1]
         r = _bc_residuals_of(solution, spec)
         norm = max((abs(v) for v in r), default=0.0)
+        # a nan norm stops here too and is reported as not converged
+        if not norm > NEWTON_TOLERANCE or steps >= NEWTON_MAX_ITERATIONS:
+            break
+        delta = _solve_dense(fd_jacobian(spec, constants), [-v for v in r])
+        constants = [c + d for c, d in zip(constants, delta)]
         steps += 1
     return SolveResult(
         constants=tuple(constants),

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from vihpm import cli, solver
 from vihpm.cli import MAX_GRID_POINTS, main
 
 
@@ -214,6 +215,47 @@ class TestErrorPaths:
         assert code == 1
         assert "grid step" in err
         assert out == ""
+
+    @pytest.fixture
+    def no_solve(self, monkeypatch):
+        def fail(spec):
+            raise AssertionError("solve() ran on a request that should be rejected")
+
+        monkeypatch.setattr(cli, "solve", fail)
+
+    @pytest.mark.parametrize("depth", ["1", "-3"])
+    def test_shallow_depth_rejected_before_solving(self, capsys, no_solve, depth):
+        code, out, err = run_cli(
+            capsys, "convergence", "--builtin", "1", "--depth", depth
+        )
+        assert code == 1
+        assert "need at least two corrections" in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("solve", "--builtin", "1", "--truncation", "1000000"),
+            ("solve", "FILE"),
+            ("convergence", "--builtin", "1", "--depth", "1000000"),
+        ],
+        ids=["truncation", "file-iterations", "depth"],
+    )
+    def test_series_degree_cap(self, capsys, tmp_path, no_solve, argv):
+        path = tmp_path / "deep.txt"
+        path.write_text("order 1\ndomain 0 1\niterations 1000\nbc 0 0 1\n")
+        argv = [str(path) if a == "FILE" else a for a in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert "series degree" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("command", ["solve", "convergence"])
+    def test_non_convergence_exit_code(self, capsys, monkeypatch, command):
+        monkeypatch.setattr(solver, "NEWTON_MAX_ITERATIONS", 0)
+        code, _, err = run_cli(capsys, command, "--builtin", "1")
+        assert code == 2
+        assert "did not converge" in err
 
 
 class TestEntryPoint:

@@ -245,27 +245,27 @@ class TestHeCoefficients:
 
 class TestIterate:
     def test_zero_iterations_returns_initial(self):
-        state = iterate(builtin(1), (0.1, 0.2, 0.3), 0)
-        assert state.final.coeffs == initial_approx(
+        iterates = iterate(builtin(1), (0.1, 0.2, 0.3), 0)
+        assert iterates[-1].coeffs == initial_approx(
             builtin(1), (0.1, 0.2, 0.3)
         ).coeffs
 
     def test_state_shape_and_consistency(self):
-        state = iterate(builtin(3), (0.0, 0.0, 0.0), 3)
-        assert len(state.iterates) == 4
+        iterates = iterate(builtin(3), (0.0, 0.0, 0.0), 3)
+        assert len(iterates) == 4
         for k in range(1, 4):
-            assert state.iterates[k].truncation == 12 + 7 * k
+            assert iterates[k].truncation == 12 + 7 * k
 
     def test_default_depth_comes_from_spec(self):
         spec = with_settings(builtin(1), iterations=2)
-        assert iterate(spec, (0.0, 0.0, 0.0)).final.truncation == 12 + 14
+        assert iterate(spec, (0.0, 0.0, 0.0))[-1].truncation == 12 + 14
 
     def test_origin_conditions_preserved_exactly(self):
         for n in range(1, 5):
             spec = builtin(n)
-            state = iterate(spec, (0.05,) * spec.unknown_count(), 3)
-            u0 = state.iterates[0]
-            for v in state.iterates:
+            iterates = iterate(spec, (0.05,) * spec.unknown_count(), 3)
+            u0 = iterates[0]
+            for v in iterates:
                 for j in range(spec.order):
                     assert v.coeffs[j] == u0.coeffs[j]
                 for bc in spec.origin_conditions():
@@ -290,7 +290,7 @@ class TestIterate:
         t1 = (0.2, -0.3, 0.11)
         t2 = (-0.07, 0.5, -0.23)
         both = tuple(a + b for a, b in zip(t1, t2))
-        s = lambda t: iterate(spec, t, 1).final
+        s = lambda t: iterate(spec, t, 1)[-1]
         defect = sub(sub(s(both), s(t1)), sub(s(t2), s((0.0, 0.0, 0.0))))
         assert max(abs(c) for c in defect.coeffs) <= 1e-14
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vihpm.problems import (
+    MAX_SERIES_DEGREE,
     BoundaryCondition,
     InvalidProblemError,
     ProblemFormatError,
@@ -157,6 +158,16 @@ class TestValidate:
         with pytest.raises(InvalidProblemError):
             with_settings(base, iterations=0)
 
+    def test_series_degree_cap(self):
+        # builtin 1 has order 7 and one correction: degree = truncation + 7
+        base = builtin(1)
+        at_cap = with_settings(base, truncation=MAX_SERIES_DEGREE - 7)
+        assert validate(at_cap) == []
+        with pytest.raises(InvalidProblemError, match="exceeds"):
+            with_settings(base, truncation=MAX_SERIES_DEGREE - 6)
+        with pytest.raises(InvalidProblemError, match="exceeds"):
+            with_settings(base, iterations=MAX_SERIES_DEGREE)
+
     def test_term_factor_order_bound(self):
         bad = ProblemSpec(
             order=2,
@@ -238,6 +249,14 @@ class TestParse:
             parse_problem("order 7\ndomain 0 1\nterm nope 1\n")
         assert info.value.line_number == 3
         assert "nope" in str(info.value)
+
+    @pytest.mark.parametrize("keyword", ["order", "truncation", "iterations"])
+    def test_integer_setting_takes_one_value(self, keyword):
+        text = f"order 1\ndomain 0 1\n{keyword} 3 4\nbc 0 0 0\n"
+        with pytest.raises(ProblemFormatError) as info:
+            parse_problem(text)
+        assert info.value.line_number == 3
+        assert f"{keyword} takes one integer" in str(info.value)
 
     def test_unknown_keyword(self):
         with pytest.raises(ProblemFormatError, match="unknown keyword"):

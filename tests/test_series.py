@@ -102,15 +102,6 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             scale(Series((1.0,)), math.inf)
 
-    def test_operator_sugar(self):
-        f = Series((1.0, 2.0))
-        g = Series((3.0, 4.0))
-        assert (f + g).coeffs == (4.0, 6.0)
-        assert (f - g).coeffs == (-2.0, -2.0)
-        assert (2.0 * f).coeffs == (2.0, 4.0)
-        assert (-f).coeffs == (-1.0, -2.0)
-        assert (f * g).coeffs == mul(f, g).coeffs
-
     def test_mul_against_brute_force(self):
         rng = random.Random(101)
         for _ in range(25):
