@@ -2,20 +2,21 @@
 
 The solution process starts from a degree-(m-1) polynomial carrying the
 origin conditions plus free constants, then repeatedly applies the
-correction map ``B(v) = v + K(v^(m) - F(v))`` where K is the closed-form
-integral of :mod:`vihpm.kernel`.  Each application enlarges the series
-degree by m, so the k-th iterate lives at truncation ``W + k*m``; the
-correction vanishes to order m at 0, which preserves every origin
-condition exactly.
+correction map ``B(v) = v + K(v^(m) - F(v))`` with the integral K of
+:mod:`vihpm.kernel`.  Since ``K(v^(m)) = -(v - T_{m-1} v)`` exactly, B is
+Picard iteration on Taylor coefficients (the Parker-Sochacki method),
+``B(v) = T_{m-1} v + I^m F(v)``: v's first m coefficients, which carry the
+origin conditions, are kept and ``c_{n+m} = F(v)_n * n!/(n+m)!``.  So the
+k-th iterate lives at truncation ``W + k*m``, and each correction leaves a
+growing prefix of the previous iterate's coefficients unchanged.
 
 The series arithmetic does not check its results (see :mod:`vihpm.series`);
 :func:`iterate` checks every new iterate once and raises
 :class:`NonFiniteIterateError` when the arithmetic has overflowed.
 
-He coefficients (the p-expansion orders of F applied to a parameter-embedded
-sum) are computed by direct polynomial convolution in the embedding
-parameter; the order-0 coefficient is computed in the same operation order
-as the residual's F so the two agree coefficient for coefficient.
+He coefficients (the p-expansion orders of F on a parameter-embedded sum)
+come from direct convolution in the embedding parameter; order 0 follows
+the correction's F operation for operation, so the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .kernel import CorrectionKernel
 from .problems import ProblemSpec
 from .series import (
     Series,
+    _trusted,
     add,
     differentiate,
     evaluate,
@@ -115,18 +117,16 @@ def residual(v: Series, spec: ProblemSpec) -> Series:
 
 
 def correct_once(v: Series, spec: ProblemSpec) -> Series:
-    """One application of the correction map B.
+    """One correction ``T_{m-1} v + I^m F(v)``, F evaluated in v's own ring.
 
-    The image of the correction integral on a degree-W residual extends to
-    degree W + m, so the iterate is first lifted into the larger ring; the
-    added correction then retains the integral's full polynomial image.
-    The correction has no terms below degree m, hence origin conditions
-    survive untouched.
+    Lifting v adds only zeros, so ``F(v)_n`` for n <= W is the same at degree
+    W as at W + m; the kernel's ``-I^m F`` is subtracted from the kept head.
     """
     m = spec.order
-    lifted = pad_to(v, v.truncation + m)
-    kernel = CorrectionKernel(m, lifted.truncation)
-    return add(lifted, kernel.integrate(residual(lifted, spec)))
+    w = v.truncation + m
+    integral = CorrectionKernel(m, w).integrate(pad_to(_apply_rhs(v, spec), w))
+    head = _trusted(v.coeffs[:m] + (0.0,) * (w + 1 - m))
+    return sub(head, integral)
 
 
 def he_coefficients(

@@ -12,8 +12,12 @@ On a monomial residual the integral is closed-form,
     integral_0^x t**j (t - x)**(m-1) dt = (-1)**(m-1) j! (m-1)!/(j+m)! x**(j+m),
 
 so applying the kernel to ``sum c_j t**j`` yields ``-c_j * j!/(j+m)!`` at
-degree ``j + m``.  :meth:`CorrectionKernel.integrate` implements exactly this
-map; degrees beyond the kernel's truncation are discarded.
+degree ``j + m``: K is minus the m-fold integral ``I^m`` from 0.  Hence
+``K(v^(m)) = -(v - T_{m-1} v)`` with ``T_{m-1} v`` the Taylor head of degree
+below m, and the correction ``v + K(v^(m) - F(v))`` equals
+``T_{m-1} v + I^m F(v)``, the form :func:`vihpm.engine.correct_once`
+computes.  :meth:`CorrectionKernel.integrate` implements exactly this map;
+degrees beyond the kernel's truncation are discarded.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ class CorrectionKernel:
         return sign * (t - x) ** (m - 1) / math.factorial(m - 1)
 
     def integrate(self, f: Series) -> Series:
-        """Apply the correction integral to a residual series.
+        """Apply the correction integral ``-I^m`` to a series.
 
         The degree-j input coefficient lands at degree ``j + order`` scaled
         by ``-j!/(j+order)!`` (see :func:`_kernel_weights`).  Degrees of the
@@ -58,7 +62,7 @@ class CorrectionKernel:
         """
         if f.truncation != self.truncation:
             raise ValueError(
-                f"residual truncation {f.truncation} does not match "
+                f"series truncation {f.truncation} does not match "
                 f"kernel truncation {self.truncation}"
             )
         m = self.order

@@ -192,6 +192,14 @@ def _parse_floats(tokens: Sequence[str], line_number: int) -> list[float]:
     return values
 
 
+def _parse_exp_term(tokens: Sequence[str], line_number: int) -> ExpTerm:
+    rate, *poly = _parse_floats(tokens, line_number)
+    try:
+        return ExpTerm(rate, tuple(poly))
+    except ValueError as exc:
+        raise ProblemFormatError(line_number, str(exc)) from None
+
+
 def _parse_int(token: str, line_number: int) -> int:
     try:
         return int(token)
@@ -246,11 +254,9 @@ def parse_problem(text: str) -> ProblemSpec:
                 raise ProblemFormatError(
                     line_number, "term needs a rate and at least one coefficient"
                 )
-            rate, *poly = _parse_floats(head, line_number)
+            part = _parse_exp_term(head, line_number)
             factors = tuple(_parse_int(t, line_number) for t in tail)
-            terms.append(
-                RhsTerm(ExpPoly((ExpTerm(rate, tuple(poly)),)), factors)
-            )
+            terms.append(RhsTerm(ExpPoly((part,)), factors))
         elif keyword == "bc":
             if len(rest) != 3:
                 raise ProblemFormatError(
@@ -265,8 +271,7 @@ def parse_problem(text: str) -> ProblemSpec:
                 raise ProblemFormatError(
                     line_number, "exact needs a rate and at least one coefficient"
                 )
-            rate, *poly = _parse_floats(rest, line_number)
-            exact_terms.append(ExpTerm(rate, tuple(poly)))
+            exact_terms.append(_parse_exp_term(rest, line_number))
         else:
             raise ProblemFormatError(line_number, f"unknown keyword {keyword!r}")
 

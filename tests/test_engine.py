@@ -2,8 +2,11 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vihpm.engine import (
     correct_once,
@@ -304,3 +307,91 @@ class TestIterate:
     def test_solved_series_value_at_half(self):
         r1 = solve(builtin(1))
         assert evaluate(r1.solution, 0.5) == pytest.approx(0.41218, abs=1e-5)
+
+
+def highest_factor_order(spec):
+    return max((d for term in spec.terms for d in term.factors), default=0)
+
+
+def settled_length(spec, k):
+    """Number of leading coefficients of v_k no later correction changes.
+
+    Coefficient n of F(v) reads v up to degree n + d_max, and the integral
+    shifts it up by m, so each correction settles m - d_max more of them.
+    """
+    return spec.order + k * (spec.order - highest_factor_order(spec))
+
+
+def taylor_recurrence(spec, head, top):
+    """Exact Taylor coefficients c_0..c_top of the solution with this head.
+
+    ``c_{n+m} = F_n * n!/(n+m)!``, with each term's products extended one
+    degree at a time by the Cauchy-product recurrence.
+    """
+    m = spec.order
+    c = [Fraction(h) for h in head]
+    # per term: its exponential-polynomial expansion, then running products
+    expansions = []
+    for term in spec.terms:
+        out = [Fraction(0)] * (top + 1)
+        for part in term.coeff.terms:
+            weight = [Fraction(1)]
+            for k in range(1, top + 1):
+                weight.append(weight[-1] * Fraction(part.rate) / k)
+            for j, p in enumerate(part.poly):
+                for n in range(j, top + 1):
+                    out[n] += Fraction(p) * weight[n - j]
+        expansions.append(out)
+    products = [[[] for _ in term.factors] for term in spec.terms]
+    for n in range(top + 1 - m):
+        f_n = Fraction(0)
+        for term, expansion, prods in zip(spec.terms, expansions, products):
+            left = expansion
+            for d, prod in zip(term.factors, prods):
+                deriv = [
+                    c[i + d] * math.factorial(i + d) / math.factorial(i)
+                    for i in range(n + 1)
+                ]
+                prod.append(sum(left[j] * deriv[n - j] for j in range(n + 1)))
+                left = prod
+            f_n += left[n]
+        c.append(f_n * Fraction(math.factorial(n), math.factorial(n + m)))
+    return c
+
+
+class TestPicardForm:
+    """The correction keeps v's first m coefficients and adds the m-fold
+    integral of F(v), so each correction settles a growing prefix."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=4),
+        w=st.integers(min_value=7, max_value=30),
+        k=st.integers(min_value=0, max_value=3),
+        data=st.data(),
+    )
+    def test_settled_prefix_is_bit_identical(self, n, w, k, data):
+        spec = with_settings(builtin(n), truncation=w)
+        constants = data.draw(
+            st.lists(
+                st.floats(min_value=-4.0, max_value=4.0),
+                min_size=spec.unknown_count(),
+                max_size=spec.unknown_count(),
+            )
+        )
+        iterates = iterate(spec, constants, k + 1)
+        p = settled_length(spec, k)
+        before, after = iterates[k].coeffs[:p], iterates[k + 1].coeffs[:p]
+        assert [c.hex() for c in after] == [c.hex() for c in before]
+
+    @pytest.mark.parametrize("w,k", [(12, 4), (30, 3)])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_settled_prefix_matches_taylor_recurrence(self, n, w, k):
+        spec = with_settings(builtin(n), truncation=w)
+        rng = random.Random(100 * n + w + k)
+        constants = [rng.uniform(-1.0, 1.0) for _ in range(spec.unknown_count())]
+        iterates = iterate(spec, constants, k)
+        p = settled_length(spec, k)
+        exact = taylor_recurrence(spec, iterates[0].coeffs[: spec.order], p - 1)
+        for got, want in zip(iterates[k].coeffs[:p], exact):
+            assert abs(Fraction(got) - want) <= Fraction(1, 10**10) * abs(want)

@@ -95,6 +95,17 @@ class TestIntegrate:
         for j in range(w - m + 1):
             assert abs(back.coeffs[j] + f.coeffs[j]) <= 1e-14 * abs(f.coeffs[j])
 
+    def test_integral_of_derivative_drops_taylor_head(self):
+        """K(v^(m)) = -(v - T_{m-1} v) on the retained degrees: the identity
+        that makes the correction map a Picard step."""
+        rng = random.Random(5)
+        for m, w in ((1, 6), (3, 10), (7, 19)):
+            v = Series(tuple(rng.uniform(-1, 1) for _ in range(w + 1)))
+            image = CorrectionKernel(m, w).integrate(differentiate(v, m))
+            assert image.coeffs[:m] == (0.0,) * m
+            for got, c in zip(image.coeffs[m:], v.coeffs[m:]):
+                assert abs(got + c) <= 1e-14 * abs(c)
+
     def test_against_adaptive_quadrature(self):
         rng = random.Random(42)
         k = CorrectionKernel(7, 12)

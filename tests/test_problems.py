@@ -250,6 +250,15 @@ class TestParse:
         assert info.value.line_number == 3
         assert "nope" in str(info.value)
 
+    @pytest.mark.parametrize("line", ["term inf 1.0", "term 0 nan", "exact 0 inf"])
+    def test_non_finite_data_carries_line_number(self, line):
+        with pytest.raises(ProblemFormatError) as info:
+            parse_problem(f"order 1\ndomain 0 1\n{line}\nbc 0 0 0\n")
+        assert info.value.line_number == 3
+        assert str(info.value) == (
+            "line 3: exponential-polynomial data must be finite"
+        )
+
     @pytest.mark.parametrize("keyword", ["order", "truncation", "iterations"])
     def test_integer_setting_takes_one_value(self, keyword):
         text = f"order 1\ndomain 0 1\n{keyword} 3 4\nbc 0 0 0\n"
