@@ -54,8 +54,9 @@ def default_grid(spec: ProblemSpec) -> tuple[float, ...]:
     return tuple(b * i / 10 for i in range(11))
 
 
-def _grid_sup(f: Series, g: Series, grid: Sequence[float]) -> float:
-    return max(abs(evaluate(f, x) - evaluate(g, x)) for x in grid)
+def _sup_gap(f: Sequence[float], g: Sequence[float]) -> float:
+    """Sup-norm of the difference of two series' values on one grid."""
+    return max(abs(a - b) for a, b in zip(f, g))
 
 
 def check_depth(spec: ProblemSpec, depth: int) -> None:
@@ -92,7 +93,9 @@ def analyze_convergence(
     if grid is None:
         grid = default_grid(spec)
     v = iterate(spec, constants, depth)
-    deltas = tuple(_grid_sup(v[k + 1], v[k], grid) for k in range(depth))
+    # each iterate is evaluated once; every sup below reads these values
+    values = [[evaluate(vk, x) for x in grid] for vk in v]
+    deltas = tuple(_sup_gap(values[k + 1], values[k]) for k in range(depth))
 
     estimates = tuple(
         deltas[k + 1] / deltas[k]
@@ -108,7 +111,7 @@ def analyze_convergence(
             # 0**0 == 1 covers gamma_max == 0 at j == 0
             geometric = sum(gamma_max**j for j in range(l - 1, k - 1))
             bound = geometric * deltas[0] * (1.0 + BOUND_SLACK)
-            if _grid_sup(v[k], v[l], grid) > bound:
+            if _sup_gap(values[k], values[l]) > bound:
                 bound_ok = False
     return ConvergenceReport(
         deltas=deltas,

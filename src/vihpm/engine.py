@@ -14,25 +14,28 @@ The series arithmetic does not check its results (see :mod:`vihpm.series`);
 :func:`iterate` checks every new iterate once and raises
 :class:`NonFiniteIterateError` when the arithmetic has overflowed.
 
-He coefficients (the p-expansion orders of F on a parameter-embedded sum)
-come from direct convolution in the embedding parameter; order 0 follows
-the correction's F operation for operation, so the two agree bit for bit.
+F is evaluated in one place, as He's polynomials: the order-k coefficient
+in p of F on a parameter-embedded sum ``sum_i p**i u_i``.  The correction
+and :func:`residual` take order 0 on the single part v, which is F(v);
+:func:`he_coefficients` collects every order, and order 1 on ``(v, dv)`` is
+the derivative of F at v along dv.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from functools import lru_cache
+from itertools import product
 from typing import Sequence
 
 from .kernel import CorrectionKernel
 from .problems import ProblemSpec
 from .series import (
+    CACHE_SIZE,
     Series,
     _trusted,
     add,
     differentiate,
-    evaluate,
     expand_exppoly,
     make_series,
     mul,
@@ -42,7 +45,6 @@ from .series import (
 
 __all__ = [
     "NonFiniteIterateError",
-    "PerturbationExpansion",
     "initial_approx",
     "residual",
     "correct_once",
@@ -53,24 +55,6 @@ __all__ = [
 
 class NonFiniteIterateError(ArithmeticError):
     """A correction produced an infinite or NaN series coefficient."""
-
-
-@dataclass(frozen=True)
-class PerturbationExpansion:
-    """Orders h_0..h_K of F(sum_k p^k u_k) as a polynomial in p."""
-
-    orders: tuple[Series, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.orders) == 0:
-            raise ValueError("expansion needs at least the order-0 series")
-        w = self.orders[0].truncation
-        if any(h.truncation != w for h in self.orders):
-            raise ValueError("expansion orders must share one truncation degree")
-
-    def evaluate_at(self, p: float, x: float) -> float:
-        """Value of sum_k h_k(x) p**k; used to test the expansion."""
-        return sum(evaluate(h, x) * p**k for k, h in enumerate(self.orders))
 
 
 def initial_approx(spec: ProblemSpec, constants: Sequence[float]) -> Series:
@@ -93,19 +77,39 @@ def initial_approx(spec: ProblemSpec, constants: Sequence[float]) -> Series:
     return make_series(coeffs, spec.truncation)
 
 
-def _apply_rhs(v: Series, spec: ProblemSpec) -> Series:
-    """F(v): sum over terms of coeff-series times derivative products.
+@lru_cache(maxsize=CACHE_SIZE)
+def _picks(
+    factors: tuple[int, ...], k: int
+) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Ways a term's factors can draw parts so their product lands at order k.
 
-    The per-term accumulation order (expansion first, then factors left to
-    right) is mirrored in he_coefficients' order-0 path; keep in sync.
+    Each pick pairs every derivative order d_j in ``factors`` with a part
+    index i_j, and i_1 + ... + i_r == k.  A term without factors has one
+    (empty) pick at k = 0 and none above, so forcing reaches order 0 only.
     """
-    w = v.truncation
+    return tuple(
+        tuple(zip(pick, factors))
+        for pick in product(range(k + 1), repeat=len(factors))
+        if sum(pick) == k
+    )
+
+
+def _he_order(spec: ProblemSpec, parts: Sequence[Series], k: int) -> Series:
+    """Order k in p of F(sum_i p**i parts[i]), in the parts' common ring.
+
+    Every term adds its coefficient series times one derivative product for
+    each pick of part indices summing to k, factors left to right, so order
+    0 is F(parts[0]) itself.  Nothing is checked here; a zero series is built
+    only when no term contributes.
+    """
+    w = parts[0].truncation
     total: Series | None = None
     for term in spec.terms:
-        acc = expand_exppoly(term.coeff, w)
-        for d in term.factors:
-            acc = mul(acc, differentiate(v, d))
-        total = acc if total is None else add(total, acc)
+        for pick in _picks(term.factors, k):
+            acc = expand_exppoly(term.coeff, w)
+            for i, d in pick:
+                acc = mul(acc, differentiate(parts[i], d))
+            total = acc if total is None else add(total, acc)
     if total is None:
         total = make_series((), w)
     return total
@@ -113,7 +117,7 @@ def _apply_rhs(v: Series, spec: ProblemSpec) -> Series:
 
 def residual(v: Series, spec: ProblemSpec) -> Series:
     """Equation defect ``v^(m) - F(v)`` in v's own ring."""
-    return sub(differentiate(v, spec.order), _apply_rhs(v, spec))
+    return sub(differentiate(v, spec.order), _he_order(spec, (v,), 0))
 
 
 def correct_once(v: Series, spec: ProblemSpec) -> Series:
@@ -124,42 +128,26 @@ def correct_once(v: Series, spec: ProblemSpec) -> Series:
     """
     m = spec.order
     w = v.truncation + m
-    integral = CorrectionKernel(m, w).integrate(pad_to(_apply_rhs(v, spec), w))
+    rhs = pad_to(_he_order(spec, (v,), 0), w)
+    integral = CorrectionKernel(m, w).integrate(rhs)
     head = _trusted(v.coeffs[:m] + (0.0,) * (w + 1 - m))
     return sub(head, integral)
 
 
 def he_coefficients(
     spec: ProblemSpec, parts: Sequence[Series]
-) -> PerturbationExpansion:
-    """Expand F(sum_k p^k parts[k]) in p, truncated at K = len(parts) - 1.
+) -> tuple[Series, ...]:
+    """Orders h_0..h_K of F(sum_k p**k parts[k]) in p, K = len(parts) - 1.
 
-    Works by convolving, factor by factor, the p-polynomials whose p-degree-k
-    entry is the k-th part's derivative series.  Forcing terms (no factors)
-    contribute only to order 0.
+    These are He's polynomials of F on the embedded sum; h_0 is the F the
+    correction applies, bit for bit.
     """
     if len(parts) == 0:
         raise ValueError("need at least one expansion part")
     w = parts[0].truncation
     if any(u.truncation != w for u in parts):
         raise ValueError("expansion parts must share one truncation degree")
-    cap = len(parts) - 1
-    totals: list[Series | None] = [None] * (cap + 1)
-    for term in spec.terms:
-        conv: list[Series] = [expand_exppoly(term.coeff, w)]
-        for d in term.factors:
-            factor = [differentiate(u, d) for u in parts]
-            out = [mul(conv[0], right) for right in factor]
-            for i in range(1, len(conv)):
-                for k in range(i, cap + 1):
-                    out[k] = add(out[k], mul(conv[i], factor[k - i]))
-            conv = out
-        for k, h in enumerate(conv):
-            totals[k] = h if totals[k] is None else add(totals[k], h)
-    zero = make_series((), w)
-    return PerturbationExpansion(
-        tuple(t if t is not None else zero for t in totals)
-    )
+    return tuple(_he_order(spec, parts, k) for k in range(len(parts)))
 
 
 def iterate(

@@ -172,6 +172,14 @@ def validate(spec: ProblemSpec) -> list[str]:
                 errors.append(
                     f"term factor derivative order {d} outside 0..{m - 1}"
                 )
+    if spec.exact is not None and math.isfinite(spec.domain_end):
+        # the error table evaluates the reference up to the domain end
+        for part in spec.exact.terms:
+            try:
+                math.exp(part.rate * spec.domain_end)
+            except OverflowError:
+                line = "exact " + _render_numbers((part.rate,) + part.poly)
+                errors.append(f"exact term '{line}' overflows at x = {spec.domain_end}")
     return errors
 
 

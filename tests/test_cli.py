@@ -250,6 +250,19 @@ class TestErrorPaths:
         assert "series degree" in err
         assert out == ""
 
+    def test_overflowing_exact_solution_rejected_before_solving(
+        self, capsys, tmp_path, no_solve
+    ):
+        # exp(1.0 * 1000) is beyond float range on the error table's grid
+        path = tmp_path / "overflow_exact.txt"
+        path.write_text(
+            "order 1\ndomain 0 1000\nterm 0.0 1.0 ; 0\nbc 0 0 1\nexact 1.0 1.0\n"
+        )
+        code, out, err = run_cli(capsys, "solve", str(path))
+        assert code == 1
+        assert "exact term 'exact 1.0 1.0' overflows" in err
+        assert out == ""
+
     @pytest.mark.parametrize("command", ["solve", "convergence"])
     def test_non_convergence_exit_code(self, capsys, monkeypatch, command):
         monkeypatch.setattr(solver, "NEWTON_MAX_ITERATIONS", 0)

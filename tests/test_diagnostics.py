@@ -2,6 +2,7 @@
 
 import pytest
 
+from vihpm import diagnostics
 from vihpm.diagnostics import analyze_convergence, default_grid, ode_residual_report
 from vihpm.engine import correct_once, initial_approx, residual
 from vihpm.problems import (
@@ -70,6 +71,18 @@ class TestAnalyzeConvergence:
         # the third correction is below double precision on this problem
         assert len(report.gamma_estimates) <= len(report.deltas) - 1
         assert all(g >= 0.0 for g in report.gamma_estimates)
+
+    def test_each_iterate_evaluated_once_per_grid_point(self, monkeypatch):
+        calls = []
+
+        def counting_evaluate(f, x):
+            calls.append(x)
+            return evaluate(f, x)
+
+        monkeypatch.setattr(diagnostics, "evaluate", counting_evaluate)
+        depth = 4
+        analyze_convergence(builtin(2), (0.0, 0.0, 0.0), depth=depth, grid=GRID)
+        assert len(calls) == (depth + 1) * len(GRID)
 
     def test_default_grid_matches_table_spacing(self):
         grid = default_grid(builtin(1))

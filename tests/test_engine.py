@@ -162,7 +162,7 @@ class TestHeCoefficients:
         rng = random.Random(11)
         u0 = make_series([rng.uniform(-1, 1) for _ in range(4)], w)
         u1 = make_series([rng.uniform(-1, 1) for _ in range(4)], w)
-        hs = he_coefficients(spec, (u0, u1)).orders
+        hs = he_coefficients(spec, (u0, u1))
         assert len(hs) == 2
         expect0 = mul(u0, u0)
         expect1 = scale(mul(u0, u1), 2.0)
@@ -184,7 +184,7 @@ class TestHeCoefficients:
         rng = random.Random(12)
         u0 = make_series([rng.uniform(-1, 1) for _ in range(4)], w)
         u1 = make_series([rng.uniform(-1, 1) for _ in range(4)], w)
-        hs = he_coefficients(spec, (u0, u1)).orders
+        hs = he_coefficients(spec, (u0, u1))
         expect1 = add(
             mul(u0, differentiate(u1, 1)), mul(u1, differentiate(u0, 1))
         )
@@ -202,7 +202,7 @@ class TestHeCoefficients:
         parts = tuple(
             make_series([rng.uniform(-1, 1) for _ in range(4)], w) for _ in range(3)
         )
-        hs = he_coefficients(spec, parts).orders
+        hs = he_coefficients(spec, parts)
         for h, u in zip(hs, parts):
             assert h.coeffs == pytest.approx(u.coeffs, rel=1e-14, abs=1e-18)
 
@@ -215,7 +215,7 @@ class TestHeCoefficients:
         )
         w = 6
         parts = (make_series([1.0], w), make_series([1.0], w))
-        hs = he_coefficients(spec, parts).orders
+        hs = he_coefficients(spec, parts)
         assert hs[0].coeffs == expand_exppoly(spec.terms[0].coeff, w).coeffs
         assert all(c == 0.0 for c in hs[1].coeffs)
 
@@ -235,9 +235,37 @@ class TestHeCoefficients:
                     combo = add(u0, scale(u1, p))
                     direct = apply_rhs_direct(spec, combo)
                     for x in (0.3, 0.7, 1.0):
-                        got = hs.evaluate_at(p, x)
+                        got = sum(evaluate(h, x) * p**k for k, h in enumerate(hs))
                         ref = evaluate(direct, x)
                         assert abs(got - ref) <= 1e-12 * max(abs(ref), 1e-30)
+
+    def test_sum_identity_three_factors_three_parts(self):
+        """A cubic term u u u' on u0 + p u1 + p^2 u2 has p-degree 6, so seven
+        parts complete the expansion; every pick meets nonzero data."""
+        spec = ProblemSpec(
+            order=2,
+            domain_end=1.0,
+            terms=(RhsTerm(ExpPoly.from_terms([(0.5, (1.0, -0.3))]), (0, 0, 1)),),
+            bcs=(
+                BoundaryCondition(0.0, 0, 0.0),
+                BoundaryCondition(0.0, 1, 0.0),
+            ),
+        )
+        w = 10
+        rng = random.Random(17)
+        u0, u1, u2 = (
+            make_series([rng.uniform(-1, 1) for _ in range(6)], w) for _ in range(3)
+        )
+        zero = make_series([], w)
+        hs = he_coefficients(spec, (u0, u1, u2) + (zero,) * 4)
+        assert len(hs) == 7
+        for p in (0.3, -0.8, 1.0):
+            combo = add(u0, add(scale(u1, p), scale(u2, p * p)))
+            direct = apply_rhs_direct(spec, combo)
+            for x in (0.3, 0.7, 1.0):
+                got = sum(evaluate(h, x) * p**k for k, h in enumerate(hs))
+                ref = evaluate(direct, x)
+                assert abs(got - ref) <= 1e-12 * max(abs(ref), 1e-30)
 
     def test_rejects_mixed_truncations(self):
         with pytest.raises(ValueError):
@@ -282,7 +310,7 @@ class TestIterate:
             spec = builtin(n)
             u0 = initial_approx(spec, (0.37,) * spec.unknown_count())
             lifted = pad_to(u0, u0.truncation + spec.order)
-            h0 = he_coefficients(spec, (lifted,)).orders[0]
+            h0 = he_coefficients(spec, (lifted,))[0]
             kernel = CorrectionKernel(spec.order, lifted.truncation)
             expected = kernel.integrate(sub(differentiate(lifted, spec.order), h0))
             got = sub(correct_once(u0, spec), lifted)

@@ -1,6 +1,9 @@
 """Problem specs: built-ins, validation, file format round-trips."""
 
 import math
+import re
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -168,6 +171,19 @@ class TestValidate:
         with pytest.raises(InvalidProblemError, match="exceeds"):
             with_settings(base, iterations=MAX_SERIES_DEGREE)
 
+    def test_overflowing_exact_term(self):
+        exact = ExpPoly.from_terms([(0.0, (1.0,)), (1.0, (2.0,)), (-1.0, (3.0,))])
+        spec = ProblemSpec(
+            order=1,
+            domain_end=1000.0,
+            terms=(),
+            bcs=(BoundaryCondition(0.0, 0, 1.0),),
+            exact=exact,
+        )
+        assert validate(spec) == ["exact term 'exact 1.0 2.0' overflows at x = 1000.0"]
+        # the same rates are fine on a domain where exp stays in range
+        assert validate(replace(spec, domain_end=700.0)) == []
+
     def test_term_factor_order_bound(self):
         bad = ProblemSpec(
             order=2,
@@ -284,6 +300,22 @@ class TestParse:
     def test_comments_and_blank_lines_ignored(self):
         text = "# header\n\norder 1  # trailing\ndomain 0 1\nbc 0 0 0\n\n"
         assert parse_problem(text).order == 1
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+class TestReadmeExample:
+    def test_problem_block_is_first_builtin(self):
+        blocks = re.findall(r"^```[^\n]*\n(.*?)^```", README.read_text(), re.M | re.S)
+        problems = [b for b in blocks if re.search(r"^order ", b, re.M)]
+        assert len(problems) == 1
+        block = problems[0]
+        assert parse_problem(block) == builtin(1)
+        rendered = "".join(
+            line for line in block.splitlines(keepends=True) if not line.startswith("#")
+        )
+        assert rendered == render_problem(builtin(1))
 
 
 class TestRoundTrip:
