@@ -18,7 +18,9 @@ F is evaluated in one place, as He's polynomials: the order-k coefficient
 in p of F on a parameter-embedded sum ``sum_i p**i u_i``.  The correction
 and :func:`residual` take order 0 on the single part v, which is F(v);
 :func:`he_coefficients` collects every order, and order 1 on ``(v, dv)`` is
-the derivative of F at v along dv.
+the derivative of F at v along dv.  :func:`tangent` applies the same Picard
+step to that derivative, so it differentiates the whole iteration with
+respect to one free constant.
 """
 
 from __future__ import annotations
@@ -50,11 +52,15 @@ __all__ = [
     "correct_once",
     "he_coefficients",
     "iterate",
+    "tangent",
 ]
 
 
 class NonFiniteIterateError(ArithmeticError):
-    """A correction produced an infinite or NaN series coefficient."""
+    """A correction produced an infinite or NaN series coefficient.
+
+    Also raised when a tangent (:func:`tangent`) or a Newton step overflows.
+    """
 
 
 def initial_approx(spec: ProblemSpec, constants: Sequence[float]) -> Series:
@@ -120,18 +126,22 @@ def residual(v: Series, spec: ProblemSpec) -> Series:
     return sub(differentiate(v, spec.order), _he_order(spec, (v,), 0))
 
 
-def correct_once(v: Series, spec: ProblemSpec) -> Series:
-    """One correction ``T_{m-1} v + I^m F(v)``, F evaluated in v's own ring.
+def _picard(v: Series, f: Series, m: int) -> Series:
+    """The Picard step ``T_{m-1} v + I^m f`` at truncation ``W + m``.
 
-    Lifting v adds only zeros, so ``F(v)_n`` for n <= W is the same at degree
-    W as at W + m; the kernel's ``-I^m F`` is subtracted from the kept head.
+    ``f`` shares v's ring W.  Lifting adds only zeros, so f's coefficients
+    up to W are the same at degree W + m; the kernel's ``-I^m f`` is
+    subtracted from v's kept head.
     """
-    m = spec.order
     w = v.truncation + m
-    rhs = pad_to(_he_order(spec, (v,), 0), w)
-    integral = CorrectionKernel(m, w).integrate(rhs)
+    integral = CorrectionKernel(m, w).integrate(pad_to(f, w))
     head = _trusted(v.coeffs[:m] + (0.0,) * (w + 1 - m))
     return sub(head, integral)
+
+
+def correct_once(v: Series, spec: ProblemSpec) -> Series:
+    """One correction ``T_{m-1} v + I^m F(v)``, F evaluated in v's own ring."""
+    return _picard(v, _he_order(spec, (v,), 0), spec.order)
 
 
 def he_coefficients(
@@ -148,6 +158,30 @@ def he_coefficients(
     if any(u.truncation != w for u in parts):
         raise ValueError("expansion parts must share one truncation degree")
     return tuple(_he_order(spec, parts, k) for k in range(len(parts)))
+
+
+def tangent(
+    spec: ProblemSpec, iterates: Sequence[Series], degree: int
+) -> Series:
+    """Derivative of the last iterate with respect to the coefficient of x^degree.
+
+    ``iterates`` are v_0..v_n as :func:`iterate` returns them and ``degree``
+    is one of the free degrees of v_0.  The seed ``x**degree`` is carried
+    through the linearized corrections
+    ``dv_{k+1} = T_{m-1} dv_k + I^m F'(v_k) dv_k``, where ``F'(v_k) dv_k`` is
+    the order-1 He coefficient of F on ``(v_k, dv_k)``.  This is
+    forward-mode differentiation of the correction map, exact up to
+    rounding, and it re-evaluates none of the iterates.  A tangent can
+    overflow where the iterates do not; :class:`NonFiniteIterateError` is
+    raised then.
+    """
+    dv = make_series((0.0,) * degree + (1.0,), iterates[0].truncation)
+    for v in iterates[:-1]:
+        dv = _picard(dv, _he_order(spec, (v, dv), 1), spec.order)
+    # a non-finite coefficient stays non-finite, so one check at the end
+    if not all(map(math.isfinite, dv.coeffs)):
+        raise NonFiniteIterateError(f"the tangent along x^{degree} is non-finite")
+    return dv
 
 
 def iterate(

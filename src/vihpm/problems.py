@@ -103,10 +103,10 @@ class ProblemSpec:
         object.__setattr__(self, "bcs", tuple(self.bcs))
 
     def origin_conditions(self) -> tuple[BoundaryCondition, ...]:
-        return tuple(bc for bc in self.bcs if bc.point == 0.0)
+        return tuple([bc for bc in self.bcs if bc.point == 0.0])
 
     def off_origin_conditions(self) -> tuple[BoundaryCondition, ...]:
-        return tuple(bc for bc in self.bcs if bc.point != 0.0)
+        return tuple([bc for bc in self.bcs if bc.point != 0.0])
 
     def unknown_degrees(self) -> tuple[int, ...]:
         """Degrees below ``order`` not pinned by an origin condition.
@@ -116,7 +116,7 @@ class ProblemSpec:
         receive the free constants.
         """
         pinned = {bc.derivative_order for bc in self.origin_conditions()}
-        return tuple(j for j in range(self.order) if j not in pinned)
+        return tuple([j for j in range(self.order) if j not in pinned])
 
     def unknown_count(self) -> int:
         return len(self.unknown_degrees())
@@ -173,13 +173,34 @@ def validate(spec: ProblemSpec) -> list[str]:
                     f"term factor derivative order {d} outside 0..{m - 1}"
                 )
     if spec.exact is not None and math.isfinite(spec.domain_end):
-        # the error table evaluates the reference up to the domain end
-        for part in spec.exact.terms:
-            try:
-                math.exp(part.rate * spec.domain_end)
-            except OverflowError:
-                line = "exact " + _render_numbers((part.rate,) + part.poly)
-                errors.append(f"exact term '{line}' overflows at x = {spec.domain_end}")
+        errors.extend(_exact_overflows(spec.exact, spec.domain_end))
+    return errors
+
+
+def _exact_overflows(exact: ExpPoly, b: float) -> list[str]:
+    """Reasons the reference can leave float range on ``[0, b]``.
+
+    The error table evaluates it on that interval, where each term is at
+    most ``e^max(0, rate*b) * sum_j |p_j| max(1, b)^j``; a term whose bound
+    is not finite is named, and the sum of finite bounds must be finite too.
+    """
+    errors = []
+    reach = max(1.0, b)
+    bound = 0.0
+    for part in exact.terms:
+        size = 0.0
+        for c in reversed(part.poly):
+            size = size * reach + abs(c)
+        try:
+            size *= math.exp(max(0.0, part.rate * b))
+        except OverflowError:
+            size = math.inf
+        if not math.isfinite(size):
+            line = "exact " + _render_numbers((part.rate,) + part.poly)
+            errors.append(f"exact term '{line}' overflows at x = {b}")
+        bound += size
+    if not errors and not math.isfinite(bound):
+        errors.append(f"exact reference overflows on [0, {b}]")
     return errors
 
 

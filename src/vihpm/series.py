@@ -66,7 +66,7 @@ class Series:
     def __post_init__(self) -> None:
         if len(self.coeffs) == 0:
             raise ValueError("a series needs at least one coefficient")
-        coeffs = tuple(float(c) for c in self.coeffs)
+        coeffs = tuple([float(c) for c in self.coeffs])
         if not all(math.isfinite(c) for c in coeffs):
             raise ValueError("series coefficients must be finite")
         object.__setattr__(self, "coeffs", coeffs)
@@ -120,13 +120,13 @@ def _check_same_ring(f: Series, g: Series) -> None:
 def add(f: Series, g: Series) -> Series:
     """Coefficient-wise sum at equal truncation."""
     _check_same_ring(f, g)
-    return _trusted(tuple(map(_fadd, f.coeffs, g.coeffs)))
+    return _trusted(tuple([*map(_fadd, f.coeffs, g.coeffs)]))
 
 
 def sub(f: Series, g: Series) -> Series:
     """Coefficient-wise difference at equal truncation."""
     _check_same_ring(f, g)
-    return _trusted(tuple(map(_fsub, f.coeffs, g.coeffs)))
+    return _trusted(tuple([*map(_fsub, f.coeffs, g.coeffs)]))
 
 
 def scale(f: Series, c: float) -> Series:

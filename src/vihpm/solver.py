@@ -4,17 +4,21 @@ The initial approximation leaves one unknown coefficient per boundary
 condition imposed away from the origin.  Since the iteration engine is a
 deterministic map from those constants to a series, the off-origin
 conditions become a small nonlinear system r(c) = 0, solved by undamped
-Newton iteration with a central finite-difference Jacobian and dense
-Gaussian elimination with partial pivoting.  The systems here are at most
-m-by-m with m tiny, so robustness beats speed everywhere.
+Newton iteration with dense Gaussian elimination and partial pivoting.
+The Jacobian is exact: each column is the off-origin condition operators
+applied to the tangent of the last iterate along one constant, propagated
+through the iterates that the Newton pass already holds
+(:func:`~vihpm.engine.tangent`).  :func:`fd_jacobian` is a central-difference
+cross-check for tests; the solver does not call it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .engine import iterate
+from .engine import NonFiniteIterateError, iterate, tangent
 from .problems import InvalidProblemError, ProblemSpec, validate
 from .series import Series, evaluate_derivative
 
@@ -22,6 +26,7 @@ __all__ = [
     "SolveResult",
     "SingularJacobianError",
     "bc_residuals",
+    "jacobian",
     "fd_jacobian",
     "solve",
 ]
@@ -33,7 +38,8 @@ FD_STEP_SCALE = 1e-6
 
 
 class SingularJacobianError(RuntimeError):
-    """The finite-difference Jacobian has no usable pivot."""
+    """The exact Jacobian has no usable pivot: some combination of the free
+    constants leaves every off-origin condition unchanged."""
 
 
 @dataclass(frozen=True)
@@ -65,10 +71,28 @@ def bc_residuals(
 
 
 def _bc_residuals_of(solution: Series, spec: ProblemSpec) -> tuple[float, ...]:
-    return tuple(
+    return tuple([
         evaluate_derivative(solution, bc.derivative_order, bc.point) - bc.value
         for bc in spec.off_origin_conditions()
-    )
+    ])
+
+
+def jacobian(spec: ProblemSpec, iterates: Sequence[Series]) -> list[list[float]]:
+    """Exact Jacobian of the off-origin residuals, by tangent propagation.
+
+    ``iterates`` are the v_0..v_n that :func:`~vihpm.engine.iterate` returns
+    at the constants of interest.  Column j applies the off-origin
+    condition operators, without their values, to the tangent of the last
+    iterate along free constant j (:func:`~vihpm.engine.tangent`).
+    """
+    conditions = spec.off_origin_conditions()
+    columns = []
+    for degree in spec.unknown_degrees():
+        dv = tangent(spec, iterates, degree)
+        columns.append(
+            [evaluate_derivative(dv, bc.derivative_order, bc.point) for bc in conditions]
+        )
+    return [list(row) for row in zip(*columns)]
 
 
 def fd_jacobian(
@@ -76,7 +100,9 @@ def fd_jacobian(
 ) -> list[list[float]]:
     """Central-difference Jacobian of bc_residuals, column by column.
 
-    Column j steps constant j by ``FD_STEP_SCALE * max(1, |c_j|)``.
+    Column j steps constant j by ``FD_STEP_SCALE * max(1, |c_j|)``.  The
+    solver does not use it: it is the independent cross-check of
+    :func:`jacobian` that the tests compare against.
     """
     constants = [float(c) for c in constants]
     q = len(constants)
@@ -126,9 +152,9 @@ def solve(spec: ProblemSpec) -> SolveResult:
 
     Raises :class:`InvalidProblemError` on a malformed spec,
     :class:`SingularJacobianError` on a degenerate Jacobian and
-    :class:`~vihpm.engine.NonFiniteIterateError` when the series arithmetic
-    overflows; plain failure to converge is reported through the result
-    flags, not an exception.
+    :class:`~vihpm.engine.NonFiniteIterateError` when the series arithmetic,
+    a tangent or a Newton step overflows; plain failure to converge is
+    reported through the result flags, not an exception.
     """
     errors = validate(spec)
     if errors:
@@ -137,15 +163,20 @@ def solve(spec: ProblemSpec) -> SolveResult:
     constants = [0.0] * spec.unknown_count()
     steps = 0
     while True:
-        solution = iterate(spec, constants)[-1]
+        iterates = iterate(spec, constants)
+        solution = iterates[-1]
         r = _bc_residuals_of(solution, spec)
         norm = max((abs(v) for v in r), default=0.0)
         # a nan norm stops here too and is reported as not converged
         if not norm > NEWTON_TOLERANCE or steps >= NEWTON_MAX_ITERATIONS:
             break
-        delta = _solve_dense(fd_jacobian(spec, constants), [-v for v in r])
+        delta = _solve_dense(jacobian(spec, iterates), [-v for v in r])
         constants = [c + d for c, d in zip(constants, delta)]
         steps += 1
+        if not all(map(math.isfinite, constants)):
+            raise NonFiniteIterateError(
+                f"Newton step {steps} made the constants non-finite"
+            )
     return SolveResult(
         constants=tuple(constants),
         solution=solution,

@@ -23,7 +23,7 @@ class TestSolveCommand:
         assert "solved constants" in out
         assert "coefficient of x^4" in out
         assert "max abs error" in out
-        assert "newton iterations: 2" in out
+        assert "newton iterations: 1" in out
 
     def test_problem_file_source(self, capsys, tmp_path):
         e = math.e
@@ -194,6 +194,27 @@ class TestErrorPaths:
         assert "non-finite" in err
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "problem",
+        [
+            # 1e308 u^2 fits at u = 1, its tangent 2e308 u du does not
+            "term 0.0 1e308 ; 0 0\nbc 0 0 1\nbc 1 0 0\n",
+            # u = c x with u(1e-299) = 1e10: the Newton step is c = 1e309
+            "bc 0 0 0\nbc 1e-299 0 1e10\n",
+        ],
+        ids=["tangent", "newton-step"],
+    )
+    def test_non_finite_newton_quantity_is_solver_failure(
+        self, capsys, tmp_path, problem
+    ):
+        path = tmp_path / "overflow.txt"
+        path.write_text("order 2\ndomain 0 1\n" + problem, encoding="utf-8")
+        code, out, err = run_cli(capsys, "solve", str(path))
+        assert code == 2
+        assert "solver failure" in err
+        assert "non-finite" in err
+        assert out == ""
+
     def test_non_finite_boundary_value(self, capsys, tmp_path):
         path = tmp_path / "nan_bc.txt"
         path.write_text("order 2\ndomain 0 1\nbc 0 0 0\nbc 1 0 nan\n")
@@ -262,6 +283,31 @@ class TestErrorPaths:
         assert code == 1
         assert "exact term 'exact 1.0 1.0' overflows" in err
         assert out == ""
+
+    def test_overflowing_exact_polynomial_rejected_before_solving(
+        self, capsys, tmp_path, no_solve
+    ):
+        # exp(709) stays in range but exp(709) * 1e300 does not, so the
+        # error table would print nan for the sum of the two terms
+        path = tmp_path / "overflow_poly.txt"
+        path.write_text(
+            "order 1\ndomain 0 1\nterm 0.0 1.0 ; 0\nbc 0 0 1\n"
+            "exact 709 1e300\nexact 709 -1e300\n"
+        )
+        code, out, err = run_cli(capsys, "solve", str(path))
+        assert code == 1
+        assert "exact term 'exact 709.0 1e+300' overflows" in err
+        assert "exact term 'exact 709.0 -1e+300' overflows" in err
+        assert out == ""
+
+    def test_affine_problem_with_large_boundary_residual(self, capsys, tmp_path):
+        # u'' = exp(100 x): the residual at zero constants is about 1e15, so
+        # finite-difference steps of the slope vanish in its rounding
+        path = tmp_path / "large_residual.txt"
+        path.write_text("order 2\ndomain 0 1\nterm 100 1.0\nbc 0 0 0\nbc 1 0 1\n")
+        code, out, _ = run_cli(capsys, "solve", str(path))
+        assert code == 0
+        assert "newton iterations: 1" in out
 
     @pytest.mark.parametrize("command", ["solve", "convergence"])
     def test_non_convergence_exit_code(self, capsys, monkeypatch, command):

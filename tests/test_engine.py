@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from vihpm.engine import (
     initial_approx,
     iterate,
     residual,
+    tangent,
 )
 from vihpm.kernel import CorrectionKernel
 from vihpm.problems import (
@@ -423,3 +425,27 @@ class TestPicardForm:
         exact = taylor_recurrence(spec, iterates[0].coeffs[: spec.order], p - 1)
         for got, want in zip(iterates[k].coeffs[:p], exact):
             assert abs(Fraction(got) - want) <= Fraction(1, 10**10) * abs(want)
+
+
+class TestTangent:
+    @pytest.mark.parametrize("w,k", [(12, 1), (30, 3)])
+    def test_affine_tangent_is_the_homogeneous_iterate(self, w, k):
+        # builtin 1 is u^(7) = f - u: its tangent along x^j is the iterate of
+        # u^(7) = -u from x^j, with the same operations in the same order
+        spec = with_settings(builtin(1), truncation=w, iterations=k)
+        homogeneous = replace(
+            spec,
+            terms=tuple(t for t in spec.terms if t.factors),
+            bcs=tuple(
+                replace(bc, value=0.0) if bc.point == 0.0 else bc for bc in spec.bcs
+            ),
+        )
+        rng = random.Random(w + k)
+        constants = [rng.uniform(-1.0, 1.0) for _ in range(spec.unknown_count())]
+        iterates = iterate(spec, constants)
+        for j, degree in enumerate(spec.unknown_degrees()):
+            seed = [0.0] * spec.unknown_count()
+            seed[j] = 1.0
+            want = iterate(homogeneous, seed)[-1]
+            got = tangent(spec, iterates, degree)
+            assert [c.hex() for c in got.coeffs] == [c.hex() for c in want.coeffs]

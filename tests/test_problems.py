@@ -184,6 +184,30 @@ class TestValidate:
         # the same rates are fine on a domain where exp stays in range
         assert validate(replace(spec, domain_end=700.0)) == []
 
+    def test_overflowing_exact_bound(self):
+        # each term alone fits, their sum at x = 1 does not
+        exact = ExpPoly.from_terms([(709.0, (1.5,)), (709.0, (1.5,))])
+        spec = ProblemSpec(
+            order=1,
+            domain_end=1.0,
+            terms=(),
+            bcs=(BoundaryCondition(0.0, 0, 1.0),),
+            exact=exact,
+        )
+        assert validate(spec) == ["exact reference overflows on [0, 1.0]"]
+        # a polynomial part that overflows names its term
+        big = ExpPoly.from_terms([(709.0, (1e300,)), (0.0, (0.0, 0.0, 1.0))])
+        assert validate(replace(spec, exact=big)) == [
+            "exact term 'exact 709.0 1e+300' overflows at x = 1.0"
+        ]
+        # max(1, b)**j: on [0, 1e200] the x^2 term overflows, x^1 does not
+        assert validate(replace(spec, domain_end=1e200, exact=big)) == [
+            "exact term 'exact 709.0 1e+300' overflows at x = 1e+200",
+            "exact term 'exact 0.0 0.0 0.0 1.0' overflows at x = 1e+200",
+        ]
+        fine = ExpPoly.from_terms([(0.0, (0.0, 1.0))])
+        assert validate(replace(spec, domain_end=1e200, exact=fine)) == []
+
     def test_term_factor_order_bound(self):
         bad = ProblemSpec(
             order=2,

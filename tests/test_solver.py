@@ -1,6 +1,7 @@
 """Newton shooting on the off-origin boundary conditions."""
 
 import math
+import random
 
 import pytest
 
@@ -12,12 +13,14 @@ from vihpm.problems import (
     ProblemSpec,
     RhsTerm,
     builtin,
+    with_settings,
 )
 from vihpm.series import ExpPoly, evaluate
 from vihpm.solver import (
     SingularJacobianError,
     bc_residuals,
     fd_jacobian,
+    jacobian,
     solve,
 )
 
@@ -156,21 +159,49 @@ class TestSolve:
 
 
 class TestJacobian:
-    def test_step_halving_consistency_second_builtin(self, monkeypatch):
-        spec = builtin(2)
-        at = solve(spec).constants
-        monkeypatch.setattr(solver, "FD_STEP_SCALE", 1e-6)
-        coarse = fd_jacobian(spec, at)
-        monkeypatch.setattr(solver, "FD_STEP_SCALE", 5e-7)
-        fine = fd_jacobian(spec, at)
-        for row_c, row_f in zip(coarse, fine):
-            for a, b in zip(row_c, row_f):
-                assert abs(a - b) <= 1e-4 * max(abs(a), abs(b), 1e-30)
+    """The exact Jacobian against central differences as the oracle."""
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    @pytest.mark.parametrize("settings", [(12, 1), (30, 3)], ids=["12-1", "30-3"])
+    @pytest.mark.parametrize("at", ["zero", "random"])
+    def test_matches_central_differences(self, n, settings, at):
+        spec = with_settings(builtin(n), *settings)
+        rng = random.Random(n)
+        constants = [
+            0.0 if at == "zero" else rng.uniform(-1.0, 1.0)
+            for _ in range(spec.unknown_count())
+        ]
+        exact = jacobian(spec, iterate(spec, constants))
+        oracle = fd_jacobian(spec, constants)
+        assert len(exact) == len(oracle) == spec.unknown_count()
+        for row_e, row_o in zip(exact, oracle):
+            assert len(row_e) == len(row_o)
+            for a, b in zip(row_e, row_o):
+                assert abs(a - b) <= 1e-6 * max(abs(a), abs(b))
 
     def test_linear_problem_jacobian_is_constant(self):
+        # builtin 1 is affine in its constants, so the tangents never read
+        # the iterates: the Jacobian is the same bits anywhere
         spec = builtin(1)
-        j0 = fd_jacobian(spec, (0.0, 0.0, 0.0))
-        j1 = fd_jacobian(spec, (0.5, -0.25, 1.0))
-        for row_a, row_b in zip(j0, j1):
-            for a, b in zip(row_a, row_b):
-                assert abs(a - b) <= 1e-6 * max(abs(a), abs(b), 1.0)
+        j0 = jacobian(spec, iterate(spec, (0.0, 0.0, 0.0)))
+        j1 = jacobian(spec, iterate(spec, (0.5, -0.25, 1.0)))
+        assert [[a.hex() for a in row] for row in j0] == [
+            [b.hex() for b in row] for row in j1
+        ]
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_solve_iterates_once_per_newton_step(self, monkeypatch, n):
+        calls = {"iterate": 0, "fd_jacobian": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(solver, name, counted(name, getattr(solver, name)))
+        result = solve(builtin(n))
+        assert result.converged
+        assert calls == {"iterate": result.newton_iterations + 1, "fd_jacobian": 0}

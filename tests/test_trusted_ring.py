@@ -144,7 +144,8 @@ class TestCachedTablesMatchOracle:
 def test_solve_output_bits_frozen(case):
     """Builtins 1-4 at (W=12, k=1) and (W=30, k=3), recorded before the
     ring operations stopped validating their results; the W=30 coefficients
-    were recorded again when the correction became T_{m-1} v + I^m F(v)."""
+    were recorded again when the correction became T_{m-1} v + I^m F(v),
+    and every entry when Newton's Jacobian became exact."""
     n, w, k = (int(part) for part in case.split("/"))
     result = solve(with_settings(builtin(n), truncation=w, iterations=k))
     assert bits(result.constants) == SOLVE_BITS[case]["constants"]
