@@ -83,9 +83,8 @@ def _load_spec(args: argparse.Namespace) -> ProblemSpec:
 def _check_grid_step(end: float, step: float) -> None:
     if not (math.isfinite(step) and step > 0.0):
         raise InvalidProblemError([f"grid step must be positive and finite, got {step}"])
-    # the grid has at most end / step + 1 points; a non-finite domain end is
-    # left for validate() to report
-    if math.isfinite(end) and end / step > MAX_GRID_POINTS - 1:
+    # the grid has at most end / step + 1 points
+    if end / step > MAX_GRID_POINTS - 1:
         raise InvalidProblemError(
             [f"grid step {step} gives over {MAX_GRID_POINTS} points on [0, {end}]"]
         )
@@ -119,6 +118,8 @@ def _run_solve(args: argparse.Namespace) -> int:
     spec = _load_spec(args)
     _check_grid_step(spec.domain_end, args.grid_step)
     result = solve(spec)
+    # built before anything is printed, since it can still raise
+    table = error_table(spec, result, _make_grid(spec.domain_end, args.grid_step))
 
     degrees = spec.unknown_degrees()
     if degrees:
@@ -133,9 +134,6 @@ def _run_solve(args: argparse.Namespace) -> int:
     print("series coefficients:")
     for degree, c in enumerate(result.solution.coeffs):
         print(f"  x^{degree}: {c!r}")
-
-    grid = _make_grid(spec.domain_end, args.grid_step)
-    table = error_table(spec, result, grid)
     _print_table(table)
 
     if args.emit_csv:

@@ -11,10 +11,11 @@ not a proof.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .engine import iterate, residual
+from .engine import NonFiniteIterateError, iterate, residual
 from .problems import MAX_SERIES_DEGREE, ProblemSpec
 from .series import Series, evaluate
 
@@ -56,7 +57,10 @@ def default_grid(spec: ProblemSpec) -> tuple[float, ...]:
 
 def _sup_gap(f: Sequence[float], g: Sequence[float]) -> float:
     """Sup-norm of the difference of two series' values on one grid."""
-    return max(abs(a - b) for a, b in zip(f, g))
+    gap = max(abs(a - b) for a, b in zip(f, g))
+    if not math.isfinite(gap):
+        raise NonFiniteIterateError("a gap between two iterates overflows on the grid")
+    return gap
 
 
 def check_depth(spec: ProblemSpec, depth: int) -> None:
@@ -88,6 +92,8 @@ def analyze_convergence(
 
     which is the triangle-inequality consequence of a true contraction
     constant gamma_max; the slack absorbs grid evaluation roundoff.
+    Raises :class:`~vihpm.engine.NonFiniteIterateError` when an iterate's
+    value on the grid or a gap between two iterates is not finite.
     """
     check_depth(spec, depth)
     if grid is None:
@@ -95,6 +101,10 @@ def analyze_convergence(
     v = iterate(spec, constants, depth)
     # each iterate is evaluated once; every sup below reads these values
     values = [[evaluate(vk, x) for x in grid] for vk in v]
+    for k, row in enumerate(values):
+        # checked here, since max() in _sup_gap can skip a nan
+        if not all(map(math.isfinite, row)):
+            raise NonFiniteIterateError(f"iterate {k} is non-finite on the grid")
     deltas = tuple(_sup_gap(values[k + 1], values[k]) for k in range(depth))
 
     estimates = tuple(

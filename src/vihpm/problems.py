@@ -5,6 +5,11 @@ a sum of terms, each an exponential-polynomial coefficient times a product
 of derivatives of u (an empty product makes the term pure forcing), subject
 to exactly m point conditions ``u^(d)(point) = value``.  Everything is an
 immutable dataclass so specs can be shared freely across solver runs.
+
+A :class:`ProblemSpec` is valid by construction: it runs :func:`validate`
+on itself and raises :class:`InvalidProblemError` with every violation.
+Parsed, built-in and directly built specs and ``dataclasses.replace``
+copies all pass through that one check, so the solver never re-checks.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ __all__ = [
     "ProblemSpec",
     "ProblemFormatError",
     "InvalidProblemError",
-    "validate",
     "parse_problem",
     "render_problem",
     "builtin",
@@ -87,6 +91,8 @@ class ProblemSpec:
     ``truncation`` is the working series degree W of the initial
     approximation stage; ``iterations`` the number of correction passes.
     ``exact`` optionally carries a closed-form reference solution.
+    Construction raises :class:`InvalidProblemError` listing every
+    violation that :func:`validate` finds.
     """
 
     order: int
@@ -101,6 +107,9 @@ class ProblemSpec:
         object.__setattr__(self, "domain_end", float(self.domain_end))
         object.__setattr__(self, "terms", tuple(self.terms))
         object.__setattr__(self, "bcs", tuple(self.bcs))
+        errors = validate(self)
+        if errors:
+            raise InvalidProblemError(errors)
 
     def origin_conditions(self) -> tuple[BoundaryCondition, ...]:
         return tuple([bc for bc in self.bcs if bc.point == 0.0])
@@ -123,7 +132,10 @@ class ProblemSpec:
 
 
 def validate(spec: ProblemSpec) -> list[str]:
-    """Collect every invariant violation; an empty list means valid."""
+    """Collect every invariant violation; an empty list means valid.
+
+    :class:`ProblemSpec` calls it on every new instance.
+    """
     errors: list[str] = []
     m = spec.order
     if m < 1:
@@ -204,13 +216,6 @@ def _exact_overflows(exact: ExpPoly, b: float) -> list[str]:
     return errors
 
 
-def _checked(spec: ProblemSpec) -> ProblemSpec:
-    errors = validate(spec)
-    if errors:
-        raise InvalidProblemError(errors)
-    return spec
-
-
 def _parse_floats(tokens: Sequence[str], line_number: int) -> list[float]:
     values = []
     for tok in tokens:
@@ -236,10 +241,26 @@ def _parse_int(token: str, line_number: int) -> int:
         raise ProblemFormatError(line_number, f"not an integer: {token!r}") from None
 
 
-def parse_problem(text: str) -> ProblemSpec:
-    """Parse the line-oriented problem format and validate the result.
+def _parse_setting(keyword: str, rest: Sequence[str], line_number: int) -> float:
+    """Value of an ``order``, ``domain``, ``truncation`` or ``iterations`` line."""
+    if keyword == "domain":
+        if len(rest) != 2:
+            raise ProblemFormatError(line_number, "domain takes two numbers")
+        start, end = _parse_floats(rest, line_number)
+        if start != 0.0:
+            raise ProblemFormatError(line_number, "domain must start at 0")
+        return end
+    if len(rest) != 1:
+        raise ProblemFormatError(line_number, f"{keyword} takes one integer")
+    return _parse_int(rest[0], line_number)
 
-    Grammar (whitespace-separated tokens, '#' starts a comment):
+
+def parse_problem(text: str) -> ProblemSpec:
+    """Parse the line-oriented problem format into a (valid) spec.
+
+    Grammar (whitespace-separated tokens, '#' starts a comment; the
+    ``order``, ``domain``, ``truncation`` and ``iterations`` lines may each
+    appear at most once):
 
         order <m>
         domain <0> <b>
@@ -249,8 +270,7 @@ def parse_problem(text: str) -> ProblemSpec:
         bc <point> <derivative_order> <value>
         exact <rate> <c0> <c1> ...          (optional, repeatable, summed)
     """
-    ints: dict[str, int] = {"truncation": 12, "iterations": 1}
-    domain_end: float | None = None
+    settings: dict[str, float] = {}
     terms: list[RhsTerm] = []
     bcs: list[BoundaryCondition] = []
     exact_terms: list[ExpTerm] = []
@@ -260,19 +280,11 @@ def parse_problem(text: str) -> ProblemSpec:
         if not line:
             continue
         keyword, *rest = line.split()
-        if keyword in ("order", "truncation", "iterations"):
-            if len(rest) != 1:
-                raise ProblemFormatError(line_number, f"{keyword} takes one integer")
-            ints[keyword] = _parse_int(rest[0], line_number)
-        elif keyword == "domain":
-            if len(rest) != 2:
-                raise ProblemFormatError(line_number, "domain takes two numbers")
-            start, end = _parse_floats(rest, line_number)
-            if start != 0.0:
-                raise ProblemFormatError(
-                    line_number, "domain must start at 0"
-                )
-            domain_end = end
+        if keyword in ("order", "domain", "truncation", "iterations"):
+            value = _parse_setting(keyword, rest, line_number)
+            if keyword in settings:
+                raise ProblemFormatError(line_number, f"duplicate {keyword!r} line")
+            settings[keyword] = value
         elif keyword == "term":
             if ";" in rest:
                 split = rest.index(";")
@@ -304,21 +316,18 @@ def parse_problem(text: str) -> ProblemSpec:
         else:
             raise ProblemFormatError(line_number, f"unknown keyword {keyword!r}")
 
-    if "order" not in ints:
-        raise ProblemFormatError(0, "missing 'order' line")
-    if domain_end is None:
-        raise ProblemFormatError(0, "missing 'domain' line")
+    for keyword in ("order", "domain"):
+        if keyword not in settings:
+            raise ProblemFormatError(0, f"missing {keyword!r} line")
 
-    return _checked(
-        ProblemSpec(
-            order=ints["order"],
-            domain_end=domain_end,
-            terms=tuple(terms),
-            bcs=tuple(bcs),
-            exact=ExpPoly(tuple(exact_terms)) if exact_terms else None,
-            truncation=ints["truncation"],
-            iterations=ints["iterations"],
-        )
+    return ProblemSpec(
+        order=settings["order"],
+        domain_end=settings["domain"],
+        terms=tuple(terms),
+        bcs=tuple(bcs),
+        exact=ExpPoly(tuple(exact_terms)) if exact_terms else None,
+        truncation=settings.get("truncation", 12),
+        iterations=settings.get("iterations", 1),
     )
 
 
@@ -379,75 +388,67 @@ def builtin(n: int) -> ProblemSpec:
     e = math.e
     if n == 1:
         # u^(7) = -exp(x)(35 + 12x + 2x^2) - u, exact u = exp(x)(x - x^2)
-        return _checked(
-            ProblemSpec(
-                order=7,
-                domain_end=1.0,
-                terms=(
-                    RhsTerm(_exppoly(1.0, (-35.0, -12.0, -2.0))),
-                    RhsTerm(_exppoly(0.0, (-1.0,)), (0,)),
-                ),
-                bcs=_EXP_X_TIMES_X_MINUS_X2_BCS,
-                exact=_exppoly(1.0, (0.0, 1.0, -1.0)),
-            )
+        return ProblemSpec(
+            order=7,
+            domain_end=1.0,
+            terms=(
+                RhsTerm(_exppoly(1.0, (-35.0, -12.0, -2.0))),
+                RhsTerm(_exppoly(0.0, (-1.0,)), (0,)),
+            ),
+            bcs=_EXP_X_TIMES_X_MINUS_X2_BCS,
+            exact=_exppoly(1.0, (0.0, 1.0, -1.0)),
         )
     if n == 2:
         # u^(7) = exp(-x) u^2, exact u = exp(x)
-        return _checked(
-            ProblemSpec(
-                order=7,
-                domain_end=1.0,
-                terms=(RhsTerm(_exppoly(-1.0, (1.0,)), (0, 0)),),
-                bcs=(
-                    BoundaryCondition(0.0, 0, 1.0),
-                    BoundaryCondition(0.0, 1, 1.0),
-                    BoundaryCondition(0.0, 2, 1.0),
-                    BoundaryCondition(0.0, 3, 1.0),
-                    BoundaryCondition(1.0, 0, e),
-                    BoundaryCondition(1.0, 1, e),
-                    BoundaryCondition(1.0, 2, e),
-                ),
-                exact=_exppoly(1.0, (1.0,)),
-            )
+        return ProblemSpec(
+            order=7,
+            domain_end=1.0,
+            terms=(RhsTerm(_exppoly(-1.0, (1.0,)), (0, 0)),),
+            bcs=(
+                BoundaryCondition(0.0, 0, 1.0),
+                BoundaryCondition(0.0, 1, 1.0),
+                BoundaryCondition(0.0, 2, 1.0),
+                BoundaryCondition(0.0, 3, 1.0),
+                BoundaryCondition(1.0, 0, e),
+                BoundaryCondition(1.0, 1, e),
+                BoundaryCondition(1.0, 2, e),
+            ),
+            exact=_exppoly(1.0, (1.0,)),
         )
     if n == 3:
         # u^(7) = -u u' + exp(x)(-35 - 13x - x^2) + exp(2x)(x - 2x^2 + x^4)
-        return _checked(
-            ProblemSpec(
-                order=7,
-                domain_end=1.0,
-                terms=(
-                    RhsTerm(_exppoly(0.0, (-1.0,)), (0, 1)),
-                    RhsTerm(_exppoly(1.0, (-35.0, -13.0, -1.0))),
-                    RhsTerm(_exppoly(2.0, (0.0, 1.0, -2.0, 0.0, 1.0))),
-                ),
-                bcs=_EXP_X_TIMES_X_MINUS_X2_BCS,
-                exact=_exppoly(1.0, (0.0, 1.0, -1.0)),
-            )
+        return ProblemSpec(
+            order=7,
+            domain_end=1.0,
+            terms=(
+                RhsTerm(_exppoly(0.0, (-1.0,)), (0, 1)),
+                RhsTerm(_exppoly(1.0, (-35.0, -13.0, -1.0))),
+                RhsTerm(_exppoly(2.0, (0.0, 1.0, -2.0, 0.0, 1.0))),
+            ),
+            bcs=_EXP_X_TIMES_X_MINUS_X2_BCS,
+            exact=_exppoly(1.0, (0.0, 1.0, -1.0)),
         )
     if n == 4:
         # u^(7) = u u' + exp(x)(-6 - x) + exp(2x)(x - x^2), three-point
         root_e = math.sqrt(e)
-        return _checked(
-            ProblemSpec(
-                order=7,
-                domain_end=1.0,
-                terms=(
-                    RhsTerm(_exppoly(0.0, (1.0,)), (0, 1)),
-                    RhsTerm(_exppoly(1.0, (-6.0, -1.0))),
-                    RhsTerm(_exppoly(2.0, (0.0, 1.0, -1.0))),
-                ),
-                bcs=(
-                    BoundaryCondition(0.0, 0, 1.0),
-                    BoundaryCondition(0.5, 0, root_e / 2.0),
-                    BoundaryCondition(0.0, 1, 0.0),
-                    BoundaryCondition(0.5, 1, -root_e / 2.0),
-                    BoundaryCondition(0.0, 2, -1.0),
-                    BoundaryCondition(1.0, 2, -2.0 * e),
-                    BoundaryCondition(1.0, 0, 0.0),
-                ),
-                exact=_exppoly(1.0, (1.0, -1.0)),
-            )
+        return ProblemSpec(
+            order=7,
+            domain_end=1.0,
+            terms=(
+                RhsTerm(_exppoly(0.0, (1.0,)), (0, 1)),
+                RhsTerm(_exppoly(1.0, (-6.0, -1.0))),
+                RhsTerm(_exppoly(2.0, (0.0, 1.0, -1.0))),
+            ),
+            bcs=(
+                BoundaryCondition(0.0, 0, 1.0),
+                BoundaryCondition(0.5, 0, root_e / 2.0),
+                BoundaryCondition(0.0, 1, 0.0),
+                BoundaryCondition(0.5, 1, -root_e / 2.0),
+                BoundaryCondition(0.0, 2, -1.0),
+                BoundaryCondition(1.0, 2, -2.0 * e),
+                BoundaryCondition(1.0, 0, 0.0),
+            ),
+            exact=_exppoly(1.0, (1.0, -1.0)),
         )
     raise ValueError(f"builtin problem number must be 1..{BUILTIN_COUNT}, got {n}")
 
@@ -465,4 +466,4 @@ def with_settings(
         changes["iterations"] = iterations
     if not changes:
         return spec
-    return _checked(replace(spec, **changes))
+    return replace(spec, **changes)

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import IO, Sequence
 
+from .engine import NonFiniteIterateError
 from .problems import ProblemSpec
 from .series import Series, evaluate
 from .solver import SolveResult
@@ -43,6 +45,8 @@ def error_table(
 
     Without a reference solution the exact and error columns stay empty.
     The grid must be strictly increasing so emitted tables read naturally.
+    Raises :class:`~vihpm.engine.NonFiniteIterateError` when a value in
+    the table is not finite.
     """
     grid = [float(x) for x in grid]
     if any(b <= a for a, b in zip(grid, grid[1:])):
@@ -58,6 +62,9 @@ def error_table(
         else:
             exact = None
             err = None
+        # a finite error needs a finite approx and a finite exact value
+        if not math.isfinite(approx if err is None else err):
+            raise NonFiniteIterateError(f"the error table is non-finite at x = {x!r}")
         rows.append(ErrorRow(x=x, exact=exact, approx=approx, abs_error=err))
     return ErrorTable(rows=tuple(rows), max_abs_error=worst)
 

@@ -9,7 +9,8 @@ The Jacobian is exact: each column is the off-origin condition operators
 applied to the tangent of the last iterate along one constant, propagated
 through the iterates that the Newton pass already holds
 (:func:`~vihpm.engine.tangent`).  :func:`fd_jacobian` is a central-difference
-cross-check for tests; the solver does not call it.
+cross-check for tests; the solver does not call it.  Nor does it check its
+input: a :class:`~vihpm.problems.ProblemSpec` is valid once it exists.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .engine import NonFiniteIterateError, iterate, tangent
-from .problems import InvalidProblemError, ProblemSpec, validate
+# validate is not called here; perfbench/tracing.py wraps solver.validate by name
+from .problems import ProblemSpec, validate
 from .series import Series, evaluate_derivative
 
 __all__ = [
@@ -150,16 +152,13 @@ def solve(spec: ProblemSpec) -> SolveResult:
     Stops once the boundary residual sup-norm is at most
     ``NEWTON_TOLERANCE`` or after ``NEWTON_MAX_ITERATIONS`` steps.
 
-    Raises :class:`InvalidProblemError` on a malformed spec,
-    :class:`SingularJacobianError` on a degenerate Jacobian and
-    :class:`~vihpm.engine.NonFiniteIterateError` when the series arithmetic,
-    a tangent or a Newton step overflows; plain failure to converge is
-    reported through the result flags, not an exception.
+    ``spec`` is valid, since a :class:`~vihpm.problems.ProblemSpec` checks
+    itself when built.  Raises :class:`SingularJacobianError` on a
+    degenerate Jacobian and :class:`~vihpm.engine.NonFiniteIterateError`
+    when the series arithmetic, a tangent or a Newton step overflows; plain
+    failure to converge is reported through the result flags, not an
+    exception.
     """
-    errors = validate(spec)
-    if errors:
-        raise InvalidProblemError(errors)
-
     constants = [0.0] * spec.unknown_count()
     steps = 0
     while True:

@@ -215,6 +215,26 @@ class TestErrorPaths:
         assert "non-finite" in err
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("convergence", "FILE", "--depth", "4"),
+            ("solve", "FILE", "--iterations", "3", "--grid-step", "1e299"),
+        ],
+        ids=["convergence", "solve"],
+    )
+    def test_non_finite_grid_value_is_solver_failure(self, capsys, tmp_path, argv):
+        # u' = -u: every iterate is finite, but at x near 1e300 its values
+        # and the gaps between them overflow
+        path = tmp_path / "wide.txt"
+        path.write_text("order 1\ndomain 0 1e300\nterm 0.0 -1.0 ; 0\nbc 0 0 1\n")
+        argv = [str(path) if a == "FILE" else a for a in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert "solver failure" in err
+        assert "non-finite" in err
+        assert out == ""
+
     def test_non_finite_boundary_value(self, capsys, tmp_path):
         path = tmp_path / "nan_bc.txt"
         path.write_text("order 2\ndomain 0 1\nbc 0 0 0\nbc 1 0 nan\n")

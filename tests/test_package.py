@@ -1,5 +1,9 @@
 """Top-level package surface: only what the tests and the CLI need."""
 
+import subprocess
+import sys
+import textwrap
+
 import vihpm
 
 
@@ -11,3 +15,24 @@ def test_top_level_surface_is_pinned():
     from vihpm import builtin, solve, with_settings
 
     assert solve(with_settings(builtin(1), truncation=12, iterations=1)).converged
+
+
+def test_cli_loads_only_the_standard_library():
+    # a fresh interpreter, so modules the test run already loaded still count;
+    # the snapshot leaves out what site hooks load at startup
+    script = textwrap.dedent(
+        """
+        import contextlib, io, sys
+        before = set(sys.modules)
+        import vihpm.cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert vihpm.cli.main(["solve", "--builtin", "1"]) == 0
+        loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
+        print(" ".join(sorted(loaded - {"vihpm"} - sys.stdlib_module_names)))
+        """
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""

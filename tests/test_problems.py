@@ -102,9 +102,17 @@ class TestBuiltins:
             assert sup <= 1e-6, (n, sup)
 
 
+def rejection(make, *args, **kwargs) -> list[str]:
+    """The messages ``make(*args, **kwargs)`` is rejected with."""
+    with pytest.raises(InvalidProblemError) as caught:
+        make(*args, **kwargs)
+    return list(caught.value.errors)
+
+
 class TestValidate:
     def test_wrong_condition_count_message(self):
-        spec = ProblemSpec(
+        errors = rejection(
+            ProblemSpec,
             order=7,
             domain_end=1.0,
             terms=(),
@@ -112,36 +120,40 @@ class TestValidate:
                 BoundaryCondition(0.0, j, 0.0) for j in range(6)
             ),
         )
-        errors = validate(spec)
         assert any("expected 7 boundary conditions" in e for e in errors)
 
     def test_derivative_order_bound(self):
-        bad = ProblemSpec(
+        errors = rejection(
+            ProblemSpec,
             order=7,
             domain_end=1.0,
             terms=(),
             bcs=tuple(BoundaryCondition(0.0, j, 0.0) for j in range(6))
             + (BoundaryCondition(0.0, 7, 0.0),),
         )
-        assert any("derivative order 7" in e for e in validate(bad))
+        assert any("derivative order 7" in e for e in errors)
 
     def test_duplicate_condition(self):
         bcs = list(builtin(1).bcs[:6]) + [builtin(1).bcs[5]]
-        bad = ProblemSpec(order=7, domain_end=1.0, terms=(), bcs=tuple(bcs))
-        assert any("duplicate" in e for e in validate(bad))
+        errors = rejection(
+            ProblemSpec, order=7, domain_end=1.0, terms=(), bcs=tuple(bcs)
+        )
+        assert any("duplicate" in e for e in errors)
 
     def test_point_outside_domain(self):
-        bad = ProblemSpec(
+        errors = rejection(
+            ProblemSpec,
             order=1,
             domain_end=1.0,
             terms=(),
             bcs=(BoundaryCondition(1.5, 0, 0.0),),
         )
-        assert any("outside" in e for e in validate(bad))
+        assert any("outside" in e for e in errors)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_condition_value(self, value):
-        bad = ProblemSpec(
+        errors = rejection(
+            ProblemSpec,
             order=2,
             domain_end=1.0,
             terms=(),
@@ -150,8 +162,27 @@ class TestValidate:
                 BoundaryCondition(1.0, 0, value),
             ),
         )
-        assert validate(bad) == [
+        assert errors == [
             f"boundary condition value must be finite, got {value}"
+        ]
+
+    def test_direct_construction_is_checked(self):
+        # neither spec may reach the engine: both used to iterate silently
+        assert rejection(
+            ProblemSpec,
+            order=1,
+            domain_end=-1.0,
+            terms=(),
+            bcs=(BoundaryCondition(0.0, 0, 1.0),),
+        ) == [
+            "domain end must be positive, got -1.0",
+            "boundary condition point 0.0 outside [0, -1.0]",
+        ]
+        assert rejection(
+            ProblemSpec, order=2, domain_end=1.0, terms=(), bcs=(), truncation=1
+        ) == [
+            "truncation degree 1 is below operator order 2",
+            "expected 2 boundary conditions, found 0",
         ]
 
     def test_truncation_and_iterations(self):
@@ -173,35 +204,37 @@ class TestValidate:
 
     def test_overflowing_exact_term(self):
         exact = ExpPoly.from_terms([(0.0, (1.0,)), (1.0, (2.0,)), (-1.0, (3.0,))])
+        # the rates are fine on a domain where exp stays in range
         spec = ProblemSpec(
             order=1,
-            domain_end=1000.0,
+            domain_end=700.0,
             terms=(),
             bcs=(BoundaryCondition(0.0, 0, 1.0),),
             exact=exact,
         )
-        assert validate(spec) == ["exact term 'exact 1.0 2.0' overflows at x = 1000.0"]
-        # the same rates are fine on a domain where exp stays in range
-        assert validate(replace(spec, domain_end=700.0)) == []
+        assert rejection(replace, spec, domain_end=1000.0) == [
+            "exact term 'exact 1.0 2.0' overflows at x = 1000.0"
+        ]
 
     def test_overflowing_exact_bound(self):
-        # each term alone fits, their sum at x = 1 does not
-        exact = ExpPoly.from_terms([(709.0, (1.5,)), (709.0, (1.5,))])
         spec = ProblemSpec(
             order=1,
             domain_end=1.0,
             terms=(),
             bcs=(BoundaryCondition(0.0, 0, 1.0),),
-            exact=exact,
         )
-        assert validate(spec) == ["exact reference overflows on [0, 1.0]"]
+        # each term alone fits, their sum at x = 1 does not
+        exact = ExpPoly.from_terms([(709.0, (1.5,)), (709.0, (1.5,))])
+        assert rejection(replace, spec, exact=exact) == [
+            "exact reference overflows on [0, 1.0]"
+        ]
         # a polynomial part that overflows names its term
         big = ExpPoly.from_terms([(709.0, (1e300,)), (0.0, (0.0, 0.0, 1.0))])
-        assert validate(replace(spec, exact=big)) == [
+        assert rejection(replace, spec, exact=big) == [
             "exact term 'exact 709.0 1e+300' overflows at x = 1.0"
         ]
         # max(1, b)**j: on [0, 1e200] the x^2 term overflows, x^1 does not
-        assert validate(replace(spec, domain_end=1e200, exact=big)) == [
+        assert rejection(replace, spec, domain_end=1e200, exact=big) == [
             "exact term 'exact 709.0 1e+300' overflows at x = 1e+200",
             "exact term 'exact 0.0 0.0 0.0 1.0' overflows at x = 1e+200",
         ]
@@ -209,7 +242,8 @@ class TestValidate:
         assert validate(replace(spec, domain_end=1e200, exact=fine)) == []
 
     def test_term_factor_order_bound(self):
-        bad = ProblemSpec(
+        errors = rejection(
+            ProblemSpec,
             order=2,
             domain_end=1.0,
             terms=(RhsTerm(ExpPoly.from_terms([(0.0, (1.0,))]), (2,)),),
@@ -218,7 +252,7 @@ class TestValidate:
                 BoundaryCondition(0.0, 1, 0.0),
             ),
         )
-        assert any("factor derivative order" in e for e in validate(bad))
+        assert any("factor derivative order" in e for e in errors)
 
 
 def first_problem_text() -> str:
@@ -306,6 +340,17 @@ class TestParse:
             parse_problem(text)
         assert info.value.line_number == 3
         assert f"{keyword} takes one integer" in str(info.value)
+
+    @pytest.mark.parametrize(
+        "line", ["order 1", "domain 0 2", "truncation 12", "iterations 1"]
+    )
+    def test_setting_given_twice(self, line):
+        # rejected even when the second line repeats the first one's value
+        keyword = line.split()[0]
+        text = f"order 1\ndomain 0 1\ntruncation 12\niterations 1\n{line}\nbc 0 0 0\n"
+        with pytest.raises(ProblemFormatError) as info:
+            parse_problem(text)
+        assert str(info.value) == f"line 5: duplicate '{keyword}' line"
 
     def test_unknown_keyword(self):
         with pytest.raises(ProblemFormatError, match="unknown keyword"):

@@ -131,9 +131,10 @@ class TestSolve:
         assert evaluate(result.solution, 1.0) == pytest.approx(2.0, rel=1e-15)
 
     def test_invalid_spec_rejected(self):
-        bad = ProblemSpec(order=7, domain_end=1.0, terms=(), bcs=())
-        with pytest.raises(InvalidProblemError):
-            solve(bad)
+        # the spec rejects itself, so solve() never receives it
+        with pytest.raises(InvalidProblemError) as caught:
+            ProblemSpec(order=7, domain_end=1.0, terms=(), bcs=())
+        assert caught.value.errors == ("expected 7 boundary conditions, found 0",)
 
     def test_singular_jacobian_raises(self):
         # both conditions constrain only the slope, leaving the constant
