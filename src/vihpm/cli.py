@@ -1,8 +1,14 @@
-"""Command-line interface: solve problems, print tables, dump diagnostics."""
+"""Command-line interface: solve problems, print tables, dump diagnostics.
+
+Each command checks its request, solves, and builds everything that can
+still fail (grid, error table, output files) before its first print, so an
+exit-1 path leaves stdout empty.  The parser is built on the first call.
+"""
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from typing import Sequence
@@ -18,7 +24,7 @@ from .problems import (
     with_settings,
 )
 from .reporting import ErrorTable, emit_csv, emit_series_csv, error_table
-from .solver import SingularJacobianError, solve
+from .solver import SingularJacobianError, SolveResult, solve
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -28,6 +34,7 @@ EXIT_SOLVER_FAILURE = 2
 MAX_GRID_POINTS = 100_000
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vihpm",
@@ -80,7 +87,7 @@ def _load_spec(args: argparse.Namespace) -> ProblemSpec:
     return with_settings(spec, truncation=args.truncation, iterations=args.iterations)
 
 
-def _check_grid_step(end: float, step: float) -> None:
+def _make_grid(end: float, step: float) -> tuple[float, ...]:
     if not (math.isfinite(step) and step > 0.0):
         raise InvalidProblemError([f"grid step must be positive and finite, got {step}"])
     # the grid has at most end / step + 1 points
@@ -88,9 +95,6 @@ def _check_grid_step(end: float, step: float) -> None:
         raise InvalidProblemError(
             [f"grid step {step} gives over {MAX_GRID_POINTS} points on [0, {end}]"]
         )
-
-
-def _make_grid(end: float, step: float) -> tuple[float, ...]:
     n = round(end / step)
     if n >= 1 and abs(n * step - end) <= 1e-9 * max(1.0, end):
         return tuple(i * end / n for i in range(n + 1))
@@ -114,12 +118,27 @@ def _print_table(table: ErrorTable) -> None:
             print(f"{row.x:>6.3f} {row.approx:>24.16e}")
 
 
+def _unconverged(result: SolveResult) -> int:
+    print(
+        f"solver did not converge: residual {result.bc_residual_norm:.3e} "
+        f"after {result.newton_iterations} iterations",
+        file=sys.stderr,
+    )
+    return EXIT_SOLVER_FAILURE
+
+
 def _run_solve(args: argparse.Namespace) -> int:
     spec = _load_spec(args)
-    _check_grid_step(spec.domain_end, args.grid_step)
+    grid = _make_grid(spec.domain_end, args.grid_step)
     result = solve(spec)
-    # built before anything is printed, since it can still raise
-    table = error_table(spec, result, _make_grid(spec.domain_end, args.grid_step))
+    # everything that can still raise happens before the first print
+    table = error_table(spec, result, grid)
+    if args.emit_csv:
+        with open(args.emit_csv, "w", encoding="utf-8") as handle:
+            emit_csv(table, handle)
+    if args.emit_series:
+        with open(args.emit_series, "w", encoding="utf-8") as handle:
+            emit_series_csv(result.solution, handle)
 
     degrees = spec.unknown_degrees()
     if degrees:
@@ -135,22 +154,7 @@ def _run_solve(args: argparse.Namespace) -> int:
     for degree, c in enumerate(result.solution.coeffs):
         print(f"  x^{degree}: {c!r}")
     _print_table(table)
-
-    if args.emit_csv:
-        with open(args.emit_csv, "w", encoding="utf-8") as handle:
-            emit_csv(table, handle)
-    if args.emit_series:
-        with open(args.emit_series, "w", encoding="utf-8") as handle:
-            emit_series_csv(result.solution, handle)
-
-    if not result.converged:
-        print(
-            f"solver did not converge: residual {result.bc_residual_norm:.3e} "
-            f"after {result.newton_iterations} iterations",
-            file=sys.stderr,
-        )
-        return EXIT_SOLVER_FAILURE
-    return EXIT_OK
+    return EXIT_OK if result.converged else _unconverged(result)
 
 
 def _run_convergence(args: argparse.Namespace) -> int:
@@ -158,11 +162,7 @@ def _run_convergence(args: argparse.Namespace) -> int:
     check_depth(spec, args.depth)
     result = solve(spec)
     if not result.converged:
-        print(
-            f"solver did not converge: residual {result.bc_residual_norm:.3e}",
-            file=sys.stderr,
-        )
-        return EXIT_SOLVER_FAILURE
+        return _unconverged(result)
     report = analyze_convergence(
         spec, result.constants, depth=args.depth, grid=default_grid(spec)
     )
@@ -180,8 +180,7 @@ def _run_convergence(args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         if args.command == "solve":
             return _run_solve(args)

@@ -1,5 +1,6 @@
 """Command-line surface: sources, flags, exit codes, emitted files."""
 
+import argparse
 import math
 import subprocess
 import sys
@@ -107,6 +108,26 @@ class TestSolveCommand:
         )
         assert code == 0
         assert len(series_path.read_text().strip().split("\n")) == 23
+
+    def test_parser_built_once(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli._build_parser.cache_clear()
+        run_cli(capsys, "solve", "--builtin", "1")
+        per_call = len(built)
+        assert per_call > 0
+        cli._build_parser.cache_clear()
+        built.clear()
+        run_cli(capsys, "solve", "--builtin", "1")
+        run_cli(capsys, "convergence", "--builtin", "1")
+        run_cli(capsys, "solve", "--builtin", "2")
+        assert len(built) == per_call
 
 
 class TestConvergenceCommand:
@@ -335,6 +356,16 @@ class TestErrorPaths:
         code, _, err = run_cli(capsys, command, "--builtin", "1")
         assert code == 2
         assert "did not converge" in err
+        assert "after 0 iterations" in err
+
+    @pytest.mark.parametrize("flag", ["--emit-csv", "--emit-series"])
+    def test_unwritable_output_file(self, capsys, tmp_path, flag):
+        # written before the first print, so the failure leaves stdout empty
+        path = tmp_path / "missing" / "out.csv"
+        code, out, err = run_cli(capsys, "solve", "--builtin", "1", flag, str(path))
+        assert code == 1
+        assert "error:" in err
+        assert out == ""
 
 
 class TestEntryPoint:

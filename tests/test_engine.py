@@ -4,12 +4,14 @@ import math
 import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vihpm.engine import (
+    _picks,
     correct_once,
     he_coefficients,
     initial_approx,
@@ -274,6 +276,29 @@ class TestHeCoefficients:
             he_coefficients(
                 builtin(1), (make_series([1.0], 5), make_series([1.0], 6))
             )
+
+
+class TestPicks:
+    @pytest.mark.parametrize("r", range(6))
+    @pytest.mark.parametrize("k", range(4))
+    def test_matches_product_filter(self, r, k):
+        # the lexicographic order of the filter fixes the order of F's sums
+        for factors in product(range(3), repeat=r):
+            reference = tuple(
+                tuple(zip(pick, factors))
+                for pick in product(range(k + 1), repeat=r)
+                if sum(pick) == k
+            )
+            assert _picks(factors, k) == reference
+
+    def test_many_factors(self):
+        # a tangent's picks are the 64 ways to put one unit on one factor;
+        # filtering all 2**64 index tuples would never finish
+        picks = _picks((0,) * 64, 1)
+        assert len(picks) == 64
+        assert picks[0][-1] == (1, 0)
+        assert picks[-1][0] == (1, 0)
+        assert all(sum(i for i, _ in pick) == 1 for pick in picks)
 
 
 class TestIterate:
