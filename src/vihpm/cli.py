@@ -8,8 +8,10 @@ exit-1 path leaves stdout empty.  The parser is built on the first call.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
+import os
 import sys
 from typing import Sequence
 
@@ -129,16 +131,25 @@ def _unconverged(result: SolveResult) -> int:
 
 def _run_solve(args: argparse.Namespace) -> int:
     spec = _load_spec(args)
+    # two handles on one file would interleave their writes
+    outputs = [os.path.abspath(p) for p in (args.emit_csv, args.emit_series) if p]
+    if len(set(outputs)) < len(outputs):
+        raise InvalidProblemError(["--emit-csv and --emit-series name the same file"])
     grid = _make_grid(spec.domain_end, args.grid_step)
     result = solve(spec)
     # everything that can still raise happens before the first print
     table = error_table(spec, result, grid)
-    if args.emit_csv:
-        with open(args.emit_csv, "w", encoding="utf-8") as handle:
-            emit_csv(table, handle)
-    if args.emit_series:
-        with open(args.emit_series, "w", encoding="utf-8") as handle:
-            emit_series_csv(result.solution, handle)
+    # both files are opened before either is written, so a bad second path
+    # leaves no table behind in the first
+    with contextlib.ExitStack() as files:
+        table_out, series_out = (
+            files.enter_context(open(path, "w", encoding="utf-8")) if path else None
+            for path in (args.emit_csv, args.emit_series)
+        )
+        if table_out:
+            emit_csv(table, table_out)
+        if series_out:
+            emit_series_csv(result.solution, series_out)
 
     degrees = spec.unknown_degrees()
     if degrees:

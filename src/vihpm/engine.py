@@ -18,9 +18,11 @@ F is evaluated in one place, as He's polynomials: the order-k coefficient
 in p of F on a parameter-embedded sum ``sum_i p**i u_i``.  The correction
 and :func:`residual` take order 0 on the single part v, which is F(v);
 :func:`he_coefficients` collects every order, and order 1 on ``(v, dv)`` is
-the derivative of F at v along dv.  :func:`tangent` applies the same Picard
-step to that derivative, so it differentiates the whole iteration with
-respect to one free constant.
+the derivative of F at v along dv.  :func:`tangents` differentiates the
+whole iteration with respect to every free constant at once: per iterate it
+builds that derivative once, as a sum over derivative orders d of
+``dv^(d) * L_d``, and carries all the tangents through it and the same
+Picard step (vector forward mode).
 """
 
 from __future__ import annotations
@@ -51,14 +53,14 @@ __all__ = [
     "correct_once",
     "he_coefficients",
     "iterate",
-    "tangent",
+    "tangents",
 ]
 
 
 class NonFiniteIterateError(ArithmeticError):
     """A correction produced an infinite or NaN series coefficient.
 
-    Also raised when a tangent (:func:`tangent`) or a Newton step overflows.
+    Also raised when a tangent (:func:`tangents`) or a Newton step overflows.
     """
 
 
@@ -175,28 +177,90 @@ def he_coefficients(
     return tuple(_he_order(spec, parts, k) for k in range(len(parts)))
 
 
-def tangent(
-    spec: ProblemSpec, iterates: Sequence[Series], degree: int
-) -> Series:
-    """Derivative of the last iterate with respect to the coefficient of x^degree.
+def _sparse_first(f: Series, g: Series) -> Series:
+    """``f * g`` with the operand of fewer nonzero coefficients first.
 
-    ``iterates`` are v_0..v_n as :func:`iterate` returns them and ``degree``
-    is one of the free degrees of v_0.  The seed ``x**degree`` is carried
-    through the linearized corrections
-    ``dv_{k+1} = T_{m-1} dv_k + I^m F'(v_k) dv_k``, where ``F'(v_k) dv_k`` is
-    the order-1 He coefficient of F on ``(v_k, dv_k)``.  This is
-    forward-mode differentiation of the correction map, exact up to
-    rounding, and it re-evaluates none of the iterates.  A tangent can
-    overflow where the iterates do not; :class:`NonFiniteIterateError` is
-    raised then.
+    :func:`~vihpm.series.mul` skips the zero coefficients of its first
+    operand only, so a seed ``x**j`` costs O(W) per product this way instead
+    of O(W**2).  A tie keeps ``f`` first.
     """
-    dv = make_series((0.0,) * degree + (1.0,), iterates[0].truncation)
+    if g.coeffs.count(0.0) > f.coeffs.count(0.0):
+        return mul(g, f)
+    return mul(f, g)
+
+
+def _linearization(
+    spec: ProblemSpec, v: Series
+) -> tuple[tuple[int, Series, bool], ...]:
+    """F'(v) as triples ``(d, L_d, affine)``, ``F'(v) dv = sum_d dv^(d) L_d``.
+
+    Putting dv into factor i of a term ``c * prod_l u^(d_l)`` leaves the
+    chain ``c * prod_{l != i} v^(d_l)``.  Each distinct chain of a term (its
+    remaining orders as a sorted tuple) is formed once, and the chains that
+    pair with the same order d are summed into L_d.  ``affine`` marks an L_d
+    made of one-factor terms' coefficients alone.  :func:`_apply` keeps such
+    an L_d as the first operand of its product, so an affine problem's
+    tangent is, bit for bit, the iterate of its homogeneous equation.
+    """
+    w = v.truncation
+    derivatives: dict[int, Series] = {}
+    linear: dict[int, Series] = {}
+    affine: dict[int, bool] = {}
+    for term in spec.terms:
+        chains: dict[tuple[int, ...], Series] = {}
+        for i, d in enumerate(term.factors):
+            rest = tuple(sorted(term.factors[:i] + term.factors[i + 1 :]))
+            chain = chains.get(rest)
+            if chain is None:
+                chain = expand_exppoly(term.coeff, w)
+                for e in rest:
+                    if e not in derivatives:
+                        derivatives[e] = differentiate(v, e)
+                    chain = _sparse_first(chain, derivatives[e])
+                chains[rest] = chain
+            linear[d] = add(linear[d], chain) if d in linear else chain
+            affine[d] = affine.get(d, True) and not rest
+    return tuple((d, weight, affine[d]) for d, weight in linear.items())
+
+
+def _apply(linear: tuple[tuple[int, Series, bool], ...], dv: Series) -> Series:
+    """``F'(v) dv`` from the triples of :func:`_linearization`."""
+    total: Series | None = None
+    for d, weight, affine in linear:
+        derivative = differentiate(dv, d)
+        term = mul(weight, derivative) if affine else _sparse_first(weight, derivative)
+        total = term if total is None else add(total, term)
+    if total is None:
+        total = make_series((), dv.truncation)
+    return total
+
+
+def tangents(spec: ProblemSpec, iterates: Sequence[Series]) -> tuple[Series, ...]:
+    """Derivatives of the last iterate along every free constant, in one sweep.
+
+    ``iterates`` are v_0..v_n as :func:`iterate` returns them.  Entry j is
+    the derivative with respect to the coefficient of ``x**degree``, for the
+    j-th entry of ``spec.unknown_degrees()``: the seed ``x**degree`` carried
+    through the linearized corrections
+    ``dv_{k+1} = T_{m-1} dv_k + I^m F'(v_k) dv_k``.  This is forward-mode
+    differentiation of the correction map, exact up to rounding, and it
+    re-evaluates none of the iterates.  ``F'(v_k)`` is built once per
+    iterate (:func:`_linearization`) and applied to every tangent, so per
+    iterate a tangent costs one product per distinct derivative order among
+    the terms' factors.  A tangent can overflow where the iterates do not;
+    :class:`NonFiniteIterateError` is raised then.
+    """
+    degrees = spec.unknown_degrees()
+    w = iterates[0].truncation
+    dvs = [make_series((0.0,) * degree + (1.0,), w) for degree in degrees]
     for v in iterates[:-1]:
-        dv = _picard(dv, _he_order(spec, (v, dv), 1), spec.order)
+        linear = _linearization(spec, v)
+        dvs = [_picard(dv, _apply(linear, dv), spec.order) for dv in dvs]
     # a non-finite coefficient stays non-finite, so one check at the end
-    if not all(map(math.isfinite, dv.coeffs)):
-        raise NonFiniteIterateError(f"the tangent along x^{degree} is non-finite")
-    return dv
+    for degree, dv in zip(degrees, dvs):
+        if not all(map(math.isfinite, dv.coeffs)):
+            raise NonFiniteIterateError(f"the tangent along x^{degree} is non-finite")
+    return tuple(dvs)
 
 
 def iterate(

@@ -6,11 +6,12 @@ deterministic map from those constants to a series, the off-origin
 conditions become a small nonlinear system r(c) = 0, solved by undamped
 Newton iteration with dense Gaussian elimination and partial pivoting.
 The Jacobian is exact: each column is the off-origin condition operators
-applied to the tangent of the last iterate along one constant, propagated
-through the iterates that the Newton pass already holds
-(:func:`~vihpm.engine.tangent`).  :func:`fd_jacobian` is a central-difference
-cross-check for tests; the solver does not call it.  Nor does it check its
-input: a :class:`~vihpm.problems.ProblemSpec` is valid once it exists.
+applied to the tangent of the last iterate along one constant.  One sweep
+(:func:`~vihpm.engine.tangents`) propagates every constant's tangent
+through the iterates that the Newton pass already holds.
+:func:`fd_jacobian` is a central-difference cross-check for tests; the
+solver does not call it.  Nor does it check its input: a
+:class:`~vihpm.problems.ProblemSpec` is valid once it exists.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .engine import NonFiniteIterateError, iterate, tangent
+from .engine import NonFiniteIterateError, iterate, tangents
 # validate is not called here; perfbench/tracing.py wraps solver.validate by name
 from .problems import ProblemSpec, validate
 from .series import Series, evaluate_derivative
@@ -85,16 +86,14 @@ def jacobian(spec: ProblemSpec, iterates: Sequence[Series]) -> list[list[float]]
     ``iterates`` are the v_0..v_n that :func:`~vihpm.engine.iterate` returns
     at the constants of interest.  Column j applies the off-origin
     condition operators, without their values, to the tangent of the last
-    iterate along free constant j (:func:`~vihpm.engine.tangent`).
+    iterate along free constant j; one sweep
+    (:func:`~vihpm.engine.tangents`) gives every column's tangent.
     """
-    conditions = spec.off_origin_conditions()
-    columns = []
-    for degree in spec.unknown_degrees():
-        dv = tangent(spec, iterates, degree)
-        columns.append(
-            [evaluate_derivative(dv, bc.derivative_order, bc.point) for bc in conditions]
-        )
-    return [list(row) for row in zip(*columns)]
+    dvs = tangents(spec, iterates)
+    return [
+        [evaluate_derivative(dv, bc.derivative_order, bc.point) for dv in dvs]
+        for bc in spec.off_origin_conditions()
+    ]
 
 
 def fd_jacobian(

@@ -367,6 +367,36 @@ class TestErrorPaths:
         assert "error:" in err
         assert out == ""
 
+    def test_unwritable_series_file_leaves_no_table(self, capsys, tmp_path):
+        # both outputs are opened before either is written
+        table_path = tmp_path / "good.csv"
+        series_path = tmp_path / "missing" / "series.csv"
+        code, out, err = run_cli(
+            capsys,
+            "solve",
+            "--builtin",
+            "1",
+            "--emit-csv",
+            str(table_path),
+            "--emit-series",
+            str(series_path),
+        )
+        assert code == 1
+        assert "error:" in err
+        assert out == ""
+        assert not table_path.exists() or table_path.read_text() == ""
+
+    def test_one_path_for_both_outputs(self, capsys, tmp_path, no_solve):
+        path = tmp_path / "out.csv"
+        code, out, err = run_cli(
+            capsys, "solve", "--builtin", "1", "--emit-csv", str(path),
+            "--emit-series", str(tmp_path / "." / "out.csv"),
+        )
+        assert code == 1
+        assert "same file" in err
+        assert out == ""
+        assert not path.exists()
+
 
 class TestEntryPoint:
     def test_module_invocation(self):

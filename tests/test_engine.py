@@ -10,14 +10,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vihpm import engine
 from vihpm.engine import (
+    _apply,
+    _he_order,
+    _linearization,
     _picks,
     correct_once,
     he_coefficients,
     initial_approx,
     iterate,
     residual,
-    tangent,
+    tangents,
 )
 from vihpm.kernel import CorrectionKernel
 from vihpm.problems import (
@@ -40,7 +44,7 @@ from vihpm.series import (
     scale,
     sub,
 )
-from vihpm.solver import solve
+from vihpm.solver import fd_jacobian, jacobian, solve
 
 
 def apply_rhs_direct(spec, v):
@@ -467,10 +471,124 @@ class TestTangent:
         )
         rng = random.Random(w + k)
         constants = [rng.uniform(-1.0, 1.0) for _ in range(spec.unknown_count())]
-        iterates = iterate(spec, constants)
-        for j, degree in enumerate(spec.unknown_degrees()):
+        swept = tangents(spec, iterate(spec, constants))
+        assert len(swept) == spec.unknown_count()
+        for j, got in enumerate(swept):
             seed = [0.0] * spec.unknown_count()
             seed[j] = 1.0
             want = iterate(homogeneous, seed)[-1]
-            got = tangent(spec, iterates, degree)
             assert [c.hex() for c in got.coeffs] == [c.hex() for c in want.coeffs]
+
+
+def cubic_spec(terms):
+    """Order 3 on [0, 1], u(0) = 0.2, u(1) = 0.1, u'(1) = -0.3: two unknowns,
+    W = 14, k = 2."""
+    return ProblemSpec(
+        order=3,
+        domain_end=1.0,
+        terms=tuple(
+            RhsTerm(ExpPoly.from_terms([(rate, poly)]), factors)
+            for rate, poly, factors in terms
+        ),
+        bcs=(
+            BoundaryCondition(0.0, 0, 0.2),
+            BoundaryCondition(1.0, 0, 0.1),
+            BoundaryCondition(1.0, 1, -0.3),
+        ),
+        truncation=14,
+        iterations=2,
+    )
+
+
+# repeated and mixed factors, which no builtin has: (factors, products that
+# form the distinct chains, derivative orders of the linearization)
+GROUPED_TERMS = [
+    ((0, 0, 1), 4, [0, 1]),  # chains u u' (twice) and u u
+    ((1, 1), 1, [1]),  # chain u' (twice)
+    ((0, 2, 0), 4, [0, 2]),  # chains u u'' (twice) and u u
+]
+# an affine and a nonlinear term share d = 0, with forcing alongside
+MIXED_TERMS = [
+    (0.5, (0.3, -0.2), (0,)),
+    (0.0, (0.4,), (0, 2)),
+    (-0.3, (0.25, 0.1), (1, 1, 0)),
+    (1.0, (1.0, -1.0), ()),
+]
+LINEARIZED = pytest.mark.parametrize(
+    "terms",
+    [[(0.2, (1.0, 0.5), f)] for f, _, _ in GROUPED_TERMS] + [MIXED_TERMS],
+    ids=["0-0-1", "1-1", "0-2-0", "mixed"],
+)
+
+
+class TestLinearization:
+    """``F'(v) dv = sum_d dv^(d) L_d`` against order 1 of He's polynomials,
+    which forms every pick's products afresh, and against central
+    differences of the whole solve map."""
+
+    @staticmethod
+    def random_series(rng, w):
+        return make_series([rng.uniform(-1.0, 1.0) for _ in range(w + 1)], w)
+
+    @LINEARIZED
+    def test_matches_first_he_order(self, terms):
+        spec = cubic_spec(terms)
+        rng = random.Random(len(terms) * 31 + sum(terms[0][2]))
+        w = spec.truncation
+        for _ in range(5):
+            v, dv = self.random_series(rng, w), self.random_series(rng, w)
+            got = _apply(_linearization(spec, v), dv).coeffs
+            want = _he_order(spec, (v, dv), 1).coeffs
+            size = max(map(abs, want))
+            assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-13 * size
+
+    @pytest.mark.parametrize("factors,products,orders", GROUPED_TERMS)
+    def test_each_distinct_chain_is_formed_once(
+        self, monkeypatch, factors, products, orders
+    ):
+        spec = cubic_spec([(0.2, (1.0, 0.5), factors)])
+        calls = []
+        monkeypatch.setattr(engine, "mul", lambda f, g: calls.append(1) or mul(f, g))
+        linear = _linearization(spec, self.random_series(random.Random(5), 14))
+        assert len(calls) == products
+        assert sorted(d for d, _, _ in linear) == orders
+        assert not any(affine for _, _, affine in linear)
+
+    def test_affine_orders_are_marked(self):
+        linear = _linearization(
+            cubic_spec(MIXED_TERMS[:1] + MIXED_TERMS[2:]),
+            self.random_series(random.Random(6), 14),
+        )
+        # L_0 sums the affine coefficient and the chain u'u', so no order is affine
+        assert {d: affine for d, _, affine in linear} == {0: False, 1: False}
+        linear = _linearization(
+            cubic_spec(MIXED_TERMS[:1]), self.random_series(random.Random(7), 14)
+        )
+        assert [(d, affine) for d, _, affine in linear] == [(0, True)]
+
+    def test_sparser_operand_comes_first(self, monkeypatch):
+        # mul skips the zero coefficients of its first operand only; builtin
+        # 2 has no affine term, whose coefficient would stay first
+        spec = with_settings(builtin(2), truncation=30, iterations=3)
+        iterates = iterate(spec, [0.1] * spec.unknown_count())
+        operands = []
+
+        def spy(f, g):
+            operands.append([len(s.coeffs) - s.coeffs.count(0.0) for s in (f, g)])
+            return mul(f, g)
+
+        monkeypatch.setattr(engine, "mul", spy)
+        tangents(spec, iterates)
+        assert all(first <= second for first, second in operands)
+        assert any(first < second for first, second in operands)
+
+    @LINEARIZED
+    def test_jacobian_matches_central_differences(self, terms):
+        spec = cubic_spec(terms)
+        rng = random.Random(len(terms))
+        constants = [rng.uniform(-0.5, 0.5) for _ in range(spec.unknown_count())]
+        exact = jacobian(spec, iterate(spec, constants))
+        oracle = fd_jacobian(spec, constants)
+        for row_e, row_o in zip(exact, oracle):
+            for a, b in zip(row_e, row_o):
+                assert abs(a - b) <= 1e-6 * max(abs(a), abs(b))

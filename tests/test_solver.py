@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from vihpm import solver
+from vihpm import engine, solver
 from vihpm.engine import iterate
 from vihpm.problems import (
     BoundaryCondition,
@@ -15,7 +15,7 @@ from vihpm.problems import (
     builtin,
     with_settings,
 )
-from vihpm.series import ExpPoly, evaluate
+from vihpm.series import ExpPoly, evaluate, mul
 from vihpm.solver import (
     SingularJacobianError,
     bc_residuals,
@@ -189,6 +189,31 @@ class TestJacobian:
         assert [[a.hex() for a in row] for row in j0] == [
             [b.hex() for b in row] for row in j1
         ]
+
+    @pytest.mark.parametrize("n,products", [(1, 9), (2, 12), (3, 24), (4, 30)])
+    def test_one_product_per_chain_factor_and_per_tangent_order(
+        self, monkeypatch, n, products
+    ):
+        # per iterate but the last: one product per factor of each distinct
+        # chain coeff * prod v^(d_l) of a term (the term's factors minus the
+        # one that takes the tangent), plus one per tangent per distinct d
+        spec = with_settings(builtin(n), 30, 3)
+        chain_factors, orders = 0, set()
+        for term in spec.terms:
+            rests = {
+                tuple(sorted(term.factors[:i] + term.factors[i + 1 :]))
+                for i in range(len(term.factors))
+            }
+            chain_factors += sum(map(len, rests))
+            orders.update(term.factors)
+        per_iterate = chain_factors + spec.unknown_count() * len(orders)
+        assert per_iterate * spec.iterations == products
+
+        iterates = iterate(spec, [0.1] * spec.unknown_count())
+        calls = []
+        monkeypatch.setattr(engine, "mul", lambda f, g: calls.append(1) or mul(f, g))
+        jacobian(spec, iterates)
+        assert len(calls) == products
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_solve_iterates_once_per_newton_step(self, monkeypatch, n):
