@@ -2,7 +2,8 @@
 
 Each command checks its request, solves, and builds everything that can
 still fail (grid, error table, output files) before its first print, so an
-exit-1 path leaves stdout empty.  The parser is built on the first call.
+exit-1 path leaves stdout empty.  Output files replace their paths all
+together or not at all.  The parser is built on the first call.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import functools
 import math
 import os
 import sys
-from typing import Sequence
+from typing import IO, Callable, Sequence
 
 from .diagnostics import analyze_convergence, check_depth, default_grid
 from .engine import NonFiniteIterateError
@@ -129,27 +130,51 @@ def _unconverged(result: SolveResult) -> int:
     return EXIT_SOLVER_FAILURE
 
 
+def _write_outputs(outputs: Sequence[tuple[str, Callable[[IO[str]], None]]]) -> None:
+    """Write each ``(path, write)`` output, replacing all paths or none.
+
+    Every output goes to a temporary file beside its path first, and the
+    paths are replaced (``os.replace``) only once all are written, so a
+    failure leaves existing files as they were and no temporary file behind.
+    """
+    staged: list[tuple[str, str]] = []
+    try:
+        for path, write in outputs:
+            head, name = os.path.split(path)
+            temp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+            with open(temp, "x", encoding="utf-8") as handle:
+                staged.append((temp, path))
+                write(handle)
+        for temp, path in staged:
+            os.replace(temp, path)
+    except BaseException:
+        for temp, _ in staged:
+            with contextlib.suppress(OSError):
+                os.remove(temp)
+        raise
+
+
 def _run_solve(args: argparse.Namespace) -> int:
     spec = _load_spec(args)
-    # two handles on one file would interleave their writes
-    outputs = [os.path.abspath(p) for p in (args.emit_csv, args.emit_series) if p]
-    if len(set(outputs)) < len(outputs):
+    # a symbolic link keeps pointing at the file it names
+    paths = [os.path.realpath(p) if p else None for p in (args.emit_csv, args.emit_series)]
+    named = [p for p in paths if p]
+    # one path would take one output and lose the other
+    if len(set(named)) < len(named):
         raise InvalidProblemError(["--emit-csv and --emit-series name the same file"])
+    # a rename would replace a device or a pipe with a file, and a directory
+    # would refuse it after the other output had replaced its file
+    if any(os.path.exists(p) and not os.path.isfile(p) for p in named):
+        raise InvalidProblemError(["an output path names something other than a file"])
     grid = _make_grid(spec.domain_end, args.grid_step)
     result = solve(spec)
     # everything that can still raise happens before the first print
     table = error_table(spec, result, grid)
-    # both files are opened before either is written, so a bad second path
-    # leaves no table behind in the first
-    with contextlib.ExitStack() as files:
-        table_out, series_out = (
-            files.enter_context(open(path, "w", encoding="utf-8")) if path else None
-            for path in (args.emit_csv, args.emit_series)
-        )
-        if table_out:
-            emit_csv(table, table_out)
-        if series_out:
-            emit_series_csv(result.solution, series_out)
+    writers = (
+        functools.partial(emit_csv, table),
+        functools.partial(emit_series_csv, result.solution),
+    )
+    _write_outputs([(p, write) for p, write in zip(paths, writers) if p])
 
     degrees = spec.unknown_degrees()
     if degrees:

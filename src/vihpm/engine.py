@@ -31,8 +31,9 @@ import math
 from functools import lru_cache
 from typing import Sequence
 
-from .kernel import CorrectionKernel
+from .kernel import _kernel_weights
 from .problems import ProblemSpec
+# pad_to is not called here; perfbench/tracing.py wraps engine.pad_to by name
 from .series import (
     CACHE_SIZE,
     Series,
@@ -146,14 +147,16 @@ def residual(v: Series, spec: ProblemSpec) -> Series:
 def _picard(v: Series, f: Series, m: int) -> Series:
     """The Picard step ``T_{m-1} v + I^m f`` at truncation ``W + m``.
 
-    ``f`` shares v's ring W.  Lifting adds only zeros, so f's coefficients
-    up to W are the same at degree W + m; the kernel's ``-I^m f`` is
-    subtracted from v's kept head.
+    ``f`` shares v's ring W.  The result keeps v's first m coefficients and
+    puts ``0.0 - f_j * w_j`` at degree ``j + m``, with ``w_j = -j!/(j+m)!``
+    from the kernel's weight table: bit for bit the kernel's ``-I^m`` of f
+    lifted to degree W + m and subtracted from v's zero-padded head, built
+    as one tuple.
     """
-    w = v.truncation + m
-    integral = CorrectionKernel(m, w).integrate(pad_to(f, w))
-    head = _trusted(v.coeffs[:m] + (0.0,) * (w + 1 - m))
-    return sub(head, integral)
+    weights = _kernel_weights(m, v.truncation + m)
+    return _trusted(
+        v.coeffs[:m] + tuple([0.0 - c * w for c, w in zip(f.coeffs, weights)])
+    )
 
 
 def correct_once(v: Series, spec: ProblemSpec) -> Series:

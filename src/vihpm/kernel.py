@@ -16,8 +16,10 @@ degree ``j + m``: K is minus the m-fold integral ``I^m`` from 0.  Hence
 ``K(v^(m)) = -(v - T_{m-1} v)`` with ``T_{m-1} v`` the Taylor head of degree
 below m, and the correction ``v + K(v^(m) - F(v))`` equals
 ``T_{m-1} v + I^m F(v)``, the form :func:`vihpm.engine.correct_once`
-computes.  :meth:`CorrectionKernel.integrate` implements exactly this map;
-degrees beyond the kernel's truncation are discarded.
+computes.  :meth:`CorrectionKernel.integrate` applies K on its own, and
+discards degrees beyond the kernel's truncation; the engine's Picard step
+reads the same weights (:func:`_kernel_weights`) and builds the corrected
+series directly, with the same bits.
 """
 
 from __future__ import annotations

@@ -13,9 +13,11 @@ inside the arithmetic propagates as ``inf``/``nan``.
 :func:`vihpm.engine.iterate` checks each correction once for finiteness, so
 no non-finite series reaches the solver or a printed table.
 
-Tables that depend only on a derivative order and a truncation degree, and
-the expansion of an :class:`ExpPoly` at a given degree, are cached with a
-fixed bound of ``CACHE_SIZE`` entries each.
+Tables that depend only on a derivative order and a truncation degree are
+cached with a fixed bound of ``CACHE_SIZE`` entries each.  The expansion of
+an :class:`ExpPoly` is cached once per value, up to the highest degree asked
+for so far, under the same bound: a request at a higher degree computes only
+the new coefficients, and one at a lower degree returns a prefix.
 
 :class:`ExpPoly` represents a finite sum of ``exp(rate * x) * p(x)`` terms
 with polynomial ``p``.  It is the closed function class used for forcing
@@ -239,25 +241,52 @@ def expand_exppoly(e: ExpPoly, truncation: int) -> Series:
     For a term ``exp(a*x) * sum(p_j x**j)`` the degree-n coefficient is
     ``sum_j p_j * a**(n-j) / (n-j)!``; the exponential weights are built by
     the running recurrence ``a**k / k!`` so nothing large is ever formed.
+    Each coefficient is computed once per cached ``e`` (see
+    :class:`_Expansion`).
     """
     if truncation < 0:
         raise ValueError("truncation degree must be non-negative")
-    return _expand_exppoly(e, truncation)
+    return _expansion(e).up_to(truncation)
+
+
+class _Expansion:
+    """The Taylor coefficients of one :class:`ExpPoly`, extended on demand.
+
+    ``coeffs`` holds degrees 0..D computed so far, and ``weights`` each
+    term's ``rate**k / k!`` for k = 0..D, the state the next degrees need.
+    Every degree-n coefficient is a sum that starts from +0.0 and adds
+    ``p_j * weights[n - j]`` over the terms in order and, within a term, over
+    ascending j, skipping zero ``p_j``.  That order does not depend on D, so
+    an extended expansion has the bits of one computed at once.  ExpPoly
+    equality treats 0.0 and -0.0 alike; both expand to the same bits,
+    because a zero rate gives zero weights past degree 0, a zero ``p_j``
+    is skipped, and +0.0 plus a zero of either sign is +0.0.
+    """
+
+    __slots__ = ("terms", "weights", "coeffs")
+
+    def __init__(self, e: ExpPoly) -> None:
+        self.terms = tuple((term.rate, term.poly) for term in e.terms)
+        self.weights = tuple([1.0] for _ in e.terms)
+        self.coeffs: tuple[float, ...] = ()
+
+    def up_to(self, truncation: int) -> Series:
+        start = len(self.coeffs)
+        if truncation >= start:
+            out = [0.0] * (truncation + 1 - start)
+            for (rate, poly), weights in zip(self.terms, self.weights):
+                for k in range(len(weights), truncation + 1):
+                    weights.append(weights[-1] * rate / k)
+                for j, p in enumerate(poly):
+                    if p == 0.0:
+                        continue
+                    for n in range(max(j, start), truncation + 1):
+                        out[n - start] += p * weights[n - j]
+            self.coeffs += tuple(out)
+        return _trusted(self.coeffs[: truncation + 1])
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _expand_exppoly(e: ExpPoly, truncation: int) -> Series:
-    # ExpPoly equality treats 0.0 and -0.0 alike; both expand to the same
-    # bits, because every coefficient is a sum that starts from +0.0.
-    out = [0.0] * (truncation + 1)
-    for term in e.terms:
-        # weights[k] = rate**k / k!
-        weights = [1.0]
-        for k in range(1, truncation + 1):
-            weights.append(weights[-1] * term.rate / k)
-        for j, p in enumerate(term.poly):
-            if p == 0.0 or j > truncation:
-                continue
-            for n in range(j, truncation + 1):
-                out[n] += p * weights[n - j]
-    return _trusted(tuple(out))
+def _expansion(e: ExpPoly) -> _Expansion:
+    """The one expansion kept for ``e``, among the most recently used."""
+    return _Expansion(e)

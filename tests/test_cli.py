@@ -2,6 +2,7 @@
 
 import argparse
 import math
+import os
 import subprocess
 import sys
 
@@ -368,8 +369,9 @@ class TestErrorPaths:
         assert out == ""
 
     def test_unwritable_series_file_leaves_no_table(self, capsys, tmp_path):
-        # both outputs are opened before either is written
+        # no path is replaced before every output is written
         table_path = tmp_path / "good.csv"
+        table_path.write_text("an earlier table\n")
         series_path = tmp_path / "missing" / "series.csv"
         code, out, err = run_cli(
             capsys,
@@ -384,7 +386,43 @@ class TestErrorPaths:
         assert code == 1
         assert "error:" in err
         assert out == ""
-        assert not table_path.exists() or table_path.read_text() == ""
+        assert table_path.read_text() == "an earlier table\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["good.csv"]
+
+    @pytest.mark.parametrize("kind", ["directory", "pipe"])
+    def test_non_file_output_rejected_before_solving(self, capsys, tmp_path, no_solve, kind):
+        table_path = tmp_path / "good.csv"
+        table_path.write_text("an earlier table\n")
+        other = tmp_path / "other"
+        if kind == "directory":
+            other.mkdir()
+        else:
+            os.mkfifo(other)
+        code, out, err = run_cli(
+            capsys, "solve", "--builtin", "1", "--emit-csv", str(table_path),
+            "--emit-series", str(other),
+        )
+        assert code == 1
+        assert "something other than a file" in err
+        assert out == ""
+        assert table_path.read_text() == "an earlier table\n"
+
+    def test_outputs_replace_files_and_follow_links(self, capsys, tmp_path):
+        table_path = tmp_path / "table.csv"
+        table_path.write_text("an earlier table\n")
+        series_path = tmp_path / "series.csv"
+        link = tmp_path / "link.csv"
+        link.symlink_to(series_path)
+        code, _, _ = run_cli(
+            capsys, "solve", "--builtin", "1", "--emit-csv", str(table_path),
+            "--emit-series", str(link),
+        )
+        assert code == 0
+        assert table_path.read_text().startswith("x,exact,approx,abs_error\n")
+        assert link.is_symlink()
+        assert series_path.read_text().startswith("degree,coefficient\n")
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert names == ["link.csv", "series.csv", "table.csv"]
 
     def test_one_path_for_both_outputs(self, capsys, tmp_path, no_solve):
         path = tmp_path / "out.csv"

@@ -8,13 +8,14 @@ caches existed and a local copy of the original loop formulas.
 
 import json
 import math
+import random
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vihpm.engine import NonFiniteIterateError, iterate
+from vihpm.engine import NonFiniteIterateError, _picard, iterate
 from vihpm.kernel import CorrectionKernel
 from vihpm.problems import (
     BoundaryCondition,
@@ -24,13 +25,18 @@ from vihpm.problems import (
     with_settings,
 )
 from vihpm.series import (
+    CACHE_SIZE,
     ExpPoly,
     Series,
+    _expansion,
+    _trusted,
     add,
     differentiate,
     expand_exppoly,
     make_series,
     mul,
+    pad_to,
+    sub,
 )
 from vihpm.solver import solve
 
@@ -138,6 +144,66 @@ class TestCachedTablesMatchOracle:
         for w in (3, 9, 3):
             for e in (plus, minus):
                 assert bits(expand_exppoly(e, w).coeffs) == bits(oracle_expand(e, w))
+
+
+# ring values as the unchecked arithmetic can leave them, overflow included
+ring_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan]),
+    st.floats(),
+)
+
+
+class TestPicardStep:
+    @settings(max_examples=100, deadline=None)
+    @given(m=st.integers(min_value=1, max_value=7), data=st.data())
+    def test_matches_the_kernel_applied_to_the_lifted_series(self, m, data):
+        # v carries at least the m coefficients that the step keeps
+        w = data.draw(st.integers(min_value=m - 1, max_value=30))
+        v, f = (
+            _trusted(tuple(data.draw(st.lists(ring_values, min_size=w + 1, max_size=w + 1))))
+            for _ in range(2)
+        )
+        top = w + m
+        head = _trusted(v.coeffs[:m] + (0.0,) * (top + 1 - m))
+        expected = sub(head, CorrectionKernel(m, top).integrate(pad_to(f, top)))
+        assert bits(_picard(v, f, m).coeffs) == bits(expected.coeffs)
+
+
+class TestExpansionCache:
+    def test_more_exppolys_than_entries_at_rising_falling_and_mixed_degrees(self):
+        # each ExpPoly has its own constant term, so all of them are distinct
+        rng = random.Random(12)
+        pool = [
+            ExpPoly.from_terms(
+                [(rng.choice([0.0, -0.0, 1.5, -2.0]), (float(i), 0.0, -0.0, rng.uniform(-4, 4)))]
+                + [(rng.uniform(-3, 3), tuple(rng.uniform(-2, 2) for _ in range(rng.randint(1, 5))))]
+            )
+            for i in range(CACHE_SIZE + 40)
+        ]
+        schedules = ([0, 3, 11, 26, 40], [40, 26, 11, 3, 0], [11, 0, 26, 3, 40, 11])
+        earlier = []
+        for schedule in schedules:
+            # degree-major, so the requests for one ExpPoly interleave with
+            # every other's and the pool overruns the cache between them
+            for w in schedule:
+                for e in pool:
+                    s = expand_exppoly(e, w)
+                    assert bits(s.coeffs) == bits(oracle_expand(e, w))
+                    assert _expansion.cache_info().currsize <= CACHE_SIZE
+                    if len(earlier) < 2 * len(pool):
+                        earlier.append((s, bits(s.coeffs)))
+        assert _expansion.cache_info().currsize == CACHE_SIZE
+        # a returned series is not touched when its expansion is extended
+        for s, recorded in earlier:
+            assert bits(s.coeffs) == recorded
+
+    def test_one_expansion_per_exppoly_serves_every_degree(self):
+        e = ExpPoly.from_terms([(0.7, (1.0, -2.0, 0.5)), (-1.3, (0.0, 3.0))])
+        expand_exppoly(e, 30)
+        misses = _expansion.cache_info().misses
+        for w in (0, 7, 30, 12, 29):
+            assert bits(expand_exppoly(e, w).coeffs) == bits(oracle_expand(e, w))
+        assert _expansion.cache_info().misses == misses
 
 
 @pytest.mark.parametrize("case", sorted(SOLVE_BITS))
