@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import math
 import os
 import sys
@@ -133,16 +134,24 @@ def _unconverged(result: SolveResult) -> int:
 def _write_outputs(outputs: Sequence[tuple[str, Callable[[IO[str]], None]]]) -> None:
     """Write each ``(path, write)`` output, replacing all paths or none.
 
-    Every output goes to a temporary file beside its path first, and the
-    paths are replaced (``os.replace``) only once all are written, so a
+    Every output goes to a new temporary file beside its path first, and
+    the paths are replaced (``os.replace``) only once all are written, so a
     failure leaves existing files as they were and no temporary file behind.
+    A temporary name that a file already has, such as one left by a killed
+    run of the same pid, is skipped and its file left alone.  A temporary
+    file is created as ``open(path, "w")`` creates one, so a replaced
+    output gets the mode the umask gives.
     """
     staged: list[tuple[str, str]] = []
     try:
         for path, write in outputs:
             head, name = os.path.split(path)
-            temp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
-            with open(temp, "x", encoding="utf-8") as handle:
+            for n in itertools.count():
+                temp = os.path.join(head, f".{name}.{os.getpid()}.{n}.tmp")
+                with contextlib.suppress(FileExistsError):
+                    handle = open(temp, "x", encoding="utf-8")
+                    break
+            with handle:
                 staged.append((temp, path))
                 write(handle)
         for temp, path in staged:

@@ -37,6 +37,7 @@ from .problems import ProblemSpec
 from .series import (
     CACHE_SIZE,
     Series,
+    _check_same_ring,
     _trusted,
     add,
     differentiate,
@@ -174,9 +175,8 @@ def he_coefficients(
     """
     if len(parts) == 0:
         raise ValueError("need at least one expansion part")
-    w = parts[0].truncation
-    if any(u.truncation != w for u in parts):
-        raise ValueError("expansion parts must share one truncation degree")
+    for u in parts[1:]:
+        _check_same_ring(parts[0], u)
     return tuple(_he_order(spec, parts, k) for k in range(len(parts)))
 
 

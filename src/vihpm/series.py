@@ -1,9 +1,12 @@
 """Truncated power-series arithmetic and exponential-polynomial expansion.
 
 A :class:`Series` holds the coefficients ``c_0 .. c_W`` of a polynomial
-``sum(c_k * x**k)`` truncated at a fixed degree ``W``.  Values are immutable;
-every operation returns a new series and refuses operands whose truncation
-degrees disagree, so a computation can never silently mix rings.
+``sum(c_k * x**k)`` truncated at a fixed degree ``W``.  Values are immutable,
+so they can be shared: a derivative of order 0 is its series itself, and
+every other operation returns a new series.  Binary operations refuse
+operands whose truncation degrees disagree, so a computation can never
+silently mix rings.  :func:`evaluate_derivative` reads a derivative's value
+straight from the coefficients and builds no series.
 
 Validation happens where data enters: ``Series(...)`` and
 :func:`make_series` convert every coefficient to float and reject empty or
@@ -113,7 +116,7 @@ def pad_to(f: Series, truncation: int) -> Series:
 
 
 def _check_same_ring(f: Series, g: Series) -> None:
-    if f.truncation != g.truncation:
+    if len(f.coeffs) != len(g.coeffs):
         raise ValueError(
             f"truncation mismatch: {f.truncation} vs {g.truncation}"
         )
@@ -143,12 +146,13 @@ def mul(f: Series, g: Series) -> Series:
     """Cauchy product truncated at the common degree."""
     _check_same_ring(f, g)
     w = f.truncation
+    gc = g.coeffs
     out = [0.0] * (w + 1)
     for i, a in enumerate(f.coeffs):
         if a == 0.0:
             continue
         for j in range(w + 1 - i):
-            out[i + j] += a * g.coeffs[j]
+            out[i + j] += a * gc[j]
     return _trusted(tuple(out))
 
 
@@ -157,9 +161,12 @@ def differentiate(f: Series, order: int) -> Series:
 
     Degrees above ``W - order`` of the result are zero; the top
     coefficients of ``f`` carry no information about the derivative there.
+    Order 0 returns ``f`` itself: a series is immutable, so it can be shared.
     """
     if order < 0:
         raise ValueError("derivative order must be non-negative")
+    if order == 0:
+        return f
     w = f.truncation
     falls = _falling_factorials(order, w)
     out = [0.0] * (w + 1)
@@ -188,8 +195,23 @@ def evaluate(f: Series, x: float) -> float:
 
 
 def evaluate_derivative(f: Series, order: int, x: float) -> float:
-    """Value of the ``order``-th formal derivative at ``x``."""
-    return evaluate(differentiate(f, order), x)
+    """Value of the ``order``-th formal derivative at finite ``x``.
+
+    Horner's rule runs over ``f.coeffs[k + order] * fall_k`` for k from
+    ``W - order`` down to 0, without building the derivative series.  The
+    derivative's top ``order`` coefficients are zeros, which would leave
+    the accumulator at +0.0 for any finite ``x``, so skipping them gives
+    the bits of :func:`evaluate` on :func:`differentiate`.
+    """
+    if order < 0:
+        raise ValueError("derivative order must be non-negative")
+    if order == 0:
+        return evaluate(f, x)
+    falls = _falling_factorials(order, f.truncation)
+    acc = 0.0
+    for c, fall in zip(reversed(f.coeffs[order:]), reversed(falls)):
+        acc = acc * x + c * fall
+    return acc
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 import argparse
 import math
 import os
+import stat
 import subprocess
 import sys
 
@@ -388,6 +389,38 @@ class TestErrorPaths:
         assert out == ""
         assert table_path.read_text() == "an earlier table\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["good.csv"]
+
+    def test_stale_temporary_file_of_a_killed_run_is_left_alone(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # a run killed between write and rename leaves its temporary file;
+        # the pid repeats, so a later run must pick another name
+        table_path = tmp_path / "good.csv"
+        table_path.write_text("an earlier table\n")
+        with monkeypatch.context() as m:
+            def killed(*_):
+                raise OSError("killed before the rename")
+            m.setattr(cli.os, "replace", killed)
+            m.setattr(cli.os, "remove", lambda _: None)
+            code, _, _ = run_cli(capsys, "solve", "--builtin", "1", "--emit-csv", str(table_path))
+        assert code == 1
+        (stale,) = [p for p in tmp_path.iterdir() if p.name != "good.csv"]
+        assert stale.name.startswith(f".good.csv.{os.getpid()}.")
+        stale_text = stale.read_text()
+        previous = os.umask(0o027)
+        try:
+            code, _, err = run_cli(
+                capsys, "solve", "--builtin", "1", "--emit-csv", str(table_path)
+            )
+        finally:
+            os.umask(previous)
+        assert code == 0, err
+        assert table_path.read_text() == stale_text
+        assert table_path.read_text().startswith("x,exact,approx,abs_error\n")
+        assert stale.read_text() == stale_text
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["good.csv", stale.name])
+        # the mode open(path, "w") gives a new file under this umask
+        assert stat.S_IMODE(table_path.stat().st_mode) == 0o640
 
     @pytest.mark.parametrize("kind", ["directory", "pipe"])
     def test_non_file_output_rejected_before_solving(self, capsys, tmp_path, no_solve, kind):

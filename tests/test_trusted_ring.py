@@ -32,6 +32,7 @@ from vihpm.series import (
     _trusted,
     add,
     differentiate,
+    evaluate_derivative,
     expand_exppoly,
     make_series,
     mul,
@@ -120,13 +121,15 @@ class TestCachedTablesMatchOracle:
     )
     def test_random_order_truncation_and_exppoly(self, order, truncations, e, data):
         # one ExpPoly and one order at several degrees in turn: a cache
-        # keyed on too little returns another degree's table
+        # keyed on too little returns another degree's table; each degree
+        # differentiates a prefix of one drawn coefficient list
+        top = max(truncations)
+        coeffs = data.draw(
+            st.lists(signed_coeffs, min_size=top + 1, max_size=top + 1)
+        )
         for w in truncations:
             assert bits(expand_exppoly(e, w).coeffs) == bits(oracle_expand(e, w))
-            coeffs = data.draw(
-                st.lists(signed_coeffs, min_size=w + 1, max_size=w + 1)
-            )
-            f = Series(tuple(coeffs))
+            f = Series(tuple(coeffs[: w + 1]))
             assert bits(differentiate(f, order).coeffs) == bits(
                 oracle_differentiate(f.coeffs, order)
             )
@@ -151,6 +154,56 @@ ring_values = st.one_of(
     st.sampled_from([0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan]),
     st.floats(),
 )
+
+
+def oracle_horner(coeffs, x):
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+class TestDerivativeWithoutCopies:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        w=st.integers(min_value=0, max_value=40),
+        x=st.one_of(
+            st.sampled_from([0.0, 0.5, 1.0]),
+            st.floats(min_value=0.0, max_value=2.0),
+        ),
+        data=st.data(),
+    )
+    def test_evaluate_derivative_is_horner_on_the_oracle_derivative(self, w, x, data):
+        # validated series and unchecked ring results, overflow included
+        d = data.draw(st.integers(min_value=0, max_value=w + 2))
+        values = st.lists(signed_coeffs, min_size=w + 1, max_size=w + 1)
+        make = Series
+        if data.draw(st.booleans()):
+            values = st.lists(ring_values, min_size=w + 1, max_size=w + 1)
+            make = _trusted
+        f = make(tuple(data.draw(values)))
+        expected = oracle_horner(oracle_differentiate(f.coeffs, d), x)
+        assert bits([evaluate_derivative(f, d, x)]) == bits([expected])
+
+    @pytest.mark.parametrize("x", [0.0, 0.5])
+    def test_all_negative_zero_series(self, x):
+        # a derivative of -0.0s alone is where the sign of the result shows
+        # that Horner starts from a +0.0 accumulator times x
+        f = Series((-0.0,) * 4)
+        for d in range(6):
+            expected = oracle_horner(oracle_differentiate(f.coeffs, d), x)
+            assert bits([evaluate_derivative(f, d, x)]) == bits([expected])
+
+    def test_order_zero_shares_the_series(self):
+        f = Series((1.0, -0.0, 2.5))
+        assert differentiate(f, 0) is f
+
+    def test_negative_order_rejected(self):
+        f = Series((1.0, 2.0))
+        with pytest.raises(ValueError, match="non-negative"):
+            differentiate(f, -1)
+        with pytest.raises(ValueError, match="non-negative"):
+            evaluate_derivative(f, -1, 0.5)
 
 
 class TestPicardStep:
