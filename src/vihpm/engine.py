@@ -12,7 +12,11 @@ growing prefix of the previous iterate's coefficients unchanged.
 
 The series arithmetic does not check its results (see :mod:`vihpm.series`);
 :func:`iterate` checks every new iterate once and raises
-:class:`NonFiniteIterateError` when the arithmetic has overflowed.
+:class:`NonFiniteIterateError` when the arithmetic has overflowed.  A
+Newton pass's own inputs skip :func:`make_series` too: the initial
+polynomial checks only the caller's constants, since the spec checked its
+condition values when it was built, and a tangent seed ``x**j`` is zeros
+and a one.
 
 F is evaluated in one place, as He's polynomials: the order-k coefficient
 in p of F on a parameter-embedded sum ``sum_i p**i u_i``.  The correction
@@ -71,19 +75,26 @@ def initial_approx(spec: ProblemSpec, constants: Sequence[float]) -> Series:
 
     Each origin condition of derivative order j pins the Taylor coefficient
     ``c_j = value / j!``; the remaining degrees below m, in increasing
-    order, take the entries of ``constants`` directly.
+    order, take the entries of ``constants`` directly, and the degrees from
+    m to W are zero.  Only the constants are checked: they come from the
+    caller, while the spec's condition values were checked when the spec was
+    built, so the coefficients are wrapped without re-validating them.  A
+    non-finite constant raises ``ValueError``, as :func:`make_series` would.
     """
     free = spec.unknown_degrees()
     if len(constants) != len(free):
         raise ValueError(
             f"expected {len(free)} free constants, got {len(constants)}"
         )
-    coeffs = [0.0] * spec.order
+    values = [float(c) for c in constants]
+    if not all(map(math.isfinite, values)):
+        raise ValueError("series coefficients must be finite")
+    coeffs = [0.0] * (spec.truncation + 1)
     for bc in spec.origin_conditions():
         coeffs[bc.derivative_order] = bc.value / math.factorial(bc.derivative_order)
-    for degree, value in zip(free, constants):
-        coeffs[degree] = float(value)
-    return make_series(coeffs, spec.truncation)
+    for degree, value in zip(free, values):
+        coeffs[degree] = value
+    return _trusted(tuple(coeffs))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -250,12 +261,17 @@ def tangents(spec: ProblemSpec, iterates: Sequence[Series]) -> tuple[Series, ...
     re-evaluates none of the iterates.  ``F'(v_k)`` is built once per
     iterate (:func:`_linearization`) and applied to every tangent, so per
     iterate a tangent costs one product per distinct derivative order among
-    the terms' factors.  A tangent can overflow where the iterates do not;
-    :class:`NonFiniteIterateError` is raised then.
+    the terms' factors.  The seeds are zero-padded to v_0's degree and
+    wrapped unchecked, since zeros and a one need no validation.  A tangent
+    can overflow where the iterates do not; :class:`NonFiniteIterateError`
+    is raised then.
     """
     degrees = spec.unknown_degrees()
     w = iterates[0].truncation
-    dvs = [make_series((0.0,) * degree + (1.0,), w) for degree in degrees]
+    dvs = [
+        _trusted((0.0,) * degree + (1.0,) + (0.0,) * (w - degree))
+        for degree in degrees
+    ]
     for v in iterates[:-1]:
         linear = _linearization(spec, v)
         dvs = [_picard(dv, _apply(linear, dv), spec.order) for dv in dvs]
@@ -274,8 +290,8 @@ def iterate(
     """Run the correction map ``n_iter`` times from the initial polynomial.
 
     Returns the successive approximations v_0..v_n; ``v_k`` has truncation
-    degree W + k*m, so the last entry is the solution.  The initial
-    polynomial is validated and each correction is checked, so every
+    degree W + k*m, so the last entry is the solution.  The constants of
+    the initial polynomial and each correction are checked, so every
     returned iterate is finite: :class:`NonFiniteIterateError` is raised
     when the iterate produced by a correction is not.
     """

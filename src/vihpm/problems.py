@@ -56,6 +56,17 @@ class InvalidProblemError(ValueError):
         super().__init__("; ".join(errors))
 
 
+def _derivative_order(d: object) -> int:
+    """``d`` as an int; a non-integral derivative order raises ``ValueError``."""
+    try:
+        order = int(d)
+    except (TypeError, ValueError, OverflowError):
+        order = None
+    if order is None or order != d:
+        raise ValueError(f"derivative order must be an integer, got {d!r}")
+    return order
+
+
 @dataclass(frozen=True)
 class BoundaryCondition:
     """Condition ``u^(derivative_order)(point) = value``."""
@@ -66,6 +77,9 @@ class BoundaryCondition:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "point", float(self.point))
+        object.__setattr__(
+            self, "derivative_order", _derivative_order(self.derivative_order)
+        )
         object.__setattr__(self, "value", float(self.value))
 
 
@@ -81,7 +95,9 @@ class RhsTerm:
     factors: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "factors", tuple(int(d) for d in self.factors))
+        object.__setattr__(
+            self, "factors", tuple([_derivative_order(d) for d in self.factors])
+        )
 
 
 @dataclass(frozen=True)
@@ -92,7 +108,10 @@ class ProblemSpec:
     approximation stage; ``iterations`` the number of correction passes.
     ``exact`` optionally carries a closed-form reference solution.
     Construction raises :class:`InvalidProblemError` listing every
-    violation that :func:`validate` finds.
+    violation that :func:`validate` finds.  A valid spec then computes its
+    origin and off-origin conditions and its unknown degrees once, so the
+    solver's every Newton pass reads the same tuples instead of rebuilding
+    them; a ``dataclasses.replace`` copy computes its own.
     """
 
     order: int
@@ -110,12 +129,25 @@ class ProblemSpec:
         errors = validate(self)
         if errors:
             raise InvalidProblemError(errors)
+        # derived from the fields once; plain attributes, so ==, hash and
+        # repr still see the fields alone
+        origin = tuple([bc for bc in self.bcs if bc.point == 0.0])
+        pinned = {bc.derivative_order for bc in origin}
+        object.__setattr__(self, "_origin", origin)
+        object.__setattr__(
+            self, "_off_origin", tuple([bc for bc in self.bcs if bc.point != 0.0])
+        )
+        object.__setattr__(
+            self,
+            "_unknown_degrees",
+            tuple([j for j in range(self.order) if j not in pinned]),
+        )
 
     def origin_conditions(self) -> tuple[BoundaryCondition, ...]:
-        return tuple([bc for bc in self.bcs if bc.point == 0.0])
+        return self._origin
 
     def off_origin_conditions(self) -> tuple[BoundaryCondition, ...]:
-        return tuple([bc for bc in self.bcs if bc.point != 0.0])
+        return self._off_origin
 
     def unknown_degrees(self) -> tuple[int, ...]:
         """Degrees below ``order`` not pinned by an origin condition.
@@ -124,11 +156,10 @@ class ProblemSpec:
         condition of derivative order j; the remaining degrees, ascending,
         receive the free constants.
         """
-        pinned = {bc.derivative_order for bc in self.origin_conditions()}
-        return tuple([j for j in range(self.order) if j not in pinned])
+        return self._unknown_degrees
 
     def unknown_count(self) -> int:
-        return len(self.unknown_degrees())
+        return len(self._unknown_degrees)
 
 
 def validate(spec: ProblemSpec) -> list[str]:

@@ -45,7 +45,6 @@ __all__ = [
     "pad_to",
     "add",
     "sub",
-    "scale",
     "mul",
     "differentiate",
     "evaluate",
@@ -132,14 +131,6 @@ def sub(f: Series, g: Series) -> Series:
     """Coefficient-wise difference at equal truncation."""
     _check_same_ring(f, g)
     return _trusted(tuple([*map(_fsub, f.coeffs, g.coeffs)]))
-
-
-def scale(f: Series, c: float) -> Series:
-    """Multiply every coefficient by the finite scalar ``c``."""
-    c = float(c)
-    if not math.isfinite(c):
-        raise ValueError("scale factor must be finite")
-    return _trusted(tuple([c * a for a in f.coeffs]))
 
 
 def mul(f: Series, g: Series) -> Series:

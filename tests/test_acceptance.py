@@ -32,10 +32,11 @@ from vihpm.series import (
     make_series,
     mul,
     pad_to,
-    scale,
     sub,
 )
 from vihpm.solver import solve
+
+from ring_helpers import scale
 
 GRID = tuple(i / 10 for i in range(11))
 

@@ -41,10 +41,11 @@ from vihpm.series import (
     make_series,
     mul,
     pad_to,
-    scale,
     sub,
 )
 from vihpm.solver import fd_jacobian, jacobian, solve
+
+from ring_helpers import scale
 
 
 def apply_rhs_direct(spec, v):

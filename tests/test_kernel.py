@@ -7,7 +7,9 @@ import pytest
 from scipy.integrate import quad
 
 from vihpm.kernel import CorrectionKernel
-from vihpm.series import Series, add, differentiate, evaluate, make_series, scale
+from vihpm.series import Series, add, differentiate, evaluate, make_series
+
+from ring_helpers import scale
 
 
 class TestConstruction:

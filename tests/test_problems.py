@@ -24,6 +24,7 @@ from vihpm.problems import (
 )
 from vihpm.series import ExpPoly, evaluate, expand_exppoly
 from vihpm.engine import residual
+from vihpm.solver import solve
 
 
 class TestBuiltins:
@@ -253,6 +254,36 @@ class TestValidate:
             ),
         )
         assert any("factor derivative order" in e for e in errors)
+
+
+class TestDerivativeOrders:
+    @pytest.mark.parametrize("order", [1.5, -0.5, math.nan, math.inf, "1", None])
+    def test_non_integral_order_rejected_when_built(self, order):
+        message = re.escape(f"derivative order must be an integer, got {order!r}")
+        with pytest.raises(ValueError, match=message):
+            BoundaryCondition(0.0, order, 1.0)
+        with pytest.raises(ValueError, match=message):
+            RhsTerm(ExpPoly.from_terms([(0.0, (1.0,))]), (0, order))
+
+    def test_integral_order_becomes_int(self):
+        bc = BoundaryCondition(0.0, 2.0, 1.0)
+        term = RhsTerm(ExpPoly.from_terms([(0.0, (1.0,))]), (1.0, 0))
+        assert bc.derivative_order == 2 and type(bc.derivative_order) is int
+        assert term.factors == (1, 0)
+        assert all(type(d) is int for d in term.factors)
+
+    def test_float_orders_solve_like_int_orders(self):
+        # before, a float order reached math.factorial and raised TypeError
+        spec = builtin(1)
+        floats = replace(
+            spec,
+            bcs=tuple(
+                BoundaryCondition(bc.point, float(bc.derivative_order), bc.value)
+                for bc in spec.bcs
+            ),
+        )
+        assert floats == spec
+        assert solve(floats) == solve(spec)
 
 
 def first_problem_text() -> str:

@@ -19,9 +19,10 @@ from vihpm.series import (
     make_series,
     mul,
     pad_to,
-    scale,
     sub,
 )
+
+from ring_helpers import scale
 
 coeff_floats = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False)
 

@@ -9,13 +9,20 @@ caches existed and a local copy of the original loop formulas.
 import json
 import math
 import random
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vihpm.engine import NonFiniteIterateError, _picard, iterate
+from vihpm.engine import (
+    NonFiniteIterateError,
+    _picard,
+    initial_approx,
+    iterate,
+    tangents,
+)
 from vihpm.kernel import CorrectionKernel
 from vihpm.problems import (
     BoundaryCondition,
@@ -220,6 +227,127 @@ class TestPicardStep:
         head = _trusted(v.coeffs[:m] + (0.0,) * (top + 1 - m))
         expected = sub(head, CorrectionKernel(m, top).integrate(pad_to(f, top)))
         assert bits(_picard(v, f, m).coeffs) == bits(expected.coeffs)
+
+
+# -- the Newton pass's inputs, built without re-validation -------------------
+
+
+def validated_initial_approx(spec, constants):
+    """The initial polynomial as :func:`make_series` validates and pads it."""
+    coeffs = [0.0] * spec.order
+    for bc in spec.origin_conditions():
+        coeffs[bc.derivative_order] = bc.value / math.factorial(bc.derivative_order)
+    for degree, value in zip(spec.unknown_degrees(), constants):
+        coeffs[degree] = float(value)
+    return make_series(coeffs, spec.truncation)
+
+
+def oracle_condition_lists(spec):
+    origin = tuple(bc for bc in spec.bcs if bc.point == 0.0)
+    pinned = {bc.derivative_order for bc in origin}
+    return (
+        origin,
+        tuple(bc for bc in spec.bcs if bc.point != 0.0),
+        tuple(j for j in range(spec.order) if j not in pinned),
+    )
+
+
+def condition_lists(spec):
+    return (
+        spec.origin_conditions(),
+        spec.off_origin_conditions(),
+        spec.unknown_degrees(),
+    )
+
+
+condition_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e300, -1e-300]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+free_constants = st.one_of(
+    condition_values, st.integers(min_value=-(2**62), max_value=2**62)
+)
+
+
+@st.composite
+def random_specs(draw):
+    order = draw(st.integers(min_value=1, max_value=7))
+    origin = draw(st.sets(st.integers(min_value=0, max_value=order - 1)))
+    end = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    bcs = tuple(
+        BoundaryCondition(0.0 if j in origin else end, j, draw(condition_values))
+        for j in range(order)
+    )
+    truncation = draw(st.integers(min_value=order, max_value=40))
+    return ProblemSpec(
+        order=order, domain_end=end, terms=(), bcs=bcs, truncation=truncation
+    )
+
+
+specs = st.one_of(
+    st.builds(
+        lambda n, w: with_settings(builtin(n), truncation=w),
+        st.integers(min_value=1, max_value=4),
+        st.sampled_from([7, 12, 30]),
+    ),
+    random_specs(),
+)
+
+
+class TestNewtonPassInputs:
+    @settings(max_examples=150, deadline=None)
+    @given(spec=specs, data=st.data())
+    def test_initial_approx_is_the_validated_polynomial(self, spec, data):
+        q = spec.unknown_count()
+        constants = data.draw(st.lists(free_constants, min_size=q, max_size=q))
+        v = initial_approx(spec, constants)
+        assert bits(v.coeffs) == bits(validated_initial_approx(spec, constants).coeffs)
+        assert all(type(c) is float for c in v.coeffs)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_constant_still_rejected(self, bad):
+        spec = builtin(4)
+        for call in (initial_approx, iterate):
+            for j in range(spec.unknown_count()):
+                constants = [0.0] * spec.unknown_count()
+                constants[j] = bad
+                with pytest.raises(ValueError, match="^series coefficients must be finite$"):
+                    call(spec, constants)
+
+    @pytest.mark.parametrize("w", [7, 12, 30])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_tangent_seeds_are_the_validated_seeds(self, n, w):
+        # with no correction to carry them through, the tangents are the seeds
+        spec = with_settings(builtin(n), truncation=w)
+        seeds = tangents(spec, iterate(spec, [0.0] * spec.unknown_count(), 0))
+        expected = [
+            make_series((0.0,) * degree + (1.0,), w).coeffs
+            for degree in spec.unknown_degrees()
+        ]
+        assert [bits(s.coeffs) for s in seeds] == [bits(e) for e in expected]
+
+    def test_condition_lists_are_computed_once(self):
+        for n in range(1, 5):
+            spec = builtin(n)
+            assert condition_lists(spec) == oracle_condition_lists(spec)
+            for first, again in zip(condition_lists(spec), condition_lists(spec)):
+                assert first is again
+            assert spec.unknown_count() == len(spec.unknown_degrees())
+
+    def test_equality_hash_and_repr_see_the_fields_alone(self):
+        for n in range(1, 5):
+            a, b = builtin(n), builtin(n)
+            assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+            assert repr(a) == "ProblemSpec(" + ", ".join(
+                f"{field.name}={getattr(a, field.name)!r}" for field in fields(a)
+            ) + ")"
+
+    def test_copies_compute_their_own_lists(self):
+        base = builtin(1)
+        assert condition_lists(with_settings(base, truncation=30)) == condition_lists(base)
+        moved = replace(base, bcs=tuple(BoundaryCondition(0.0, j, 1.0) for j in range(7)))
+        assert condition_lists(moved) == oracle_condition_lists(moved)
+        assert moved.unknown_degrees() == () and moved.unknown_count() == 0
 
 
 class TestExpansionCache:
