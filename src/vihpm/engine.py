@@ -14,9 +14,9 @@ The series arithmetic does not check its results (see :mod:`vihpm.series`);
 :func:`iterate` checks every new iterate once and raises
 :class:`NonFiniteIterateError` when the arithmetic has overflowed.  A
 Newton pass's own inputs skip :func:`make_series` too: the initial
-polynomial checks only the caller's constants, since the spec checked its
-condition values when it was built, and a tangent seed ``x**j`` is zeros
-and a one.
+polynomial copies the origin coefficients the spec computed, and checked,
+when it was built and checks only the caller's constants, and a tangent
+seed ``x**j``, zeros and a one, is built once per degree and truncation.
 
 F is evaluated in one place, as He's polynomials: the order-k coefficient
 in p of F on a parameter-embedded sum ``sum_i p**i u_i``.  The correction
@@ -77,9 +77,10 @@ def initial_approx(spec: ProblemSpec, constants: Sequence[float]) -> Series:
     ``c_j = value / j!``; the remaining degrees below m, in increasing
     order, take the entries of ``constants`` directly, and the degrees from
     m to W are zero.  Only the constants are checked: they come from the
-    caller, while the spec's condition values were checked when the spec was
-    built, so the coefficients are wrapped without re-validating them.  A
-    non-finite constant raises ``ValueError``, as :func:`make_series` would.
+    caller, while the spec checked its condition values and computed the
+    origin coefficients once when it was built, so the coefficients are
+    wrapped without re-validating them.  A non-finite constant raises
+    ``ValueError``, as :func:`make_series` would.
     """
     free = spec.unknown_degrees()
     if len(constants) != len(free):
@@ -89,9 +90,7 @@ def initial_approx(spec: ProblemSpec, constants: Sequence[float]) -> Series:
     values = [float(c) for c in constants]
     if not all(map(math.isfinite, values)):
         raise ValueError("series coefficients must be finite")
-    coeffs = [0.0] * (spec.truncation + 1)
-    for bc in spec.origin_conditions():
-        coeffs[bc.derivative_order] = bc.value / math.factorial(bc.derivative_order)
+    coeffs = [*spec._origin_head, *[0.0] * (spec.truncation + 1 - spec.order)]
     for degree, value in zip(free, values):
         coeffs[degree] = value
     return _trusted(tuple(coeffs))
@@ -210,11 +209,12 @@ def _linearization(
 
     Putting dv into factor i of a term ``c * prod_l u^(d_l)`` leaves the
     chain ``c * prod_{l != i} v^(d_l)``.  Each distinct chain of a term (its
-    remaining orders as a sorted tuple) is formed once, and the chains that
-    pair with the same order d are summed into L_d.  ``affine`` marks an L_d
-    made of one-factor terms' coefficients alone.  :func:`_apply` keeps such
-    an L_d as the first operand of its product, so an affine problem's
-    tangent is, bit for bit, the iterate of its homogeneous equation.
+    remaining orders as a sorted tuple, which the term's ``_rests`` pairs
+    with d_i) is formed once, and the chains that pair with the same order
+    d are summed into L_d.  ``affine`` marks an L_d made of one-factor
+    terms' coefficients alone.  :func:`_apply` keeps such an L_d as the
+    first operand of its product, so an affine problem's tangent is, bit
+    for bit, the iterate of its homogeneous equation.
     """
     w = v.truncation
     derivatives: dict[int, Series] = {}
@@ -222,8 +222,7 @@ def _linearization(
     affine: dict[int, bool] = {}
     for term in spec.terms:
         chains: dict[tuple[int, ...], Series] = {}
-        for i, d in enumerate(term.factors):
-            rest = tuple(sorted(term.factors[:i] + term.factors[i + 1 :]))
+        for d, rest in term._rests:
             chain = chains.get(rest)
             if chain is None:
                 chain = expand_exppoly(term.coeff, w)
@@ -249,6 +248,14 @@ def _apply(linear: tuple[tuple[int, Series, bool], ...], dv: Series) -> Series:
     return total
 
 
+@lru_cache(maxsize=CACHE_SIZE)
+def _seed(degree: int, truncation: int) -> Series:
+    """The tangent seed ``x**degree`` at ``truncation``, wrapped unchecked,
+    since zeros and a one need no validation; a series is immutable, so
+    every tangent sweep can share it."""
+    return _trusted((0.0,) * degree + (1.0,) + (0.0,) * (truncation - degree))
+
+
 def tangents(spec: ProblemSpec, iterates: Sequence[Series]) -> tuple[Series, ...]:
     """Derivatives of the last iterate along every free constant, in one sweep.
 
@@ -261,17 +268,13 @@ def tangents(spec: ProblemSpec, iterates: Sequence[Series]) -> tuple[Series, ...
     re-evaluates none of the iterates.  ``F'(v_k)`` is built once per
     iterate (:func:`_linearization`) and applied to every tangent, so per
     iterate a tangent costs one product per distinct derivative order among
-    the terms' factors.  The seeds are zero-padded to v_0's degree and
-    wrapped unchecked, since zeros and a one need no validation.  A tangent
-    can overflow where the iterates do not; :class:`NonFiniteIterateError`
-    is raised then.
+    the terms' factors.  The seeds come from :func:`_seed`.  A tangent can
+    overflow where the iterates do not; :class:`NonFiniteIterateError` is
+    raised then.
     """
     degrees = spec.unknown_degrees()
     w = iterates[0].truncation
-    dvs = [
-        _trusted((0.0,) * degree + (1.0,) + (0.0,) * (w - degree))
-        for degree in degrees
-    ]
+    dvs = [_seed(degree, w) for degree in degrees]
     for v in iterates[:-1]:
         linear = _linearization(spec, v)
         dvs = [_picard(dv, _apply(linear, dv), spec.order) for dv in dvs]

@@ -56,13 +56,19 @@ class InvalidProblemError(ValueError):
         super().__init__("; ".join(errors))
 
 
+def _integral(value: object) -> int | None:
+    """``value`` as an int, or None when it is not integral."""
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return number if number == value else None
+
+
 def _derivative_order(d: object) -> int:
     """``d`` as an int; a non-integral derivative order raises ``ValueError``."""
-    try:
-        order = int(d)
-    except (TypeError, ValueError, OverflowError):
-        order = None
-    if order is None or order != d:
+    order = _integral(d)
+    if order is None:
         raise ValueError(f"derivative order must be an integer, got {d!r}")
     return order
 
@@ -88,15 +94,26 @@ class RhsTerm:
     """One right-hand-side term ``coeff(x) * prod_i u^(d_i)(x)``.
 
     ``factors`` lists the derivative orders d_1..d_r of the product; empty
-    factors mean the term is a pure forcing function.
+    factors mean the term is a pure forcing function.  A term computes its
+    ``_rests`` once: for each factor i, the pair of d_i and the other
+    factors' orders as a sorted tuple, which is what the linearization of F
+    pairs a tangent's derivative with.
     """
 
     coeff: ExpPoly
     factors: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
+        factors = tuple([_derivative_order(d) for d in self.factors])
+        object.__setattr__(self, "factors", factors)
+        # not a field, so ==, hash and repr still see the fields alone
         object.__setattr__(
-            self, "factors", tuple([_derivative_order(d) for d in self.factors])
+            self,
+            "_rests",
+            tuple([
+                (d, tuple(sorted(factors[:i] + factors[i + 1 :])))
+                for i, d in enumerate(factors)
+            ]),
         )
 
 
@@ -107,11 +124,15 @@ class ProblemSpec:
     ``truncation`` is the working series degree W of the initial
     approximation stage; ``iterations`` the number of correction passes.
     ``exact`` optionally carries a closed-form reference solution.
-    Construction raises :class:`InvalidProblemError` listing every
-    violation that :func:`validate` finds.  A valid spec then computes its
-    origin and off-origin conditions and its unknown degrees once, so the
-    solver's every Newton pass reads the same tuples instead of rebuilding
-    them; a ``dataclasses.replace`` copy computes its own.
+    Construction turns an integral ``order``, ``truncation`` or
+    ``iterations`` into an int, and raises :class:`InvalidProblemError`
+    naming each one that is not integral, or else listing every violation
+    that :func:`validate` finds.  A valid spec then computes its origin and
+    off-origin conditions, its unknown degrees and ``_origin_head``, the
+    first ``order`` Taylor coefficients ``value / j!`` that its origin
+    conditions pin (zero at the unknown degrees), once, so the solver's
+    every Newton pass reads the same tables instead of rebuilding them; a
+    ``dataclasses.replace`` copy computes its own.
     """
 
     order: int
@@ -126,14 +147,28 @@ class ProblemSpec:
         object.__setattr__(self, "domain_end", float(self.domain_end))
         object.__setattr__(self, "terms", tuple(self.terms))
         object.__setattr__(self, "bcs", tuple(self.bcs))
-        errors = validate(self)
+        errors = []
+        for name in ("order", "truncation", "iterations"):
+            value = getattr(self, name)
+            number = _integral(value)
+            if number is None:
+                errors.append(f"{name} must be an integer, got {value!r}")
+            else:
+                object.__setattr__(self, name, number)
+        if not errors:
+            errors = validate(self)
         if errors:
             raise InvalidProblemError(errors)
         # derived from the fields once; plain attributes, so ==, hash and
         # repr still see the fields alone
         origin = tuple([bc for bc in self.bcs if bc.point == 0.0])
         pinned = {bc.derivative_order for bc in origin}
+        head = [0.0] * self.order
+        for bc in origin:
+            j = bc.derivative_order
+            head[j] = bc.value / math.factorial(j)
         object.__setattr__(self, "_origin", origin)
+        object.__setattr__(self, "_origin_head", tuple(head))
         object.__setattr__(
             self, "_off_origin", tuple([bc for bc in self.bcs if bc.point != 0.0])
         )

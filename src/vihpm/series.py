@@ -17,10 +17,13 @@ inside the arithmetic propagates as ``inf``/``nan``.
 no non-finite series reaches the solver or a printed table.
 
 Tables that depend only on a derivative order and a truncation degree are
-cached with a fixed bound of ``CACHE_SIZE`` entries each.  The expansion of
-an :class:`ExpPoly` is cached once per value, up to the highest degree asked
-for so far, under the same bound: a request at a higher degree computes only
-the new coefficients, and one at a lower degree returns a prefix.
+cached with a fixed bound of ``CACHE_SIZE`` entries each: the falling
+factorials here, the kernel weights of :mod:`vihpm.kernel`, and the He
+polynomial picks and tangent seeds of :mod:`vihpm.engine`.  Each
+:class:`ExpPoly` owns its expansion, which lives as long as the value does
+and holds the coefficients up to the highest degree asked for so far: a
+request at a higher degree computes only the new coefficients, and the
+series returned at each degree is kept, so asking again returns it.
 
 :class:`ExpPoly` represents a finite sum of ``exp(rate * x) * p(x)`` terms
 with polynomial ``p``.  It is the closed function class used for forcing
@@ -230,8 +233,10 @@ class ExpPoly:
     terms: tuple[ExpTerm, ...]
 
     def __post_init__(self) -> None:
-        # a tuple keeps the value hashable, as expand_exppoly's cache needs
+        # a tuple keeps the value hashable, so the specs that hold it are too
         object.__setattr__(self, "terms", tuple(self.terms))
+        # not a field, so ==, hash and repr still see the terms alone
+        object.__setattr__(self, "_expansion", _Expansion(self))
 
     @classmethod
     def from_terms(cls, terms: Sequence[tuple[float, Sequence[float]]]) -> "ExpPoly":
@@ -254,36 +259,42 @@ def expand_exppoly(e: ExpPoly, truncation: int) -> Series:
     For a term ``exp(a*x) * sum(p_j x**j)`` the degree-n coefficient is
     ``sum_j p_j * a**(n-j) / (n-j)!``; the exponential weights are built by
     the running recurrence ``a**k / k!`` so nothing large is ever formed.
-    Each coefficient is computed once per cached ``e`` (see
-    :class:`_Expansion`).
+    Each coefficient is computed once per ``e``, by the expansion it owns
+    (see :class:`_Expansion`).
     """
     if truncation < 0:
         raise ValueError("truncation degree must be non-negative")
-    return _expansion(e).up_to(truncation)
+    return e._expansion.up_to(truncation)
 
 
 class _Expansion:
     """The Taylor coefficients of one :class:`ExpPoly`, extended on demand.
 
-    ``coeffs`` holds degrees 0..D computed so far, and ``weights`` each
-    term's ``rate**k / k!`` for k = 0..D, the state the next degrees need.
-    Every degree-n coefficient is a sum that starts from +0.0 and adds
+    ``coeffs`` holds degrees 0..D computed so far, ``weights`` each term's
+    ``rate**k / k!`` for k = 0..D, the state the next degrees need, and
+    ``series`` the series returned so far, by degree.  Every degree-n
+    coefficient is a sum that starts from +0.0 and adds
     ``p_j * weights[n - j]`` over the terms in order and, within a term, over
     ascending j, skipping zero ``p_j``.  That order does not depend on D, so
-    an extended expansion has the bits of one computed at once.  ExpPoly
-    equality treats 0.0 and -0.0 alike; both expand to the same bits,
-    because a zero rate gives zero weights past degree 0, a zero ``p_j``
-    is skipped, and +0.0 plus a zero of either sign is +0.0.
+    an extended expansion has the bits of one computed at once, and a series
+    returned earlier, a prefix of an immutable tuple, is not touched.
+    ExpPoly equality treats 0.0 and -0.0 alike; both expand to the same
+    bits, because a zero rate gives zero weights past degree 0, a zero
+    ``p_j`` is skipped, and +0.0 plus a zero of either sign is +0.0.
     """
 
-    __slots__ = ("terms", "weights", "coeffs")
+    __slots__ = ("terms", "weights", "coeffs", "series")
 
     def __init__(self, e: ExpPoly) -> None:
         self.terms = tuple((term.rate, term.poly) for term in e.terms)
         self.weights = tuple([1.0] for _ in e.terms)
         self.coeffs: tuple[float, ...] = ()
+        self.series: dict[int, Series] = {}
 
     def up_to(self, truncation: int) -> Series:
+        series = self.series.get(truncation)
+        if series is not None:
+            return series
         start = len(self.coeffs)
         if truncation >= start:
             out = [0.0] * (truncation + 1 - start)
@@ -296,10 +307,5 @@ class _Expansion:
                     for n in range(max(j, start), truncation + 1):
                         out[n - start] += p * weights[n - j]
             self.coeffs += tuple(out)
-        return _trusted(self.coeffs[: truncation + 1])
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _expansion(e: ExpPoly) -> _Expansion:
-    """The one expansion kept for ``e``, among the most recently used."""
-    return _Expansion(e)
+        series = self.series[truncation] = _trusted(self.coeffs[: truncation + 1])
+        return series

@@ -120,22 +120,37 @@ def fd_jacobian(
 
 
 def _solve_dense(matrix: list[list[float]], rhs: list[float]) -> list[float]:
-    """Gaussian elimination with partial pivoting on a tiny dense system."""
+    """Gaussian elimination with partial pivoting on a tiny dense system.
+
+    The pivot of column ``col`` is the first row from ``col`` down with the
+    largest |entry|, the row ``max(..., key=abs)`` would pick: a later row
+    replaces the candidate only when its |entry| is strictly larger, so a
+    tie keeps the upper row and a NaN candidate is never replaced.  Each
+    elimination updates the columns right of ``col``; the entries below a
+    pivot are never read again, so they are left as they were.
+    """
     n = len(rhs)
     a = [row[:] + [b] for row, b in zip(matrix, rhs)]
     for col in range(n):
-        pivot_row = max(range(col, n), key=lambda r: abs(a[r][col]))
-        if abs(a[pivot_row][col]) < PIVOT_FLOOR:
+        pivot_row, size = col, abs(a[col][col])
+        for r in range(col + 1, n):
+            entry = abs(a[r][col])
+            if entry > size:
+                pivot_row, size = r, entry
+        if size < PIVOT_FLOOR:
             raise SingularJacobianError(
                 f"Jacobian pivot below {PIVOT_FLOOR:g} in column {col}"
             )
         a[col], a[pivot_row] = a[pivot_row], a[col]
+        pivot = a[col]
+        head = pivot[col]
         for r in range(col + 1, n):
-            factor = a[r][col] / a[col][col]
+            row = a[r]
+            factor = row[col] / head
             if factor == 0.0:
                 continue
-            for c in range(col, n + 1):
-                a[r][c] -= factor * a[col][c]
+            for c in range(col + 1, n + 1):
+                row[c] -= factor * pivot[c]
     x = [0.0] * n
     for row in range(n - 1, -1, -1):
         acc = a[row][n]
@@ -164,7 +179,7 @@ def solve(spec: ProblemSpec) -> SolveResult:
         iterates = iterate(spec, constants)
         solution = iterates[-1]
         r = _bc_residuals_of(solution, spec)
-        norm = max((abs(v) for v in r), default=0.0)
+        norm = max(map(abs, r), default=0.0)
         # a nan norm stops here too and is reported as not converged
         if not norm > NEWTON_TOLERANCE or steps >= NEWTON_MAX_ITERATIONS:
             break

@@ -1,0 +1,64 @@
+"""The built-in problems' command-line output, frozen byte for byte.
+
+Each entry of ``data/cli_outputs.json`` is the SHA-256 of one
+:func:`vihpm.cli.main` run: its exit code, stdout and stderr, serialized
+by :func:`digest`.  The runs cover builtins 1-4 with ``solve``,
+``convergence --depth 4`` and ``convergence --depth 6`` at (W=12, k=1) and
+(W=30, k=3).  Besides the solved constants and coefficients, which
+``data/solve_bits.json`` pins too, they pin the printed error tables and
+convergence reports.  The digests were recorded before the Newton pass
+stopped rebuilding its spec-constant tables, and hold on CPython 3.10-3.13.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from vihpm.cli import main
+
+CLI_OUTPUTS = json.loads(
+    (Path(__file__).parent / "data" / "cli_outputs.json").read_text()
+)
+
+COMMANDS = {
+    "solve": ["solve"],
+    "convergence-4": ["convergence", "--depth", "4"],
+    "convergence-6": ["convergence", "--depth", "6"],
+}
+SETTINGS = {"12-1": ("12", "1"), "30-3": ("30", "3")}
+
+
+def argv_of(case):
+    """``"<command>/<builtin>/<W>-<k>"`` as the argument list of one run."""
+    command, n, setting = case.split("/")
+    truncation, iterations = SETTINGS[setting]
+    return COMMANDS[command] + [
+        "--builtin", n, "--truncation", truncation, "--iterations", iterations,
+    ]
+
+
+def digest(argv):
+    """SHA-256 of ``[exit code, stdout, stderr]`` as JSON, of one main() run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    record = json.dumps([code, out.getvalue(), err.getvalue()])
+    return hashlib.sha256(record.encode("utf-8")).hexdigest()
+
+
+def test_every_run_is_recorded():
+    assert sorted(CLI_OUTPUTS) == sorted(
+        f"{command}/{n}/{setting}"
+        for command in COMMANDS
+        for n in "1234"
+        for setting in SETTINGS
+    )
+
+
+@pytest.mark.parametrize("case", sorted(CLI_OUTPUTS))
+def test_cli_output_frozen(case):
+    assert digest(argv_of(case)) == CLI_OUTPUTS[case]

@@ -286,6 +286,50 @@ class TestDerivativeOrders:
         assert solve(floats) == solve(spec)
 
 
+class TestIntegralSettings:
+    """``order``, ``truncation`` and ``iterations`` follow the policy of
+    derivative orders: an integral value becomes an int, and any other is
+    named in an InvalidProblemError when the spec is built."""
+
+    @pytest.mark.parametrize("name", ["truncation", "iterations"])
+    @pytest.mark.parametrize("value", [12.5, 1.5, -0.5, math.nan, math.inf, "12", None])
+    def test_non_integral_setting_rejected(self, name, value):
+        errors = rejection(replace, builtin(1), **{name: value})
+        assert errors == [f"{name} must be an integer, got {value!r}"]
+
+    @pytest.mark.parametrize("value", [7.5, math.nan, "7", None])
+    def test_non_integral_order_rejected(self, value):
+        errors = rejection(replace, builtin(1), order=value)
+        assert errors == [f"order must be an integer, got {value!r}"]
+
+    def test_every_non_integral_setting_is_named(self):
+        errors = rejection(
+            replace, builtin(1), order=7.5, truncation=12.5, iterations=1.5
+        )
+        assert errors == [
+            "order must be an integer, got 7.5",
+            "truncation must be an integer, got 12.5",
+            "iterations must be an integer, got 1.5",
+        ]
+
+    def test_integral_floats_become_ints_and_solve_alike(self):
+        # before, each of these raised a bare TypeError, at construction or
+        # in solve
+        spec = builtin(1)
+        floats = replace(spec, order=7.0, truncation=12.0, iterations=1.0)
+        assert floats == spec
+        for name in ("order", "truncation", "iterations"):
+            assert type(getattr(floats, name)) is int
+        assert solve(floats) == solve(spec)
+        assert solve(with_settings(spec, truncation=30.0, iterations=3.0)) == solve(
+            with_settings(spec, truncation=30, iterations=3)
+        )
+
+    def test_integral_but_invalid_value_reaches_validate(self):
+        errors = rejection(with_settings, builtin(1), truncation=6.0)
+        assert errors == ["truncation degree 6 is below operator order 7"]
+
+
 def first_problem_text() -> str:
     e = math.e
     return "\n".join(

@@ -1,14 +1,17 @@
 """Validated edges, unchecked ring operations and cached solve invariants.
 
 The ring operations build their results without validation and read
-derivative, kernel and expansion tables from caches.  These tests pin that
-down: the outputs equal, bit for bit, both the values recorded before the
-caches existed and a local copy of the original loop formulas.
+derivative, kernel and expansion tables from caches; specs and terms
+compute their constant tables once; the dense Newton solve picks its pivots
+with a loop of its own.  These tests pin that down: the outputs equal, bit
+for bit, both the values recorded before the caches existed and a local
+copy of the original formulas.
 """
 
 import json
 import math
 import random
+import struct
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -34,8 +37,8 @@ from vihpm.problems import (
 from vihpm.series import (
     CACHE_SIZE,
     ExpPoly,
+    ExpTerm,
     Series,
-    _expansion,
     _trusted,
     add,
     differentiate,
@@ -46,7 +49,9 @@ from vihpm.series import (
     pad_to,
     sub,
 )
-from vihpm.solver import solve
+from vihpm.solver import SingularJacobianError, _solve_dense, solve
+
+from ring_helpers import reference_solve_dense
 
 SOLVE_BITS = json.loads(
     (Path(__file__).parent / "data" / "solve_bits.json").read_text()
@@ -363,28 +368,156 @@ class TestExpansionCache:
         ]
         schedules = ([0, 3, 11, 26, 40], [40, 26, 11, 3, 0], [11, 0, 26, 3, 40, 11])
         earlier = []
+        first = {}
         for schedule in schedules:
             # degree-major, so the requests for one ExpPoly interleave with
-            # every other's and the pool overruns the cache between them
+            # every other's, and there are more ExpPolys than any cache holds
             for w in schedule:
-                for e in pool:
+                for i, e in enumerate(pool):
                     s = expand_exppoly(e, w)
                     assert bits(s.coeffs) == bits(oracle_expand(e, w))
-                    assert _expansion.cache_info().currsize <= CACHE_SIZE
+                    # a repeated degree returns the series it returned before
+                    assert first.setdefault((i, w), s) is s
                     if len(earlier) < 2 * len(pool):
                         earlier.append((s, bits(s.coeffs)))
-        assert _expansion.cache_info().currsize == CACHE_SIZE
+        # the expansion holds the coefficients up to the highest degree asked
+        for e in pool:
+            assert len(e._expansion.coeffs) == 40 + 1
         # a returned series is not touched when its expansion is extended
         for s, recorded in earlier:
             assert bits(s.coeffs) == recorded
 
     def test_one_expansion_per_exppoly_serves_every_degree(self):
         e = ExpPoly.from_terms([(0.7, (1.0, -2.0, 0.5)), (-1.3, (0.0, 3.0))])
-        expand_exppoly(e, 30)
-        misses = _expansion.cache_info().misses
-        for w in (0, 7, 30, 12, 29):
-            assert bits(expand_exppoly(e, w).coeffs) == bits(oracle_expand(e, w))
-        assert _expansion.cache_info().misses == misses
+        expansion = e._expansion
+        returned = []
+        for w in (12, 0, 7, 30, 12, 29, 7):
+            s = expand_exppoly(e, w)
+            assert bits(s.coeffs) == bits(oracle_expand(e, w))
+            assert len(expansion.coeffs) == max([w] + [r.truncation for r in returned]) + 1
+            returned.append(s)
+        assert e._expansion is expansion
+        assert returned[4] is returned[0] and returned[6] is returned[2]
+        # an equal ExpPoly owns an expansion of its own, with the same bits
+        twin = ExpPoly.from_terms([(0.7, (1.0, -2.0, 0.5)), (-1.3, (0.0, 3.0))])
+        assert twin == e and twin._expansion is not expansion
+        assert bits(expand_exppoly(twin, 30).coeffs) == bits(returned[3].coeffs)
+
+
+def field_repr(value):
+    return f"{type(value).__name__}(" + ", ".join(
+        f"{field.name}={getattr(value, field.name)!r}" for field in fields(value)
+    ) + ")"
+
+
+factor_tuples = st.lists(st.integers(min_value=0, max_value=6), max_size=6).map(tuple)
+
+
+class TestSpecTables:
+    @settings(max_examples=200, deadline=None)
+    @given(factors=factor_tuples)
+    def test_rests_are_the_per_call_sorted_pairs(self, factors):
+        term = RhsTerm(ExpPoly.from_terms([(0.0, (1.0,))]), factors)
+        assert term._rests == tuple(
+            (d, tuple(sorted(factors[:i] + factors[i + 1 :])))
+            for i, d in enumerate(factors)
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(spec=specs)
+    def test_origin_head_is_the_per_call_table(self, spec):
+        head = [0.0] * spec.order
+        for bc in spec.origin_conditions():
+            head[bc.derivative_order] = bc.value / math.factorial(bc.derivative_order)
+        assert bits(spec._origin_head) == bits(head)
+
+    def test_equality_hash_and_repr_see_the_fields_alone(self):
+        # the derived tables, and an expansion already extended, are not fields
+        for n in range(1, 5):
+            used, fresh = builtin(n), builtin(n)
+            solve(with_settings(used, truncation=30, iterations=3))
+            solve(used)
+            pairs = [(used, fresh)]
+            pairs += list(zip(used.terms, fresh.terms))
+            pairs += [(a.coeff, b.coeff) for a, b in zip(used.terms, fresh.terms)]
+            pairs += [(used.exact, fresh.exact)]
+            for a, b in pairs:
+                assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+                assert repr(a) == field_repr(a)
+        e = ExpPoly((ExpTerm(0.5, (1.0, 2.0)),))
+        expand_exppoly(e, 20)
+        assert {e: 1}[ExpPoly((ExpTerm(0.5, (1.0, 2.0)),))] == 1
+
+    def test_tangent_seeds_are_shared(self):
+        spec = builtin(4)
+        first = tangents(spec, iterate(spec, [0.0] * spec.unknown_count(), 0))
+        again = tangents(spec, iterate(spec, [1.0] * spec.unknown_count(), 0))
+        assert all(a is b for a, b in zip(first, again))
+
+
+# -- the dense Newton solve --------------------------------------------------
+
+
+def solve_outcome(solver, matrix, rhs):
+    """The bits of ``solver``'s answer, or its SingularJacobianError message."""
+    try:
+        x = solver(matrix, rhs)
+    except SingularJacobianError as exc:
+        return "singular", str(exc)
+    return "solved", [struct.pack("<d", v) for v in x]
+
+
+dense_entries = st.one_of(
+    st.sampled_from(
+        [0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 0.5, 1e-300, -1e-301,
+         math.nan, math.inf, -math.inf]
+    ),
+    st.integers(min_value=-3, max_value=3).map(float),
+    st.floats(min_value=-4.0, max_value=4.0),
+)
+
+
+@st.composite
+def dense_systems(draw):
+    n = draw(st.integers(min_value=1, max_value=7))
+    matrix = draw(
+        st.lists(st.lists(dense_entries, min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+    # a column of zeros, signed or below the pivot floor, is singular
+    for col in draw(st.sets(st.integers(min_value=0, max_value=n - 1), max_size=2)):
+        for row in matrix:
+            row[col] = draw(st.sampled_from([0.0, -0.0, 1e-301]))
+    rhs = draw(st.lists(dense_entries, min_size=n, max_size=n))
+    return matrix, rhs
+
+
+class TestDenseSolve:
+    @settings(max_examples=300, deadline=None)
+    @given(system=dense_systems())
+    def test_same_bits_or_error_as_the_reference(self, system):
+        matrix, rhs = system
+        before = [[struct.pack("<d", v) for v in row] for row in matrix]
+        expected = solve_outcome(reference_solve_dense, matrix, rhs)
+        assert solve_outcome(_solve_dense, matrix, rhs) == expected
+        assert [[struct.pack("<d", v) for v in row] for row in matrix] == before
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            [[2.0, 1.0], [-2.0, 3.0]],          # a tie keeps the upper row
+            [[math.nan, 1.0], [5.0, 1.0]],      # a NaN pivot stays
+            [[1.0, 1.0], [math.nan, 2.0]],      # a NaN below never wins
+            [[0.0, 1.0], [math.nan, 2.0]],      # so this column is singular
+            [[-0.0, 1.0], [0.0, 2.0]],
+            [[math.inf, 1.0], [-math.inf, 2.0]],
+            [[1.0, math.inf], [3.0, -math.inf]],
+            [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 1.0]],
+        ],
+    )
+    def test_pivot_edge_cases(self, matrix):
+        rhs = [1.0] * len(matrix)
+        expected = solve_outcome(reference_solve_dense, matrix, rhs)
+        assert solve_outcome(_solve_dense, matrix, rhs) == expected
 
 
 @pytest.mark.parametrize("case", sorted(SOLVE_BITS))
