@@ -12,12 +12,11 @@ not a proof.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from .engine import NonFiniteIterateError, iterate, residual
 from .problems import MAX_SERIES_DEGREE, ProblemSpec
-from .series import Series, evaluate
+from .series import Series, _Value, evaluate
 
 __all__ = [
     "ConvergenceReport",
@@ -30,8 +29,7 @@ __all__ = [
 BOUND_SLACK = 1e-6
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(_Value):
     """Contraction evidence extracted from successive iterates.
 
     ``deltas[k]`` is the grid sup-norm of iterate k+1 minus iterate k;
@@ -41,12 +39,26 @@ class ConvergenceReport:
     set when some correction is identically zero on the grid.
     """
 
-    deltas: tuple[float, ...]
-    gamma_estimates: tuple[float, ...]
-    gamma_max: float
-    contraction_ok: bool
-    banach_bound_ok: bool
-    fixed_point_reached: bool
+    __slots__ = _fields = (
+        "deltas", "gamma_estimates", "gamma_max",
+        "contraction_ok", "banach_bound_ok", "fixed_point_reached",
+    )
+
+    def __init__(
+        self,
+        deltas: tuple[float, ...],
+        gamma_estimates: tuple[float, ...],
+        gamma_max: float,
+        contraction_ok: bool,
+        banach_bound_ok: bool,
+        fixed_point_reached: bool,
+    ) -> None:
+        object.__setattr__(self, "deltas", deltas)
+        object.__setattr__(self, "gamma_estimates", gamma_estimates)
+        object.__setattr__(self, "gamma_max", gamma_max)
+        object.__setattr__(self, "contraction_ok", contraction_ok)
+        object.__setattr__(self, "banach_bound_ok", banach_bound_ok)
+        object.__setattr__(self, "fixed_point_reached", fixed_point_reached)
 
 
 def default_grid(spec: ProblemSpec) -> tuple[float, ...]:

@@ -25,29 +25,28 @@ series directly, with the same bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 
-from .series import CACHE_SIZE, Series, _trusted
+from .series import CACHE_SIZE, Series, _trusted, _Value
 
 __all__ = ["CorrectionKernel"]
 
 
-@dataclass(frozen=True)
-class CorrectionKernel:
+class CorrectionKernel(_Value):
     """Closed-form correction integral for ``d^order/dx^order``."""
 
-    order: int
-    truncation: int
+    __slots__ = _fields = ("order", "truncation")
 
-    def __post_init__(self) -> None:
-        if self.order < 1:
+    def __init__(self, order: int, truncation: int) -> None:
+        if order < 1:
             raise ValueError("operator order must be at least 1")
-        if self.truncation < self.order:
+        if truncation < order:
             raise ValueError(
                 "truncation degree must be at least the operator order"
             )
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "truncation", truncation)
 
     def multiplier(self, t: float, x: float) -> float:
         """Weight ``(-1)**m (t - x)**(m-1) / (m-1)!`` at one point."""

@@ -3,22 +3,22 @@
 A problem is the normal form ``u^(m)(x) = F(u)(x)`` on ``[0, b]`` where F is
 a sum of terms, each an exponential-polynomial coefficient times a product
 of derivatives of u (an empty product makes the term pure forcing), subject
-to exactly m point conditions ``u^(d)(point) = value``.  Everything is an
-immutable dataclass so specs can be shared freely across solver runs.
+to exactly m point conditions ``u^(d)(point) = value``.  Every value is
+immutable, so specs can be shared freely across solver runs.
 
 A :class:`ProblemSpec` is valid by construction: it runs :func:`validate`
-on itself and raises :class:`InvalidProblemError` with every violation.
-Parsed, built-in and directly built specs and ``dataclasses.replace``
-copies all pass through that one check, so the solver never re-checks.
+on itself and raises :class:`InvalidProblemError` with every violation, or
+naming each field of the wrong type.  Parsed, built-in and directly built
+specs and their copies all pass through that one check, so the solver never
+re-checks.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
-from .series import ExpPoly, ExpTerm
+from .series import ExpPoly, ExpTerm, _Value
 
 __all__ = [
     "BoundaryCondition",
@@ -27,7 +27,6 @@ __all__ = [
     "ProblemFormatError",
     "InvalidProblemError",
     "parse_problem",
-    "render_problem",
     "builtin",
     "BUILTIN_COUNT",
     "MAX_SERIES_DEGREE",
@@ -56,41 +55,62 @@ class InvalidProblemError(ValueError):
         super().__init__("; ".join(errors))
 
 
-def _integral(value: object) -> int | None:
-    """``value`` as an int, or None when it is not integral."""
+# Each check returns its input, converted where it can be, and notes a
+# fault in ``errors``; a constructor raises once with every note.
+def _integer(name: str, value: object, errors: list[str]) -> object:
     try:
-        number = int(value)
+        if int(value) == value:
+            return int(value)
     except (TypeError, ValueError, OverflowError):
-        return None
-    return number if number == value else None
+        pass
+    errors.append(f"{name} must be an integer, got {value!r}")
+    return value
 
 
-def _derivative_order(d: object) -> int:
-    """``d`` as an int; a non-integral derivative order raises ``ValueError``."""
-    order = _integral(d)
-    if order is None:
-        raise ValueError(f"derivative order must be an integer, got {d!r}")
-    return order
+def _number(name: str, value: object, errors: list[str]) -> object:
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        errors.append(f"{name} must be a number, got {value!r}")
+        return value
 
 
-@dataclass(frozen=True)
-class BoundaryCondition:
+def _typed(name: str, value: object, kind: type, errors: list[str]) -> object:
+    if not isinstance(value, kind):
+        errors.append(f"{name} must be {kind.__name__}, got {value!r}")
+    return value
+
+
+def _entries(name: str, values: object, kind: type, errors: list[str]) -> tuple:
+    try:
+        entries = tuple(values)
+    except TypeError:
+        errors.append(f"{name} must be iterable, got {values!r}")
+        return ()
+    for entry in entries:
+        if not isinstance(entry, kind):
+            errors.append(f"each of {name} must be {kind.__name__}, got {entry!r}")
+    return entries
+
+
+class BoundaryCondition(_Value):
     """Condition ``u^(derivative_order)(point) = value``."""
 
-    point: float
-    derivative_order: int
-    value: float
+    __slots__ = _fields = ("point", "derivative_order", "value")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "point", float(self.point))
-        object.__setattr__(
-            self, "derivative_order", _derivative_order(self.derivative_order)
-        )
-        object.__setattr__(self, "value", float(self.value))
+    def __init__(self, point: float, derivative_order: int, value: float) -> None:
+        errors: list[str] = []
+        point = _number("point", point, errors)
+        derivative_order = _integer("derivative order", derivative_order, errors)
+        value = _number("value", value, errors)
+        if errors:
+            raise InvalidProblemError(errors)
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "derivative_order", derivative_order)
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True)
-class RhsTerm:
+class RhsTerm(_Value):
     """One right-hand-side term ``coeff(x) * prod_i u^(d_i)(x)``.
 
     ``factors`` lists the derivative orders d_1..d_r of the product; empty
@@ -100,11 +120,17 @@ class RhsTerm:
     pairs a tangent's derivative with.
     """
 
-    coeff: ExpPoly
-    factors: tuple[int, ...] = ()
+    __slots__ = ("coeff", "factors", "_rests")
+    _fields = ("coeff", "factors")
 
-    def __post_init__(self) -> None:
-        factors = tuple([_derivative_order(d) for d in self.factors])
+    def __init__(self, coeff: ExpPoly, factors: Iterable[int] = ()) -> None:
+        errors: list[str] = []
+        _typed("coeff", coeff, ExpPoly, errors)
+        factors = _entries("factors", factors, object, errors)
+        factors = tuple([_integer("derivative order", d, errors) for d in factors])
+        if errors:
+            raise InvalidProblemError(errors)
+        object.__setattr__(self, "coeff", coeff)
         object.__setattr__(self, "factors", factors)
         # not a field, so ==, hash and repr still see the fields alone
         object.__setattr__(
@@ -117,44 +143,49 @@ class RhsTerm:
         )
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
+class ProblemSpec(_Value):
     """Full description of one boundary value problem instance.
 
     ``truncation`` is the working series degree W of the initial
     approximation stage; ``iterations`` the number of correction passes.
     ``exact`` optionally carries a closed-form reference solution.
     Construction turns an integral ``order``, ``truncation`` or
-    ``iterations`` into an int, and raises :class:`InvalidProblemError`
-    naming each one that is not integral, or else listing every violation
-    that :func:`validate` finds.  A valid spec then computes its origin and
-    off-origin conditions, its unknown degrees and ``_origin_head``, the
-    first ``order`` Taylor coefficients ``value / j!`` that its origin
-    conditions pin (zero at the unknown degrees), once, so the solver's
-    every Newton pass reads the same tables instead of rebuilding them; a
-    ``dataclasses.replace`` copy computes its own.
+    ``iterations`` into an int and ``domain_end`` into a float, and raises
+    :class:`InvalidProblemError` naming each field of the wrong type, or
+    else listing every violation that :func:`validate` finds.  A valid spec
+    then computes its origin and off-origin conditions, its unknown degrees
+    and ``_origin_head``, the first ``order`` Taylor coefficients
+    ``value / j!`` that its origin conditions pin (zero at the unknown
+    degrees), once, so the solver's every Newton pass reads the same tables
+    instead of rebuilding them; a copy computes its own.
     """
 
-    order: int
-    domain_end: float
-    terms: tuple[RhsTerm, ...]
-    bcs: tuple[BoundaryCondition, ...]
-    exact: ExpPoly | None = None
-    truncation: int = 12
-    iterations: int = 1
+    _fields = (
+        "order", "domain_end", "terms", "bcs", "exact", "truncation", "iterations"
+    )
+    __slots__ = _fields + ("_origin", "_origin_head", "_off_origin", "_unknown_degrees")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "domain_end", float(self.domain_end))
-        object.__setattr__(self, "terms", tuple(self.terms))
-        object.__setattr__(self, "bcs", tuple(self.bcs))
-        errors = []
-        for name in ("order", "truncation", "iterations"):
-            value = getattr(self, name)
-            number = _integral(value)
-            if number is None:
-                errors.append(f"{name} must be an integer, got {value!r}")
-            else:
-                object.__setattr__(self, name, number)
+    def __init__(
+        self,
+        order: int,
+        domain_end: float,
+        terms: Iterable[RhsTerm],
+        bcs: Iterable[BoundaryCondition],
+        exact: ExpPoly | None = None,
+        truncation: int = 12,
+        iterations: int = 1,
+    ) -> None:
+        errors: list[str] = []
+        for name, value in zip(self._fields, (
+            _integer("order", order, errors),
+            _number("domain_end", domain_end, errors),
+            _entries("terms", terms, RhsTerm, errors),
+            _entries("bcs", bcs, BoundaryCondition, errors),
+            exact if exact is None else _typed("exact", exact, ExpPoly, errors),
+            _integer("truncation", truncation, errors),
+            _integer("iterations", iterations, errors),
+        )):
+            object.__setattr__(self, name, value)
         if not errors:
             errors = validate(self)
         if errors:
@@ -274,7 +305,7 @@ def _exact_overflows(exact: ExpPoly, b: float) -> list[str]:
         except OverflowError:
             size = math.inf
         if not math.isfinite(size):
-            line = "exact " + _render_numbers((part.rate,) + part.poly)
+            line = "exact " + " ".join(map(repr, (part.rate,) + part.poly))
             errors.append(f"exact term '{line}' overflows at x = {b}")
         bound += size
     if not errors and not math.isfinite(bound):
@@ -397,41 +428,6 @@ def parse_problem(text: str) -> ProblemSpec:
     )
 
 
-def _render_numbers(values: Iterable[float]) -> str:
-    # repr round-trips doubles exactly, so parse(render(spec)) == spec
-    return " ".join(repr(v) for v in values)
-
-
-def render_problem(spec: ProblemSpec) -> str:
-    """Serialize a spec into the problem file format (inverse of parse).
-
-    A term whose coefficient sums several exponentials is emitted as one
-    line per exponential with repeated factors; that splitting is
-    mathematically equivalent but changes structure, so exact round-trip
-    holds for single-exponential coefficients (all built-ins qualify).
-    """
-    lines = [
-        f"order {spec.order}",
-        f"domain 0 {repr(spec.domain_end)}",
-        f"truncation {spec.truncation}",
-        f"iterations {spec.iterations}",
-    ]
-    for term in spec.terms:
-        for part in term.coeff.terms:
-            line = f"term {_render_numbers((part.rate,) + part.poly)}"
-            if term.factors:
-                line += " ; " + " ".join(str(d) for d in term.factors)
-            lines.append(line)
-    for bc in spec.bcs:
-        lines.append(
-            f"bc {repr(bc.point)} {bc.derivative_order} {repr(bc.value)}"
-        )
-    if spec.exact is not None:
-        for part in spec.exact.terms:
-            lines.append(f"exact {_render_numbers((part.rate,) + part.poly)}")
-    return "\n".join(lines) + "\n"
-
-
 def _exppoly(rate: float, poly: Sequence[float]) -> ExpPoly:
     return ExpPoly((ExpTerm(rate, tuple(poly)),))
 
@@ -532,4 +528,4 @@ def with_settings(
         changes["iterations"] = iterations
     if not changes:
         return spec
-    return replace(spec, **changes)
+    return spec._replace(**changes)

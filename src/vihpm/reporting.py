@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import IO, Sequence
 
 from .engine import NonFiniteIterateError
 from .problems import ProblemSpec
-from .series import Series, evaluate
+from .series import Series, _Value, evaluate
 from .solver import SolveResult
 
 __all__ = [
@@ -20,22 +19,28 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ErrorRow:
+class ErrorRow(_Value):
     """One grid point: reference value (if known), series value, defect."""
 
-    x: float
-    exact: float | None
-    approx: float
-    abs_error: float | None
+    __slots__ = _fields = ("x", "exact", "approx", "abs_error")
+
+    def __init__(
+        self, x: float, exact: float | None, approx: float, abs_error: float | None
+    ) -> None:
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "exact", exact)
+        object.__setattr__(self, "approx", approx)
+        object.__setattr__(self, "abs_error", abs_error)
 
 
-@dataclass(frozen=True)
-class ErrorTable:
+class ErrorTable(_Value):
     """Rows on the grid; ``max_abs_error`` is None without a reference."""
 
-    rows: tuple[ErrorRow, ...]
-    max_abs_error: float | None
+    __slots__ = _fields = ("rows", "max_abs_error")
+
+    def __init__(self, rows: tuple[ErrorRow, ...], max_abs_error: float | None) -> None:
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "max_abs_error", max_abs_error)
 
 
 def error_table(

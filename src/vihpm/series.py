@@ -34,7 +34,6 @@ the series ring.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
 from operator import add as _fadd, mul as _fmul, sub as _fsub
@@ -58,8 +57,49 @@ __all__ = [
 CACHE_SIZE = 256
 
 
-@dataclass(frozen=True)
-class Series:
+class _Value:
+    """Base of the package's immutable values, compared by their fields.
+
+    ``_fields`` names the constructor arguments in order; ``__slots__``
+    holds them and the tables derived from them, which each constructor
+    stores with ``object.__setattr__``.  ``==``, ``hash`` and ``repr`` read
+    the fields alone.  :meth:`_replace`, ``copy`` and ``pickle`` build
+    through the constructor, so a copy is checked again and derives its own
+    tables.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def _replace(self, /, **changes: object):
+        """Copy with the named fields changed, built by the constructor."""
+        return type(self)(**dict(zip(self._fields, self._values()), **changes))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise AttributeError(f"cannot set or delete {name!r}: the value is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+
+class Series(_Value):
     """Coefficients ``c_0 .. c_W`` of a power series truncated at degree W.
 
     Constructing one validates its input: coefficients become floats, and
@@ -68,7 +108,12 @@ class Series:
     finiteness is checked once per correction by the iteration engine.
     """
 
-    coeffs: tuple[float, ...]
+    __slots__ = _fields = ("coeffs",)
+
+    def __init__(self, coeffs: Sequence[float]) -> None:
+        object.__setattr__(self, "coeffs", coeffs)
+        # looked up at each call, so a method patched onto the class runs
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if len(self.coeffs) == 0:
@@ -208,16 +253,14 @@ def evaluate_derivative(f: Series, order: int, x: float) -> float:
     return acc
 
 
-@dataclass(frozen=True)
-class ExpTerm:
+class ExpTerm(_Value):
     """One ``exp(rate * x) * polynomial`` term."""
 
-    rate: float
-    poly: tuple[float, ...]
+    __slots__ = _fields = ("rate", "poly")
 
-    def __post_init__(self) -> None:
-        rate = float(self.rate)
-        poly = tuple(float(c) for c in self.poly)
+    def __init__(self, rate: float, poly: Sequence[float]) -> None:
+        rate = float(rate)
+        poly = tuple(float(c) for c in poly)
         if len(poly) == 0:
             raise ValueError("exponential-polynomial term needs a polynomial part")
         if not math.isfinite(rate) or not all(math.isfinite(c) for c in poly):
@@ -226,16 +269,15 @@ class ExpTerm:
         object.__setattr__(self, "poly", poly)
 
 
-@dataclass(frozen=True)
-class ExpPoly:
+class ExpPoly(_Value):
     """Finite sum of exponential-polynomial terms."""
 
-    terms: tuple[ExpTerm, ...]
+    __slots__ = ("terms", "_expansion")
+    _fields = ("terms",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, terms: Sequence[ExpTerm]) -> None:
         # a tuple keeps the value hashable, so the specs that hold it are too
-        object.__setattr__(self, "terms", tuple(self.terms))
-        # not a field, so ==, hash and repr still see the terms alone
+        object.__setattr__(self, "terms", tuple(terms))
         object.__setattr__(self, "_expansion", _Expansion(self))
 
     @classmethod

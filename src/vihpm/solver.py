@@ -17,13 +17,12 @@ solver does not call it.  Nor does it check its input: a
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from .engine import NonFiniteIterateError, iterate, tangents
 # validate is not called here; perfbench/tracing.py wraps solver.validate by name
 from .problems import ProblemSpec, validate
-from .series import Series, evaluate_derivative
+from .series import Series, _Value, evaluate_derivative
 
 __all__ = [
     "SolveResult",
@@ -45,8 +44,7 @@ class SingularJacobianError(RuntimeError):
     constants leaves every off-origin condition unchanged."""
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(_Value):
     """Outcome of the constant determination.
 
     ``constants`` are the solved free coefficients in increasing degree
@@ -55,11 +53,23 @@ class SolveResult:
     ``bc_residual_norm`` reports the last achieved sup-norm.
     """
 
-    constants: tuple[float, ...]
-    solution: Series
-    newton_iterations: int
-    bc_residual_norm: float
-    converged: bool
+    __slots__ = _fields = (
+        "constants", "solution", "newton_iterations", "bc_residual_norm", "converged"
+    )
+
+    def __init__(
+        self,
+        constants: tuple[float, ...],
+        solution: Series,
+        newton_iterations: int,
+        bc_residual_norm: float,
+        converged: bool,
+    ) -> None:
+        object.__setattr__(self, "constants", constants)
+        object.__setattr__(self, "solution", solution)
+        object.__setattr__(self, "newton_iterations", newton_iterations)
+        object.__setattr__(self, "bc_residual_norm", bc_residual_norm)
+        object.__setattr__(self, "converged", converged)
 
 
 def bc_residuals(

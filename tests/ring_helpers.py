@@ -1,8 +1,10 @@
-"""Series helpers and reference formulas that only the tests use, kept out
-of the package."""
+"""Series helpers, reference formulas and problem rendering that only the
+tests use, kept out of the package."""
 
 import math
+from typing import Iterable
 
+from vihpm.problems import ProblemSpec
 from vihpm.series import Series, _trusted
 from vihpm.solver import PIVOT_FLOOR, SingularJacobianError
 
@@ -41,3 +43,45 @@ def reference_solve_dense(matrix: list[list[float]], rhs: list[float]) -> list[f
             acc -= a[row][c] * x[c]
         x[row] = acc / a[row][row]
     return x
+
+
+def replace(value, /, **changes):
+    """Copy of a package value with the named fields changed; the copy is
+    built by the class itself, so it is validated and derives its own
+    tables."""
+    return value._replace(**changes)
+
+
+def _render_numbers(values: Iterable[float]) -> str:
+    # repr round-trips doubles exactly, so parse(render(spec)) == spec
+    return " ".join(repr(v) for v in values)
+
+
+def render_problem(spec: ProblemSpec) -> str:
+    """Serialize a spec into the problem file format (inverse of parse).
+
+    A term whose coefficient sums several exponentials is emitted as one
+    line per exponential with repeated factors; that splitting is
+    mathematically equivalent but changes structure, so exact round-trip
+    holds for single-exponential coefficients (all built-ins qualify).
+    """
+    lines = [
+        f"order {spec.order}",
+        f"domain 0 {repr(spec.domain_end)}",
+        f"truncation {spec.truncation}",
+        f"iterations {spec.iterations}",
+    ]
+    for term in spec.terms:
+        for part in term.coeff.terms:
+            line = f"term {_render_numbers((part.rate,) + part.poly)}"
+            if term.factors:
+                line += " ; " + " ".join(str(d) for d in term.factors)
+            lines.append(line)
+    for bc in spec.bcs:
+        lines.append(
+            f"bc {repr(bc.point)} {bc.derivative_order} {repr(bc.value)}"
+        )
+    if spec.exact is not None:
+        for part in spec.exact.terms:
+            lines.append(f"exact {_render_numbers((part.rate,) + part.poly)}")
+    return "\n".join(lines) + "\n"

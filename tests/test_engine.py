@@ -2,7 +2,6 @@
 
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -45,7 +44,7 @@ from vihpm.series import (
 )
 from vihpm.solver import fd_jacobian, jacobian, solve
 
-from ring_helpers import scale
+from ring_helpers import replace, scale
 
 
 def apply_rhs_direct(spec, v):

@@ -3,6 +3,7 @@
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import vihpm
 
@@ -33,6 +34,22 @@ def test_cli_loads_only_the_standard_library():
     )
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""
+
+
+def test_cli_imports_no_dataclass_machinery():
+    # -S leaves out site hooks, so only the interpreter's own start-up and
+    # vihpm's imports can load these; dataclasses and inspect cost ~10 ms
+    # of every start
+    src = str(Path(vihpm.__file__).resolve().parent.parent)
+    script = (
+        f"import sys; sys.path.insert(0, {src!r}); import vihpm.cli; "
+        "print(' '.join(sorted({'dataclasses', 'inspect'} & set(sys.modules))))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script], capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == ""

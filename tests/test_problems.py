@@ -2,7 +2,6 @@
 
 import math
 import re
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -18,13 +17,14 @@ from vihpm.problems import (
     RhsTerm,
     builtin,
     parse_problem,
-    render_problem,
     validate,
     with_settings,
 )
 from vihpm.series import ExpPoly, evaluate, expand_exppoly
 from vihpm.engine import residual
 from vihpm.solver import solve
+
+from ring_helpers import render_problem, replace
 
 
 class TestBuiltins:
@@ -328,6 +328,95 @@ class TestIntegralSettings:
     def test_integral_but_invalid_value_reaches_validate(self):
         errors = rejection(with_settings, builtin(1), truncation=6.0)
         assert errors == ["truncation degree 6 is below operator order 7"]
+
+
+class TestFieldTypes:
+    """A field of the wrong type is an InvalidProblemError that names it,
+    raised when the value is built, never a bare TypeError or ValueError
+    and never an AttributeError inside solve()."""
+
+    ONE = ExpPoly.from_terms([(0.0, (1.0,))])
+
+    @pytest.mark.parametrize("value", [None, "x", [1.0], 10**400])
+    def test_non_numeric_domain_end(self, value):
+        errors = rejection(replace, builtin(1), domain_end=value)
+        assert errors == [f"domain_end must be a number, got {value!r}"]
+
+    @pytest.mark.parametrize("value", [None, "a", (0.0,)])
+    def test_non_numeric_condition_point_and_value(self, value):
+        assert rejection(BoundaryCondition, value, 0, 1.0) == [
+            f"point must be a number, got {value!r}"
+        ]
+        assert rejection(BoundaryCondition, 0.0, 0, value) == [
+            f"value must be a number, got {value!r}"
+        ]
+        assert rejection(BoundaryCondition, value, None, value) == [
+            f"point must be a number, got {value!r}",
+            "derivative order must be an integer, got None",
+            f"value must be a number, got {value!r}",
+        ]
+
+    @pytest.mark.parametrize("name", ["terms", "bcs"])
+    @pytest.mark.parametrize("value", [None, 3, 1.5])
+    def test_non_iterable_tuples(self, name, value):
+        errors = rejection(replace, builtin(1), **{name: value})
+        assert errors == [f"{name} must be iterable, got {value!r}"]
+
+    def test_non_iterable_factors(self):
+        assert rejection(RhsTerm, self.ONE, 3) == ["factors must be iterable, got 3"]
+
+    @pytest.mark.parametrize("coeff", [1.0, None, (0.0, (1.0,)), "1"])
+    def test_coefficient_must_be_an_exppoly(self, coeff):
+        # before, RhsTerm(1.0) was built and solve() raised AttributeError
+        assert rejection(RhsTerm, coeff) == [f"coeff must be ExpPoly, got {coeff!r}"]
+        assert rejection(RhsTerm, coeff, (0, 1.5)) == [
+            f"coeff must be ExpPoly, got {coeff!r}",
+            "derivative order must be an integer, got 1.5",
+        ]
+
+    @pytest.mark.parametrize("exact", [1.0, "exp", (0.0, (1.0,))])
+    def test_exact_must_be_an_exppoly_or_none(self, exact):
+        errors = rejection(replace, builtin(1), exact=exact)
+        assert errors == [f"exact must be ExpPoly, got {exact!r}"]
+        assert replace(builtin(1), exact=None).exact is None
+
+    def test_entries_of_the_wrong_class(self):
+        spec = builtin(1)
+        bad_term, bad_bc = (0.0, (1.0,)), (0.0, 0, 1.0)
+        assert rejection(replace, spec, terms=spec.terms + (bad_term,)) == [
+            f"each of terms must be RhsTerm, got {bad_term!r}"
+        ]
+        assert rejection(replace, spec, bcs=spec.bcs[:6] + (bad_bc,)) == [
+            f"each of bcs must be BoundaryCondition, got {bad_bc!r}"
+        ]
+
+    def test_every_wrong_field_is_named_in_field_order(self):
+        errors = rejection(
+            ProblemSpec,
+            order=7.5,
+            domain_end="x",
+            terms=None,
+            bcs=[None],
+            exact=1.0,
+            truncation="12",
+            iterations=None,
+        )
+        assert errors == [
+            "order must be an integer, got 7.5",
+            "domain_end must be a number, got 'x'",
+            "terms must be iterable, got None",
+            "each of bcs must be BoundaryCondition, got None",
+            "exact must be ExpPoly, got 1.0",
+            "truncation must be an integer, got '12'",
+            "iterations must be an integer, got None",
+        ]
+
+    def test_errors_are_value_errors(self):
+        # the CLI reports ValueError as an input error (exit 1)
+        with pytest.raises(ValueError):
+            replace(builtin(1), bcs=None)
+        with pytest.raises(ValueError):
+            RhsTerm(1.0)
 
 
 def first_problem_text() -> str:
