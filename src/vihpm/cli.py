@@ -1,9 +1,10 @@
 """Command-line interface: solve problems, print tables, dump diagnostics.
 
 Each command checks its request, solves, and builds everything that can
-still fail (grid, error table, output files) before its first print, so an
-exit-1 path leaves stdout empty.  Output files replace their paths all
-together or not at all.  The parser is built on the first call.
+still fail (grid, error table, output files) before it writes its lines
+to stdout in one write, so an exit-1 path leaves stdout empty.  Output
+files replace their paths all together or not at all.  The parser is
+built on the first call.
 """
 
 from __future__ import annotations
@@ -106,20 +107,15 @@ def _make_grid(end: float, step: float) -> tuple[float, ...]:
     return tuple(i * step for i in range(n + 1))
 
 
-def _print_table(table: ErrorTable) -> None:
-    has_exact = any(row.exact is not None for row in table.rows)
-    if has_exact:
-        print(f"{'x':>6} {'exact':>24} {'approx':>24} {'abs_error':>14}")
-        for row in table.rows:
-            print(
-                f"{row.x:>6.3f} {row.exact:>24.16e} {row.approx:>24.16e} "
-                f"{row.abs_error:>14.6e}"
-            )
-        print(f"max abs error: {table.max_abs_error:.6e}")
-    else:
-        print(f"{'x':>6} {'approx':>24}")
-        for row in table.rows:
-            print(f"{row.x:>6.3f} {row.approx:>24.16e}")
+def _table_lines(table: ErrorTable) -> list[str]:
+    if not any(row.exact is not None for row in table.rows):
+        return [f"{'x':>6} {'approx':>24}"] + [
+            f"{row.x:>6.3f} {row.approx:>24.16e}" for row in table.rows
+        ]
+    return [f"{'x':>6} {'exact':>24} {'approx':>24} {'abs_error':>14}"] + [
+        f"{row.x:>6.3f} {row.exact:>24.16e} {row.approx:>24.16e} {row.abs_error:>14.6e}"
+        for row in table.rows
+    ] + [f"max abs error: {table.max_abs_error:.6e}"]
 
 
 def _unconverged(result: SolveResult) -> int:
@@ -177,7 +173,7 @@ def _run_solve(args: argparse.Namespace) -> int:
         raise InvalidProblemError(["an output path names something other than a file"])
     grid = _make_grid(spec.domain_end, args.grid_step)
     result = solve(spec)
-    # everything that can still raise happens before the first print
+    # everything that can still raise happens before stdout is written
     table = error_table(spec, result, grid)
     writers = (
         functools.partial(emit_csv, table),
@@ -187,18 +183,18 @@ def _run_solve(args: argparse.Namespace) -> int:
 
     degrees = spec.unknown_degrees()
     if degrees:
-        print("solved constants:")
-        for degree, value in zip(degrees, result.constants):
-            print(f"  coefficient of x^{degree}: {value!r}")
+        lines = ["solved constants:"] + [
+            f"  coefficient of x^{d}: {c!r}" for d, c in zip(degrees, result.constants)
+        ]
     else:
-        print("no free constants (all conditions at the origin)")
-    print(f"newton iterations: {result.newton_iterations}")
-    print(f"boundary residual sup-norm: {result.bc_residual_norm:.6e}")
+        lines = ["no free constants (all conditions at the origin)"]
+    lines.append(f"newton iterations: {result.newton_iterations}")
+    lines.append(f"boundary residual sup-norm: {result.bc_residual_norm:.6e}")
 
-    print("series coefficients:")
-    for degree, c in enumerate(result.solution.coeffs):
-        print(f"  x^{degree}: {c!r}")
-    _print_table(table)
+    lines.append("series coefficients:")
+    lines += [f"  x^{degree}: {c!r}" for degree, c in enumerate(result.solution.coeffs)]
+    lines += _table_lines(table)
+    sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK if result.converged else _unconverged(result)
 
 
@@ -209,18 +205,19 @@ def _run_convergence(args: argparse.Namespace) -> int:
     if not result.converged:
         return _unconverged(result)
     report = analyze_convergence(
-        spec, result.constants, depth=args.depth, grid=default_grid(spec)
+        spec, result.constants, args.depth, default_grid(spec), result.iterates
     )
-    print("correction sup-norms:")
-    for k, d in enumerate(report.deltas):
-        print(f"  delta_{k}: {d:.6e}")
-    print("contraction ratio estimates:")
-    for k, g in enumerate(report.gamma_estimates):
-        print(f"  gamma_{k}: {g:.6e}")
-    print(f"gamma_max: {report.gamma_max:.6e}")
-    print(f"contraction_ok: {report.contraction_ok}")
-    print(f"banach_bound_ok: {report.banach_bound_ok}")
-    print(f"fixed_point_reached: {report.fixed_point_reached}")
+    lines = [
+        "correction sup-norms:",
+        *[f"  delta_{k}: {d:.6e}" for k, d in enumerate(report.deltas)],
+        "contraction ratio estimates:",
+        *[f"  gamma_{k}: {g:.6e}" for k, g in enumerate(report.gamma_estimates)],
+        f"gamma_max: {report.gamma_max:.6e}",
+        f"contraction_ok: {report.contraction_ok}",
+        f"banach_bound_ok: {report.banach_bound_ok}",
+        f"fixed_point_reached: {report.fixed_point_reached}",
+    ]
+    sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK
 
 

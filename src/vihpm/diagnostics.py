@@ -4,8 +4,9 @@ The correction map is a contraction on a suitable ball when the problem is
 benign, which guarantees a unique fixed point; its contraction constant is
 not computable in closed form, so this module estimates it from the decay
 of successive correction magnitudes on an evaluation grid and checks the
-implied geometric-series bound between every pair of iterates.  All output
-is diagnostic: the estimate is a surrogate for the true Lipschitz constant,
+implied geometric-series bound between every pair of iterates, of which
+those :func:`~vihpm.solver.solve` ended with are reused.  All output is
+diagnostic: the estimate is a surrogate for the true Lipschitz constant,
 not a proof.
 """
 
@@ -95,6 +96,7 @@ def analyze_convergence(
     constants: Sequence[float],
     depth: int = 3,
     grid: Sequence[float] | None = None,
+    iterates: Sequence[Series] | None = None,
 ) -> ConvergenceReport:
     """Run ``depth`` corrections and assess empirical contraction.
 
@@ -103,14 +105,17 @@ def analyze_convergence(
         sup|v_k - v_l|  <=  (1 + slack) * delta_0 * sum_{j=l-1}^{k-2} gamma_max^j
 
     which is the triangle-inequality consequence of a true contraction
-    constant gamma_max; the slack absorbs grid evaluation roundoff.
+    constant gamma_max; the slack absorbs grid evaluation roundoff.  A
+    power of gamma_max that overflows is +inf; delta_0 == 0 bounds by 0.
     Raises :class:`~vihpm.engine.NonFiniteIterateError` when an iterate's
     value on the grid or a gap between two iterates is not finite.
+    ``iterates``, such as a :class:`~vihpm.solver.SolveResult`'s, are
+    v_0..v_j at ``constants``; only corrections past j are run.
     """
     check_depth(spec, depth)
     if grid is None:
         grid = default_grid(spec)
-    v = iterate(spec, constants, depth)
+    v = iterate(spec, constants, depth, iterates or ())
     # each iterate is evaluated once; every sup below reads these values
     values = [[evaluate(vk, x) for x in grid] for vk in v]
     for k, row in enumerate(values):
@@ -131,8 +136,12 @@ def analyze_convergence(
     for k in range(1, depth + 1):
         for l in range(1, k):
             # 0**0 == 1 covers gamma_max == 0 at j == 0
-            geometric = sum(gamma_max**j for j in range(l - 1, k - 1))
-            bound = geometric * deltas[0] * (1.0 + BOUND_SLACK)
+            try:
+                geometric = sum(gamma_max**j for j in range(l - 1, k - 1))
+            except OverflowError:
+                geometric = math.inf
+            # inf * 0.0 would be a nan bound that every gap passes
+            bound = geometric * deltas[0] * (1.0 + BOUND_SLACK) if deltas[0] else 0.0
             if _sup_gap(values[k], values[l]) > bound:
                 bound_ok = False
     return ConvergenceReport(

@@ -289,6 +289,7 @@ def iterate(
     spec: ProblemSpec,
     constants: Sequence[float],
     n_iter: int | None = None,
+    known: Sequence[Series] = (),
 ) -> tuple[Series, ...]:
     """Run the correction map ``n_iter`` times from the initial polynomial.
 
@@ -296,14 +297,15 @@ def iterate(
     degree W + k*m, so the last entry is the solution.  The constants of
     the initial polynomial and each correction are checked, so every
     returned iterate is finite: :class:`NonFiniteIterateError` is raised
-    when the iterate produced by a correction is not.
+    when the iterate produced by a correction is not.  ``known``, v_0..v_j
+    as a call at these constants returned them, are reused up to v_n.
     """
     if n_iter is None:
         n_iter = spec.iterations
     if n_iter < 0:
         raise ValueError("iteration count must be non-negative")
-    iterates = [initial_approx(spec, constants)]
-    for k in range(1, n_iter + 1):
+    iterates = [*known[: n_iter + 1]] or [initial_approx(spec, constants)]
+    for k in range(len(iterates), n_iter + 1):
         nxt = correct_once(iterates[-1], spec)
         if not all(map(math.isfinite, nxt.coeffs)):
             raise NonFiniteIterateError(

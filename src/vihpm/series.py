@@ -116,9 +116,9 @@ class Series(_Value):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        if len(self.coeffs) == 0:
+        coeffs = tuple(_floats("coeffs", self.coeffs))
+        if len(coeffs) == 0:
             raise ValueError("a series needs at least one coefficient")
-        coeffs = tuple([float(c) for c in self.coeffs])
         if not all(math.isfinite(c) for c in coeffs):
             raise ValueError("series coefficients must be finite")
         object.__setattr__(self, "coeffs", coeffs)
@@ -127,6 +127,14 @@ class Series(_Value):
     def truncation(self) -> int:
         """Highest retained degree W."""
         return len(self.coeffs) - 1
+
+
+def _floats(name: str, values: object) -> list[float]:
+    """``values`` as floats, or a ``ValueError`` that names their field."""
+    try:
+        return [float(v) for v in values]
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{name} must be a sequence of numbers, got {values!r}") from None
 
 
 def _trusted(coeffs: tuple[float, ...]) -> Series:
@@ -144,7 +152,7 @@ def make_series(coeffs: Sequence[float], truncation: int) -> Series:
     """
     if truncation < 0:
         raise ValueError("truncation degree must be non-negative")
-    values = [float(c) for c in coeffs]
+    values = _floats("coeffs", coeffs)
     if len(values) > truncation + 1:
         raise ValueError(
             f"{len(values)} coefficients exceed truncation degree {truncation}"
@@ -259,8 +267,11 @@ class ExpTerm(_Value):
     __slots__ = _fields = ("rate", "poly")
 
     def __init__(self, rate: float, poly: Sequence[float]) -> None:
-        rate = float(rate)
-        poly = tuple(float(c) for c in poly)
+        try:
+            rate = float(rate)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"rate must be a number, got {rate!r}") from None
+        poly = tuple(_floats("poly", poly))
         if len(poly) == 0:
             raise ValueError("exponential-polynomial term needs a polynomial part")
         if not math.isfinite(rate) or not all(math.isfinite(c) for c in poly):
@@ -276,8 +287,15 @@ class ExpPoly(_Value):
     _fields = ("terms",)
 
     def __init__(self, terms: Sequence[ExpTerm]) -> None:
-        # a tuple keeps the value hashable, so the specs that hold it are too
-        object.__setattr__(self, "terms", tuple(terms))
+        try:
+            # a tuple keeps the value hashable, so the specs that hold it are too
+            terms = tuple(terms)
+        except TypeError:
+            raise ValueError(f"terms must be iterable, got {terms!r}") from None
+        for term in terms:
+            if not isinstance(term, ExpTerm):
+                raise ValueError(f"each of terms must be ExpTerm, got {term!r}")
+        object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "_expansion", _Expansion(self))
 
     @classmethod

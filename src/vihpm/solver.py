@@ -8,7 +8,8 @@ Newton iteration with dense Gaussian elimination and partial pivoting.
 The Jacobian is exact: each column is the off-origin condition operators
 applied to the tangent of the last iterate along one constant.  One sweep
 (:func:`~vihpm.engine.tangents`) propagates every constant's tangent
-through the iterates that the Newton pass already holds.
+through the iterates that the Newton pass already holds, whose terms'
+coefficients were each expanded once, up front, for every pass.
 :func:`fd_jacobian` is a central-difference cross-check for tests; the
 solver does not call it.  Nor does it check its input: a
 :class:`~vihpm.problems.ProblemSpec` is valid once it exists.
@@ -22,12 +23,11 @@ from typing import Sequence
 from .engine import NonFiniteIterateError, iterate, tangents
 # validate is not called here; perfbench/tracing.py wraps solver.validate by name
 from .problems import ProblemSpec, validate
-from .series import Series, _Value, evaluate_derivative
+from .series import Series, _Value, evaluate_derivative, expand_exppoly
 
 __all__ = [
     "SolveResult",
     "SingularJacobianError",
-    "bc_residuals",
     "jacobian",
     "fd_jacobian",
     "solve",
@@ -50,12 +50,14 @@ class SolveResult(_Value):
     ``constants`` are the solved free coefficients in increasing degree
     order; ``solution`` is the final iterated series at those constants.
     ``converged`` is False when Newton stalled, in which case
-    ``bc_residual_norm`` reports the last achieved sup-norm.
+    ``bc_residual_norm`` reports the last achieved sup-norm.  ``iterates``
+    (v_0..v_k, kept out of ``==``, ``hash`` and ``repr``) is None in a copy.
     """
 
-    __slots__ = _fields = (
+    _fields = (
         "constants", "solution", "newton_iterations", "bc_residual_norm", "converged"
     )
+    __slots__ = _fields + ("iterates",)
 
     def __init__(
         self,
@@ -64,26 +66,19 @@ class SolveResult(_Value):
         newton_iterations: int,
         bc_residual_norm: float,
         converged: bool,
+        *,
+        iterates: tuple[Series, ...] | None = None,
     ) -> None:
         object.__setattr__(self, "constants", constants)
         object.__setattr__(self, "solution", solution)
         object.__setattr__(self, "newton_iterations", newton_iterations)
         object.__setattr__(self, "bc_residual_norm", bc_residual_norm)
         object.__setattr__(self, "converged", converged)
-
-
-def bc_residuals(
-    spec: ProblemSpec, constants: Sequence[float]
-) -> tuple[float, ...]:
-    """Off-origin condition defects of the iterated series, in bc order.
-
-    Origin conditions are satisfied identically by construction, so only
-    conditions at points other than 0 contribute equations.
-    """
-    return _bc_residuals_of(iterate(spec, constants)[-1], spec)
+        object.__setattr__(self, "iterates", iterates)
 
 
 def _bc_residuals_of(solution: Series, spec: ProblemSpec) -> tuple[float, ...]:
+    """Off-origin condition defects of ``solution``, in bc order."""
     return tuple([
         evaluate_derivative(solution, bc.derivative_order, bc.point) - bc.value
         for bc in spec.off_origin_conditions()
@@ -109,7 +104,7 @@ def jacobian(spec: ProblemSpec, iterates: Sequence[Series]) -> list[list[float]]
 def fd_jacobian(
     spec: ProblemSpec, constants: Sequence[float]
 ) -> list[list[float]]:
-    """Central-difference Jacobian of bc_residuals, column by column.
+    """Central-difference Jacobian of the off-origin residuals, by column.
 
     Column j steps constant j by ``FD_STEP_SCALE * max(1, |c_j|)``.  The
     solver does not use it: it is the independent cross-check of
@@ -122,9 +117,9 @@ def fd_jacobian(
         h = FD_STEP_SCALE * max(1.0, abs(constants[j]))
         bumped = list(constants)
         bumped[j] = constants[j] + h
-        upper = bc_residuals(spec, bumped)
+        upper = _bc_residuals_of(iterate(spec, bumped)[-1], spec)
         bumped[j] = constants[j] - h
-        lower = bc_residuals(spec, bumped)
+        lower = _bc_residuals_of(iterate(spec, bumped)[-1], spec)
         columns.append([(u - l) / (2.0 * h) for u, l in zip(upper, lower)])
     return [[columns[j][i] for j in range(q)] for i in range(q)]
 
@@ -183,6 +178,9 @@ def solve(spec: ProblemSpec) -> SolveResult:
     failure to converge is reported through the result flags, not an
     exception.
     """
+    # the passes evaluate F in rings up to W + (k-1)m, so later expansions are slices
+    for term in spec.terms:
+        expand_exppoly(term.coeff, spec.truncation + (spec.iterations - 1) * spec.order)
     constants = [0.0] * spec.unknown_count()
     steps = 0
     while True:
@@ -206,4 +204,5 @@ def solve(spec: ProblemSpec) -> SolveResult:
         newton_iterations=steps,
         bc_residual_norm=norm,
         converged=norm <= NEWTON_TOLERANCE,
+        iterates=iterates,
     )

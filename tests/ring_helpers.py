@@ -2,11 +2,12 @@
 tests use, kept out of the package."""
 
 import math
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from vihpm.problems import ProblemSpec
 from vihpm.series import Series, _trusted
-from vihpm.solver import PIVOT_FLOOR, SingularJacobianError
+from vihpm.engine import iterate
+from vihpm.solver import PIVOT_FLOOR, SingularJacobianError, _bc_residuals_of
 
 
 def scale(f: Series, c: float) -> Series:
@@ -15,6 +16,12 @@ def scale(f: Series, c: float) -> Series:
     if not math.isfinite(c):
         raise ValueError("scale factor must be finite")
     return _trusted(tuple([c * a for a in f.coeffs]))
+
+
+def bc_residuals(spec: ProblemSpec, constants: Sequence[float]) -> tuple[float, ...]:
+    """Off-origin condition defects of the iterated series at ``constants``,
+    in bc order, as the solver's Newton pass computes them."""
+    return _bc_residuals_of(iterate(spec, constants)[-1], spec)
 
 
 def reference_solve_dense(matrix: list[list[float]], rhs: list[float]) -> list[float]:

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from vihpm import cli, solver
+from vihpm import cli, engine, solver
 from vihpm.cli import MAX_GRID_POINTS, main
 
 
@@ -146,6 +146,71 @@ class TestConvergenceCommand:
         )
         assert code == 0
         assert "delta_3" in out
+
+    @pytest.mark.parametrize(
+        "truncation, iterations, depth",
+        [
+            ("30", "6", "4"), ("30", "3", "3"), ("30", "3", "2"),
+            ("12", "1", "6"), ("30", "3", "4"),
+        ],
+    )
+    def test_runs_only_the_corrections_solve_did_not(
+        self, capsys, monkeypatch, truncation, iterations, depth
+    ):
+        corrections = []
+        original_correct_once, original_solve = engine.correct_once, cli.solve
+
+        def counted_correct_once(v, spec):
+            corrections.append(v.truncation)
+            return original_correct_once(v, spec)
+
+        def marked_solve(spec):
+            result = original_solve(spec)
+            corrections.append("solved")
+            return result
+
+        monkeypatch.setattr(engine, "correct_once", counted_correct_once)
+        monkeypatch.setattr(cli, "solve", marked_solve)
+        code, out, _ = run_cli(
+            capsys, "convergence", "--builtin", "2", "--depth", depth,
+            "--truncation", truncation, "--iterations", iterations,
+        )
+        assert code == 0 and f"delta_{int(depth) - 1}:" in out
+        after = corrections[corrections.index("solved") + 1:]
+        assert len(after) == max(int(depth) - int(iterations), 0)
+        # each continues from the ring solve's last iterate reached
+        assert after == [int(truncation) + 7 * k for k in range(int(iterations), int(depth))]
+
+    def test_overflowing_bound_power_is_reported(self, capsys, tmp_path):
+        path = tmp_path / "overflow.txt"
+        path.write_text(
+            "order 2\ndomain 0 1\ntruncation 4\niterations 1\n"
+            "term 0.0 1e160 ; 1\nterm 0.0 1e-300\nbc 0 0 1\nbc 0 1 0\n",
+            encoding="utf-8",
+        )
+        code, out, err = run_cli(capsys, "convergence", str(path), "--depth", "4")
+        assert (code, err) == (0, "")
+        assert out == (
+            "correction sup-norms:\n"
+            "  delta_0: 0.000000e+00\n"
+            "  delta_1: 0.000000e+00\n"
+            "  delta_2: 4.166667e+18\n"
+            "  delta_3: 8.333333e+177\n"
+            "contraction ratio estimates:\n"
+            "  gamma_0: 2.000000e+159\n"
+            "gamma_max: 2.000000e+159\n"
+            "contraction_ok: False\n"
+            "banach_bound_ok: False\n"
+            "fixed_point_reached: True\n"
+        )
+
+    def test_output_is_written_once(self, capsys, monkeypatch):
+        writes = []
+        monkeypatch.setattr(cli.sys.stdout, "write", writes.append)
+        for command in (["solve"], ["convergence", "--depth", "4"]):
+            writes.clear()
+            assert main([*command, "--builtin", "4"]) == 0
+            assert len(writes) == 1 and writes[0].endswith("\n")
 
 
 class TestErrorPaths:

@@ -4,10 +4,12 @@ Each entry of ``data/cli_outputs.json`` is the SHA-256 of one
 :func:`vihpm.cli.main` run: its exit code, stdout and stderr, serialized
 by :func:`digest`.  The runs cover builtins 1-4 with ``solve``,
 ``convergence --depth 4`` and ``convergence --depth 6`` at (W=12, k=1) and
-(W=30, k=3).  Besides the solved constants and coefficients, which
-``data/solve_bits.json`` pins too, they pin the printed error tables and
-convergence reports.  The digests were recorded before the Newton pass
-stopped rebuilding its spec-constant tables, and hold on CPython 3.10-3.13.
+(W=30, k=3), depths above the solve's k, and with ``convergence --depth 2``
+at (W=30, k=3), a depth below it.  Besides the solved constants and
+coefficients, which ``data/solve_bits.json`` pins too, they pin the printed
+error tables and convergence reports.  The digests were recorded before the Newton pass
+stopped rebuilding its spec-constant tables (the depth-2 runs before
+``convergence`` reused the solve's iterates), and hold on CPython 3.10-3.13.
 """
 
 import contextlib
@@ -26,10 +28,13 @@ CLI_OUTPUTS = json.loads(
 
 COMMANDS = {
     "solve": ["solve"],
+    "convergence-2": ["convergence", "--depth", "2"],
     "convergence-4": ["convergence", "--depth", "4"],
     "convergence-6": ["convergence", "--depth", "6"],
 }
 SETTINGS = {"12-1": ("12", "1"), "30-3": ("30", "3")}
+# depth 2 is recorded at k = 3 only, the setting where it is below k
+RECORDED_SETTINGS = {"convergence-2": ("30-3",)}
 
 
 def argv_of(case):
@@ -55,7 +60,7 @@ def test_every_run_is_recorded():
         f"{command}/{n}/{setting}"
         for command in COMMANDS
         for n in "1234"
-        for setting in SETTINGS
+        for setting in RECORDED_SETTINGS.get(command, SETTINGS)
     )
 
 

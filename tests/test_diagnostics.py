@@ -1,5 +1,8 @@
 """Contraction estimates and equation-defect reporting."""
 
+import math
+import pickle
+
 import pytest
 
 from vihpm import diagnostics
@@ -9,9 +12,10 @@ from vihpm.problems import (
     BoundaryCondition,
     ProblemSpec,
     builtin,
+    parse_problem,
     with_settings,
 )
-from vihpm.series import evaluate, expand_exppoly, pad_to, sub
+from vihpm.series import Series, evaluate, expand_exppoly, pad_to, sub
 from vihpm.solver import solve
 
 GRID = tuple(i / 10 for i in range(11))
@@ -87,6 +91,94 @@ class TestAnalyzeConvergence:
     def test_default_grid_matches_table_spacing(self):
         grid = default_grid(builtin(1))
         assert grid == GRID
+
+
+def report_bits(report):
+    """Each field of a report, with every float as its exact bits."""
+    def bits(value):
+        if isinstance(value, float):
+            return value.hex()
+        if isinstance(value, tuple):
+            return tuple(bits(v) for v in value)
+        return value
+
+    return {name: bits(getattr(report, name)) for name in type(report)._fields}
+
+
+# the gamma_max**j of this problem's bound overflows a float
+OVERFLOWING_BOUND = """order 2
+domain 0 1
+truncation 4
+iterations 1
+term 0.0 1e160 ; 1
+term 0.0 1e-300
+bc 0 0 1
+bc 0 1 0
+"""
+
+
+class TestSolveIterates:
+    @pytest.mark.parametrize(
+        "truncation, iterations, depth",
+        [(30, 6, 4), (30, 3, 3), (30, 3, 2), (12, 1, 6), (30, 3, 4)],
+    )
+    def test_report_from_solve_iterates_has_the_bits_of_one_from_constants(
+        self, truncation, iterations, depth
+    ):
+        settings = {"truncation": truncation, "iterations": iterations}
+        spec = with_settings(builtin(2), **settings)
+        result = solve(spec)
+        assert len(result.iterates) == iterations + 1
+        assert result.iterates[-1] is result.solution
+        reused = analyze_convergence(spec, result.constants, depth, GRID, result.iterates)
+        # a fresh spec, so no expansion or iterate is shared with the solve
+        alone = analyze_convergence(
+            with_settings(builtin(2), **settings), result.constants, depth, GRID
+        )
+        assert report_bits(reused) == report_bits(alone)
+        assert len(reused.deltas) == depth
+
+    def test_a_copied_result_recomputes_the_iterates(self):
+        spec = with_settings(builtin(2), truncation=30, iterations=3)
+        result = solve(spec)
+        twin = pickle.loads(pickle.dumps(result))
+        assert twin == result and twin.iterates is None
+        assert "iterates" not in repr(result)
+        want = analyze_convergence(spec, result.constants, 4, GRID, result.iterates)
+        got = analyze_convergence(spec, twin.constants, 4, GRID, twin.iterates)
+        assert report_bits(got) == report_bits(want)
+
+    def test_an_overflowing_bound_power_counts_as_infinite(self):
+        spec = parse_problem(OVERFLOWING_BOUND)
+        result = solve(spec)
+        report = analyze_convergence(spec, result.constants, 4, iterates=result.iterates)
+        # delta_0 == 0, so an infinite geometric sum must not make a nan bound
+        assert report.deltas[:2] == (0.0, 0.0)
+        assert report.gamma_max == 2e159
+        assert not report.contraction_ok
+        assert not report.banach_bound_ok
+        assert report.fixed_point_reached
+
+    @staticmethod
+    def report_on_constant_iterates(values):
+        iterates = tuple(Series((v,)) for v in values)
+        depth = len(values) - 1
+        return analyze_convergence(builtin(1), (0.0, 0.0, 0.0), depth, GRID, iterates)
+
+    def test_a_zero_first_gap_bounds_every_gap_by_zero(self):
+        # gaps 0, 0, 1e-200, 1e200: gamma_max = 1e400 = inf, and an infinite
+        # geometric sum times delta_0 = 0 must not pass the nonzero gaps
+        report = self.report_on_constant_iterates((0.0, 0.0, 0.0, 1e-200, 1e200))
+        assert report.deltas == (0.0, 0.0, 1e-200, 1e200)
+        assert report.gamma_max == math.inf
+        assert not report.contraction_ok
+        assert not report.banach_bound_ok
+
+    def test_an_overflowing_power_is_infinite_not_an_error(self):
+        # gaps 1, 1e200, 1e200, 1e200: gamma_max = 1e200, whose square overflows
+        report = self.report_on_constant_iterates((0.0, 1.0, 1e200, 2e200, 3e200))
+        assert report.gamma_max == 1e200
+        assert not report.banach_bound_ok
 
 
 class TestOdeResidualReport:

@@ -318,6 +318,35 @@ class TestIterate:
         for k in range(1, 4):
             assert iterates[k].truncation == 12 + 7 * k
 
+    @pytest.mark.parametrize("known", [0, 1, 3, 5])
+    def test_known_iterates_are_continued_bit_for_bit(self, known, monkeypatch):
+        spec = builtin(2)
+        constants = (0.1, -0.2, 0.05)
+        fresh = iterate(spec, constants, 3)
+        start = iterate(spec, constants, known)
+        original = engine.correct_once
+        calls = []
+
+        def counted(v, spec):
+            calls.append(v.truncation)
+            return original(v, spec)
+
+        monkeypatch.setattr(engine, "correct_once", counted)
+        got = iterate(spec, constants, 3, start)
+        assert [[c.hex() for c in v.coeffs] for v in got] == [
+            [c.hex() for c in v.coeffs] for v in fresh
+        ]
+        # the reused iterates are the same objects; only the missing corrections run
+        assert all(a is b for a, b in zip(got, start[:4]))
+        assert len(calls) == 3 - min(known, 3)
+
+    def test_corrections_after_known_iterates_are_checked_and_numbered(self):
+        spec = builtin(1)
+        v0, v1 = iterate(spec, (0.0, 0.0, 0.0), 1)
+        overflowed = engine._trusted((math.inf,) + v1.coeffs[1:])
+        with pytest.raises(engine.NonFiniteIterateError, match="correction 2 "):
+            iterate(spec, (0.0, 0.0, 0.0), 2, (v0, overflowed))
+
     def test_default_depth_comes_from_spec(self):
         spec = with_settings(builtin(1), iterations=2)
         assert iterate(spec, (0.0, 0.0, 0.0))[-1].truncation == 12 + 14

@@ -85,6 +85,41 @@ class TestConstruction:
             pad_to(Series((1.0, 2.0, 3.0)), 1)
 
 
+class TestInputTypes:
+    """A wrongly typed input raises ValueError naming its field."""
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: ExpPoly((1.0,)), "each of terms must be ExpTerm, got 1.0"),
+            (lambda: ExpPoly((ExpTerm(0.0, (1.0,)), None)), "each of terms must be ExpTerm"),
+            (lambda: ExpPoly(None), "terms must be iterable, got None"),
+            (lambda: ExpTerm(None, (1.0,)), "rate must be a number, got None"),
+            (lambda: ExpTerm("a", (1.0,)), "rate must be a number, got 'a'"),
+            (lambda: ExpTerm(1.0, None), "poly must be a sequence of numbers, got None"),
+            (lambda: ExpTerm(1.0, ("a",)), "poly must be a sequence of numbers"),
+            (lambda: Series(None), "coeffs must be a sequence of numbers, got None"),
+            (lambda: Series([None]), "coeffs must be a sequence of numbers, got \\[None\\]"),
+            (lambda: Series(["a"]), "coeffs must be a sequence of numbers"),
+            (lambda: make_series([None], 3), "coeffs must be a sequence of numbers"),
+        ],
+        ids=[
+            "exppoly-float-term", "exppoly-none-term", "exppoly-none", "expterm-none-rate",
+            "expterm-text-rate", "expterm-none-poly", "expterm-text-poly", "series-none",
+            "series-none-coeff", "series-text-coeff", "make-series-none-coeff",
+        ],
+    )
+    def test_wrong_type_names_the_field(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
+    def test_numbers_given_as_text_or_ints_are_still_converted(self):
+        assert ExpTerm("0.5", [1, "2"]) == ExpTerm(0.5, (1.0, 2.0))
+        assert Series(["1.5", 2]).coeffs == (1.5, 2.0)
+        assert make_series(("1",), 2).coeffs == (1.0, 0.0, 0.0)
+        assert ExpPoly([ExpTerm(0.0, (1.0,))]).terms == (ExpTerm(0.0, (1.0,)),)
+
+
 class TestArithmetic:
     def test_add_sub_exact(self):
         f = Series((1.0, -2.5, 3.0))

@@ -129,6 +129,7 @@ DERIVED = {
     "ExpPoly": ("_expansion",),
     "RhsTerm": ("_rests",),
     "ProblemSpec": ("_origin", "_origin_head", "_off_origin", "_unknown_degrees"),
+    "SolveResult": ("iterates",),
 }
 
 # each class's fields in declaration order, as its repr lists them
