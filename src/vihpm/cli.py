@@ -162,8 +162,9 @@ def _write_outputs(outputs: Sequence[tuple[str, Callable[[IO[str]], None]]]) -> 
 def _run_solve(args: argparse.Namespace) -> int:
     spec = _load_spec(args)
     # a symbolic link keeps pointing at the file it names
-    paths = [os.path.realpath(p) if p else None for p in (args.emit_csv, args.emit_series)]
-    named = [p for p in paths if p]
+    given = (args.emit_csv, args.emit_series)
+    paths = [p if p is None else os.path.realpath(p) for p in given]
+    named = [p for p in paths if p is not None]
     # one path would take one output and lose the other
     if len(set(named)) < len(named):
         raise InvalidProblemError(["--emit-csv and --emit-series name the same file"])
@@ -179,7 +180,7 @@ def _run_solve(args: argparse.Namespace) -> int:
         functools.partial(emit_csv, table),
         functools.partial(emit_series_csv, result.solution),
     )
-    _write_outputs([(p, write) for p, write in zip(paths, writers) if p])
+    _write_outputs([(p, write) for p, write in zip(paths, writers) if p is not None])
 
     degrees = spec.unknown_degrees()
     if degrees:

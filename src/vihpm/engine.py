@@ -299,12 +299,18 @@ def iterate(
     returned iterate is finite: :class:`NonFiniteIterateError` is raised
     when the iterate produced by a correction is not.  ``known``, v_0..v_j
     as a call at these constants returned them, are reused up to v_n.
+    Before its first correction, each term's coefficient is expanded to
+    ``W + (n-1)m``, the highest ring a correction evaluates F in, so every
+    later expansion at up to n corrections is a slice.
     """
     if n_iter is None:
         n_iter = spec.iterations
     if n_iter < 0:
         raise ValueError("iteration count must be non-negative")
     iterates = [*known[: n_iter + 1]] or [initial_approx(spec, constants)]
+    if len(iterates) <= n_iter:
+        for term in spec.terms:
+            expand_exppoly(term.coeff, spec.truncation + (n_iter - 1) * spec.order)
     for k in range(len(iterates), n_iter + 1):
         nxt = correct_once(iterates[-1], spec)
         if not all(map(math.isfinite, nxt.coeffs)):

@@ -20,10 +20,10 @@ Tables that depend only on a derivative order and a truncation degree are
 cached with a fixed bound of ``CACHE_SIZE`` entries each: the falling
 factorials here, the kernel weights of :mod:`vihpm.kernel`, and the He
 polynomial picks and tangent seeds of :mod:`vihpm.engine`.  Each
-:class:`ExpPoly` owns its expansion, which lives as long as the value does
-and holds the coefficients up to the highest degree asked for so far: a
-request at a higher degree computes only the new coefficients, and the
-series returned at each degree is kept, so asking again returns it.
+:class:`ExpPoly` owns its expansion table, which lives as long as the value
+does and keeps the series returned at each degree.  A degree below the
+highest one held is a slice; a higher one is computed afresh, so
+:func:`vihpm.engine.iterate` asks for its top ring before its corrections.
 
 :class:`ExpPoly` represents a finite sum of ``exp(rate * x) * p(x)`` terms
 with polynomial ``p``.  It is the closed function class used for forcing
@@ -296,7 +296,8 @@ class ExpPoly(_Value):
             if not isinstance(term, ExpTerm):
                 raise ValueError(f"each of terms must be ExpTerm, got {term!r}")
         object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "_expansion", _Expansion(self))
+        # degree -> Series, filled by expand_exppoly
+        object.__setattr__(self, "_expansion", {})
 
     @classmethod
     def from_terms(cls, terms: Sequence[tuple[float, Sequence[float]]]) -> "ExpPoly":
@@ -319,53 +320,34 @@ def expand_exppoly(e: ExpPoly, truncation: int) -> Series:
     For a term ``exp(a*x) * sum(p_j x**j)`` the degree-n coefficient is
     ``sum_j p_j * a**(n-j) / (n-j)!``; the exponential weights are built by
     the running recurrence ``a**k / k!`` so nothing large is ever formed.
-    Each coefficient is computed once per ``e``, by the expansion it owns
-    (see :class:`_Expansion`).
+    The sum starts from +0.0 and runs over the terms in order and, within a
+    term, over ascending j, skipping zero ``p_j``.  That order does not
+    depend on the truncation, so a slice of the highest series in ``e``'s
+    table has the bits of one computed at the lower degree.  ExpPoly
+    equality treats 0.0 and -0.0 alike; both expand to the same bits,
+    because a zero rate gives zero weights past degree 0, a zero ``p_j`` is
+    skipped, and +0.0 plus a zero of either sign is +0.0.
     """
+    table = e._expansion
+    series = table.get(truncation)
+    if series is not None:
+        return series
     if truncation < 0:
         raise ValueError("truncation degree must be non-negative")
-    return e._expansion.up_to(truncation)
-
-
-class _Expansion:
-    """The Taylor coefficients of one :class:`ExpPoly`, extended on demand.
-
-    ``coeffs`` holds degrees 0..D computed so far, ``weights`` each term's
-    ``rate**k / k!`` for k = 0..D, the state the next degrees need, and
-    ``series`` the series returned so far, by degree.  Every degree-n
-    coefficient is a sum that starts from +0.0 and adds
-    ``p_j * weights[n - j]`` over the terms in order and, within a term, over
-    ascending j, skipping zero ``p_j``.  That order does not depend on D, so
-    an extended expansion has the bits of one computed at once, and a series
-    returned earlier, a prefix of an immutable tuple, is not touched.
-    ExpPoly equality treats 0.0 and -0.0 alike; both expand to the same
-    bits, because a zero rate gives zero weights past degree 0, a zero
-    ``p_j`` is skipped, and +0.0 plus a zero of either sign is +0.0.
-    """
-
-    __slots__ = ("terms", "weights", "coeffs", "series")
-
-    def __init__(self, e: ExpPoly) -> None:
-        self.terms = tuple((term.rate, term.poly) for term in e.terms)
-        self.weights = tuple([1.0] for _ in e.terms)
-        self.coeffs: tuple[float, ...] = ()
-        self.series: dict[int, Series] = {}
-
-    def up_to(self, truncation: int) -> Series:
-        series = self.series.get(truncation)
-        if series is not None:
-            return series
-        start = len(self.coeffs)
-        if truncation >= start:
-            out = [0.0] * (truncation + 1 - start)
-            for (rate, poly), weights in zip(self.terms, self.weights):
-                for k in range(len(weights), truncation + 1):
-                    weights.append(weights[-1] * rate / k)
-                for j, p in enumerate(poly):
-                    if p == 0.0:
-                        continue
-                    for n in range(max(j, start), truncation + 1):
-                        out[n - start] += p * weights[n - j]
-            self.coeffs += tuple(out)
-        series = self.series[truncation] = _trusted(self.coeffs[: truncation + 1])
-        return series
+    top = max(table, default=-1)
+    if truncation < top:
+        series = _trusted(table[top].coeffs[: truncation + 1])
+    else:
+        out = [0.0] * (truncation + 1)
+        for term in e.terms:
+            weights = [1.0]
+            for k in range(1, truncation + 1):
+                weights.append(weights[-1] * term.rate / k)
+            for j, p in enumerate(term.poly):
+                if p == 0.0:
+                    continue
+                for n in range(j, truncation + 1):
+                    out[n] += p * weights[n - j]
+        series = _trusted(tuple(out))
+    table[truncation] = series
+    return series

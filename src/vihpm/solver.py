@@ -8,8 +8,7 @@ Newton iteration with dense Gaussian elimination and partial pivoting.
 The Jacobian is exact: each column is the off-origin condition operators
 applied to the tangent of the last iterate along one constant.  One sweep
 (:func:`~vihpm.engine.tangents`) propagates every constant's tangent
-through the iterates that the Newton pass already holds, whose terms'
-coefficients were each expanded once, up front, for every pass.
+through the iterates that the Newton pass already holds.
 :func:`fd_jacobian` is a central-difference cross-check for tests; the
 solver does not call it.  Nor does it check its input: a
 :class:`~vihpm.problems.ProblemSpec` is valid once it exists.
@@ -23,7 +22,7 @@ from typing import Sequence
 from .engine import NonFiniteIterateError, iterate, tangents
 # validate is not called here; perfbench/tracing.py wraps solver.validate by name
 from .problems import ProblemSpec, validate
-from .series import Series, _Value, evaluate_derivative, expand_exppoly
+from .series import Series, _Value, evaluate_derivative
 
 __all__ = [
     "SolveResult",
@@ -178,9 +177,6 @@ def solve(spec: ProblemSpec) -> SolveResult:
     failure to converge is reported through the result flags, not an
     exception.
     """
-    # the passes evaluate F in rings up to W + (k-1)m, so later expansions are slices
-    for term in spec.terms:
-        expand_exppoly(term.coeff, spec.truncation + (spec.iterations - 1) * spec.order)
     constants = [0.0] * spec.unknown_count()
     steps = 0
     while True:

@@ -5,7 +5,7 @@ import math
 from typing import Iterable, Sequence
 
 from vihpm.problems import ProblemSpec
-from vihpm.series import Series, _trusted
+from vihpm.series import ExpPoly, Series, _trusted
 from vihpm.engine import iterate
 from vihpm.solver import PIVOT_FLOOR, SingularJacobianError, _bc_residuals_of
 
@@ -50,6 +50,29 @@ def reference_solve_dense(matrix: list[list[float]], rhs: list[float]) -> list[f
             acc -= a[row][c] * x[c]
         x[row] = acc / a[row][row]
     return x
+
+
+class _CountingTable(dict):
+    """An expansion table that logs each degree stored above every degree
+    it already holds: the degrees ``expand_exppoly`` computes rather than
+    slices."""
+
+    def __init__(self, log: list) -> None:
+        super().__init__()
+        self.log = log
+
+    def __setitem__(self, degree: int, series: Series) -> None:
+        if degree > max(self, default=-1):
+            self.log.append(degree)
+        super().__setitem__(degree, series)
+
+
+def count_computations(e: ExpPoly) -> list[int]:
+    """Give ``e`` an empty expansion table that records each degree whose
+    coefficients it computes, in order, into the returned list."""
+    log: list[int] = []
+    object.__setattr__(e, "_expansion", _CountingTable(log))
+    return log
 
 
 def replace(value, /, **changes):

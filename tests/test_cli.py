@@ -12,6 +12,8 @@ import pytest
 from vihpm import cli, engine, solver
 from vihpm.cli import MAX_GRID_POINTS, main
 
+from ring_helpers import count_computations
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -180,6 +182,39 @@ class TestConvergenceCommand:
         assert len(after) == max(int(depth) - int(iterations), 0)
         # each continues from the ring solve's last iterate reached
         assert after == [int(truncation) + 7 * k for k in range(int(iterations), int(depth))]
+
+    @pytest.mark.parametrize(
+        "truncation, iterations, depth, past_solve",
+        [("12", "1", "6", [12 + 5 * 7]), ("30", "3", "2", []), ("30", "3", "3", [])],
+    )
+    def test_corrections_past_solve_expand_each_coefficient_once_more(
+        self, capsys, monkeypatch, truncation, iterations, depth, past_solve
+    ):
+        logs, at_solve = [], []
+        original_builtin, original_solve = cli.builtin, cli.solve
+
+        def counted_builtin(n):
+            spec = original_builtin(n)
+            logs.extend(count_computations(term.coeff) for term in spec.terms)
+            return spec
+
+        def marked_solve(spec):
+            result = original_solve(spec)
+            at_solve.extend(list(log) for log in logs)
+            return result
+
+        monkeypatch.setattr(cli, "builtin", counted_builtin)
+        monkeypatch.setattr(cli, "solve", marked_solve)
+        code, out, _ = run_cli(
+            capsys, "convergence", "--builtin", "2", "--depth", depth,
+            "--truncation", truncation, "--iterations", iterations,
+        )
+        assert code == 0 and f"delta_{int(depth) - 1}:" in out
+        # solve computes at W + (k-1)m; a deeper report once more, at
+        # W + (depth-1)m, not once per ring; a shallower one only slices
+        top = int(truncation) + (int(iterations) - 1) * 7
+        assert at_solve == [[top]]
+        assert logs == [[top] + past_solve]
 
     def test_overflowing_bound_power_is_reported(self, capsys, tmp_path):
         path = tmp_path / "overflow.txt"
@@ -504,6 +539,18 @@ class TestErrorPaths:
         assert "something other than a file" in err
         assert out == ""
         assert table_path.read_text() == "an earlier table\n"
+
+    @pytest.mark.parametrize("flag", ["--emit-csv", "--emit-series"])
+    def test_empty_output_path_rejected_before_solving(
+        self, capsys, tmp_path, monkeypatch, no_solve, flag
+    ):
+        # "" resolves to the working directory; it does not mean "no output"
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "solve", "--builtin", "1", flag, "")
+        assert code == 1
+        assert "something other than a file" in err
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
 
     def test_outputs_replace_files_and_follow_links(self, capsys, tmp_path):
         table_path = tmp_path / "table.csv"
