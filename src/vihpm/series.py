@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import islice
+from itertools import compress, islice
 from operator import add as _fadd, mul as _fmul, sub as _fsub
 from typing import Sequence
 
@@ -190,16 +190,35 @@ def sub(f: Series, g: Series) -> Series:
 
 
 def mul(f: Series, g: Series) -> Series:
-    """Cauchy product truncated at the common degree."""
+    """Cauchy product truncated at the common degree.
+
+    Only the nonzero rows ``f_i * g`` are added, so zero coefficients of the
+    first operand cost nothing (a float is false exactly when it equals
+    0.0, so a NaN row still runs).  Two adjacent nonzero rows go in one
+    pass over the output.  Every output coefficient starts from +0.0 and
+    gets its terms ``f_i * g_(k-i)`` one at a time in ascending ``i``, so
+    the result has the bits of the one-row-per-pass loop.
+    """
     _check_same_ring(f, g)
-    w = f.truncation
+    fc = f.coeffs
     gc = g.coeffs
-    out = [0.0] * (w + 1)
-    for i, a in enumerate(f.coeffs):
-        if a == 0.0:
-            continue
-        for j in range(w + 1 - i):
-            out[i + j] += a * gc[j]
+    n = len(fc)
+    out = [0.0] * n
+    rows = compress(range(n), fc)
+    for i in rows:
+        a = fc[i]
+        if i + 1 < n and fc[i + 1]:
+            b = fc[i + 1]
+            next(rows)
+            p = gc[0]
+            out[i] += a * p
+            for k in range(i + 1, n):
+                c = gc[k - i]
+                out[k] = out[k] + a * c + b * p
+                p = c
+        else:
+            for j in range(n - i):
+                out[i + j] += a * gc[j]
     return _trusted(tuple(out))
 
 

@@ -5,7 +5,7 @@ import math
 from typing import Iterable, Sequence
 
 from vihpm.problems import ProblemSpec
-from vihpm.series import ExpPoly, Series, _trusted
+from vihpm.series import ExpPoly, Series, _check_same_ring, _trusted
 from vihpm.engine import iterate
 from vihpm.solver import PIVOT_FLOOR, SingularJacobianError, _bc_residuals_of
 
@@ -16,6 +16,21 @@ def scale(f: Series, c: float) -> Series:
     if not math.isfinite(c):
         raise ValueError("scale factor must be finite")
     return _trusted(tuple([c * a for a in f.coeffs]))
+
+
+def reference_mul(f: Series, g: Series) -> Series:
+    """The ring's original Cauchy product: one nonzero row of ``f`` per
+    pass over the output, zero rows skipped."""
+    _check_same_ring(f, g)
+    w = f.truncation
+    gc = g.coeffs
+    out = [0.0] * (w + 1)
+    for i, a in enumerate(f.coeffs):
+        if a == 0.0:
+            continue
+        for j in range(w + 1 - i):
+            out[i + j] += a * gc[j]
+    return _trusted(tuple(out))
 
 
 def bc_residuals(spec: ProblemSpec, constants: Sequence[float]) -> tuple[float, ...]:

@@ -1,11 +1,11 @@
 """Validated edges, unchecked ring operations and cached solve invariants.
 
-The ring operations build their results without validation and read
-derivative, kernel and expansion tables from caches; specs and terms
-compute their constant tables once; the dense Newton solve picks its pivots
-with a loop of its own.  These tests pin that down: the outputs equal, bit
-for bit, both the values recorded before the caches existed and a local
-copy of the original formulas.
+The ring operations build their results without validation, the product
+adds two rows per pass, and derivative, kernel and expansion tables are
+read from caches; specs and terms compute their constant tables once; the
+dense Newton solve picks its pivots with a loop of its own.  These tests pin
+that down: the outputs equal, bit for bit, both the values recorded before
+the caches existed and a local copy of the original formulas.
 """
 
 import json
@@ -50,7 +50,7 @@ from vihpm.series import (
 )
 from vihpm.solver import SingularJacobianError, _solve_dense, solve
 
-from ring_helpers import reference_solve_dense, replace
+from ring_helpers import reference_mul, reference_solve_dense, replace
 
 SOLVE_BITS = json.loads(
     (Path(__file__).parent / "data" / "solve_bits.json").read_text()
@@ -472,6 +472,55 @@ dense_entries = st.one_of(
     st.integers(min_value=-3, max_value=3).map(float),
     st.floats(min_value=-4.0, max_value=4.0),
 )
+
+
+def packed(values):
+    return [struct.pack("<d", v) for v in values]
+
+
+# values a product row or column can hold, overflow included
+PRODUCT_SPECIALS = (0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan)
+
+
+@st.composite
+def product_operands(draw):
+    """Two series at one degree W in 0..60.  The first is laid out in runs
+    of zero rows (either sign) and of rows that are mostly nonzero, so
+    adjacent pairs, lone rows and odd runs all occur; -0.0, nan and +-inf
+    can land in either operand.  The values come from a drawn seed, which
+    keeps a long series cheap to draw."""
+    n = draw(st.integers(min_value=1, max_value=61))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+
+    def value():
+        if rng.random() < 0.1:
+            return rng.choice(PRODUCT_SPECIALS)
+        return rng.uniform(-1.0, 1.0) * 2.0 ** rng.randint(-40, 40)
+
+    f = []
+    while len(f) < n:
+        zero = rng.random() < 0.4
+        f += [rng.choice((0.0, -0.0)) if zero else value() for _ in range(rng.randint(1, 5))]
+    g = [value() for _ in range(n)]
+    return _trusted(tuple(f[:n])), _trusted(tuple(g))
+
+
+class TestCauchyProduct:
+    @settings(max_examples=200, deadline=None)
+    @given(operands=product_operands())
+    def test_same_bits_as_the_one_row_loop(self, operands):
+        f, g = operands
+        assert packed(mul(f, g).coeffs) == packed(reference_mul(f, g).coeffs)
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_zero_rows_are_skipped(self, zero):
+        # the skipped row would add 0 * inf = nan
+        product = mul(_trusted((zero, 1.0)), _trusted((math.inf, 1.0)))
+        assert packed(product.coeffs) == packed((0.0, math.inf))
+
+    def test_nan_rows_still_run(self):
+        product = mul(_trusted((math.nan, 0.0, 0.0)), _trusted((0.0, 0.0, 0.0)))
+        assert all(math.isnan(c) for c in product.coeffs)
 
 
 @st.composite
