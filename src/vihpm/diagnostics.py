@@ -76,6 +76,19 @@ def _sup_gap(f: Sequence[float], g: Sequence[float]) -> float:
     return gap
 
 
+def _geometric_sum(ratio: float, first: int, stop: int) -> float:
+    """``ratio**first + ... + ratio**(stop - 1)``, added left to right from
+    0.0, so every Python version gives the same bits (``sum()`` of floats
+    is compensated since 3.12).  A power that overflows makes it +inf."""
+    total = 0.0
+    try:
+        for j in range(first, stop):
+            total += ratio**j
+    except OverflowError:
+        return math.inf
+    return total
+
+
 def check_depth(spec: ProblemSpec, depth: int) -> None:
     """Reject a correction depth that gives no ratio or exceeds the degree cap.
 
@@ -136,10 +149,7 @@ def analyze_convergence(
     for k in range(1, depth + 1):
         for l in range(1, k):
             # 0**0 == 1 covers gamma_max == 0 at j == 0
-            try:
-                geometric = sum(gamma_max**j for j in range(l - 1, k - 1))
-            except OverflowError:
-                geometric = math.inf
+            geometric = _geometric_sum(gamma_max, l - 1, k - 1)
             # inf * 0.0 would be a nan bound that every gap passes
             bound = geometric * deltas[0] * (1.0 + BOUND_SLACK) if deltas[0] else 0.0
             if _sup_gap(values[k], values[l]) > bound:

@@ -195,7 +195,9 @@ def _sparse_first(f: Series, g: Series) -> Series:
 
     :func:`~vihpm.series.mul` skips the zero coefficients of its first
     operand only, so a seed ``x**j`` costs O(W) per product this way instead
-    of O(W**2).  A tie keeps ``f`` first.
+    of O(W**2).  Taking adjacent nonzero rows four or two per pass makes
+    each row cheaper, not fewer, so the count of rows to add stays the
+    cost.  A tie keeps ``f`` first.
     """
     if g.coeffs.count(0.0) > f.coeffs.count(0.0):
         return mul(g, f)

@@ -194,10 +194,11 @@ def mul(f: Series, g: Series) -> Series:
 
     Only the nonzero rows ``f_i * g`` are added, so zero coefficients of the
     first operand cost nothing (a float is false exactly when it equals
-    0.0, so a NaN row still runs).  Two adjacent nonzero rows go in one
-    pass over the output.  Every output coefficient starts from +0.0 and
-    gets its terms ``f_i * g_(k-i)`` one at a time in ascending ``i``, so
-    the result has the bits of the one-row-per-pass loop.
+    0.0, so a NaN row still runs).  A run of adjacent nonzero rows goes
+    four rows per pass over the output, then two, then one.  Every output
+    coefficient starts from +0.0 and gets its terms ``f_i * g_(k-i)`` one
+    at a time in ascending ``i``, so the result has the bits of the
+    one-row-per-pass loop.
     """
     _check_same_ring(f, g)
     fc = f.coeffs
@@ -209,6 +210,25 @@ def mul(f: Series, g: Series) -> Series:
         a = fc[i]
         if i + 1 < n and fc[i + 1]:
             b = fc[i + 1]
+            if i + 3 < n and fc[i + 2] and fc[i + 3]:
+                c = fc[i + 2]
+                d = fc[i + 3]
+                next(rows)
+                next(rows)
+                next(rows)
+                g0 = gc[0]
+                g1 = gc[1]
+                g2 = gc[2]
+                out[i] += a * g0
+                out[i + 1] = out[i + 1] + a * g1 + b * g0
+                out[i + 2] = out[i + 2] + a * g2 + b * g1 + c * g0
+                for k in range(i + 3, n):
+                    g3 = gc[k - i]
+                    out[k] = out[k] + a * g3 + b * g2 + c * g1 + d * g0
+                    g0 = g1
+                    g1 = g2
+                    g2 = g3
+                continue
             next(rows)
             p = gc[0]
             out[i] += a * p

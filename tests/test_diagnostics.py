@@ -181,6 +181,13 @@ class TestSolveIterates:
         assert not report.banach_bound_ok
 
 
+class TestGeometricSum:
+    def test_added_left_to_right_on_every_python(self):
+        # 1 + 0.3 + 0.3**2: sum() of floats, compensated since 3.12, gives
+        # 0x1.63d70a3d70a3dp+0 there
+        assert diagnostics._geometric_sum(0.3, 0, 3).hex() == "0x1.63d70a3d70a3ep+0"
+
+
 class TestOdeResidualReport:
     def test_reference_series_defect_is_truncation_limited(self):
         spec = with_settings(builtin(2), truncation=20)

@@ -485,10 +485,10 @@ PRODUCT_SPECIALS = (0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan)
 @st.composite
 def product_operands(draw):
     """Two series at one degree W in 0..60.  The first is laid out in runs
-    of zero rows (either sign) and of rows that are mostly nonzero, so
-    adjacent pairs, lone rows and odd runs all occur; -0.0, nan and +-inf
-    can land in either operand.  The values come from a drawn seed, which
-    keeps a long series cheap to draw."""
+    of 1-9 zero rows (either sign) or mostly nonzero rows, so one and two
+    four-row blocks with 1-3 rows left over, pairs and lone rows all
+    occur; -0.0, nan and +-inf can land in either operand.  The values come
+    from a drawn seed, which keeps a long series cheap to draw."""
     n = draw(st.integers(min_value=1, max_value=61))
     rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
 
@@ -500,9 +500,22 @@ def product_operands(draw):
     f = []
     while len(f) < n:
         zero = rng.random() < 0.4
-        f += [rng.choice((0.0, -0.0)) if zero else value() for _ in range(rng.randint(1, 5))]
+        f += [rng.choice((0.0, -0.0)) if zero else value() for _ in range(rng.randint(1, 9))]
     g = [value() for _ in range(n)]
     return _trusted(tuple(f[:n])), _trusted(tuple(g))
+
+
+# finite coefficients, no two of equal magnitude, for the first operand;
+# the second reads them backwards, twice over
+PRODUCT_ROWS = (1.5, -0.7, 3.1, 0.3, -2.9, 1.1, -0.45, 2.3, 0.9)
+PRODUCT_COLUMNS = PRODUCT_ROWS[::-1] * 2
+
+
+def assert_one_row_bits(f, g=None):
+    if g is None:
+        g = PRODUCT_COLUMNS[: len(f)]
+    f, g = _trusted(tuple(f)), _trusted(tuple(g))
+    assert packed(mul(f, g).coeffs) == packed(reference_mul(f, g).coeffs)
 
 
 class TestCauchyProduct:
@@ -511,6 +524,44 @@ class TestCauchyProduct:
     def test_same_bits_as_the_one_row_loop(self, operands):
         f, g = operands
         assert packed(mul(f, g).coeffs) == packed(reference_mul(f, g).coeffs)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_dense_first_operand(self, n):
+        # at n = 4 and 8 a four-row block ends at the last row
+        assert_one_row_bits(PRODUCT_ROWS[:n])
+
+    @pytest.mark.parametrize("start", [0, 1, 2])
+    @pytest.mark.parametrize("run", [3, 4, 5, 7, 8])
+    def test_a_run_of_nonzero_rows(self, run, start):
+        # a pass that took a row past the run would drop the row after
+        # the zero row
+        f = [0.0] * start + [*PRODUCT_ROWS[:run], -0.0, PRODUCT_ROWS[-1]]
+        assert_one_row_bits(f)
+
+    @pytest.mark.parametrize("special", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("row", range(4))
+    def test_a_special_value_in_a_block_row(self, row, special):
+        # a block at rows 1-4, then a pair
+        f = [0.0, *PRODUCT_ROWS[:6]]
+        f[1 + row] = special
+        assert_one_row_bits(f)
+
+    @pytest.mark.parametrize("special", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("column", range(3))
+    def test_a_special_value_in_a_head_column(self, column, special):
+        g = [*PRODUCT_COLUMNS[:7]]
+        g[column] = special
+        assert_one_row_bits([0.0, *PRODUCT_ROWS[:6]], g)
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_a_zero_row_ends_a_block(self, zero):
+        # the zero row 3 would add 0 * inf = nan to out[3], and the
+        # nonzero row 4 puts inf there
+        f = (1.5, -0.7, 3.1, zero, 0.3)
+        g = (math.inf, 1.1, -0.45, 2.3, 0.9)
+        product = mul(_trusted(f), _trusted(g)).coeffs
+        assert math.isfinite(product[3]) and product[4] == math.inf
+        assert_one_row_bits(f, g)
 
     @pytest.mark.parametrize("zero", [0.0, -0.0])
     def test_zero_rows_are_skipped(self, zero):
