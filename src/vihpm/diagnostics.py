@@ -34,8 +34,9 @@ class ConvergenceReport(_Value):
     """Contraction evidence extracted from successive iterates.
 
     ``deltas[k]`` is the grid sup-norm of iterate k+1 minus iterate k;
-    ``gamma_estimates`` holds the ratios of consecutive nonzero deltas.
-    ``banach_bound_ok`` reports whether every iterate pair obeys the
+    ``gamma_estimates`` holds the ratios of consecutive nonzero deltas,
+    ``gamma_max`` the largest, and ``contraction_ok`` whether it is below
+    one.  ``banach_bound_ok`` reports whether every iterate pair obeys the
     geometric bound built from ``gamma_max``; ``fixed_point_reached`` is
     set when some correction is identically zero on the grid.
     """
@@ -44,22 +45,6 @@ class ConvergenceReport(_Value):
         "deltas", "gamma_estimates", "gamma_max",
         "contraction_ok", "banach_bound_ok", "fixed_point_reached",
     )
-
-    def __init__(
-        self,
-        deltas: tuple[float, ...],
-        gamma_estimates: tuple[float, ...],
-        gamma_max: float,
-        contraction_ok: bool,
-        banach_bound_ok: bool,
-        fixed_point_reached: bool,
-    ) -> None:
-        object.__setattr__(self, "deltas", deltas)
-        object.__setattr__(self, "gamma_estimates", gamma_estimates)
-        object.__setattr__(self, "gamma_max", gamma_max)
-        object.__setattr__(self, "contraction_ok", contraction_ok)
-        object.__setattr__(self, "banach_bound_ok", banach_bound_ok)
-        object.__setattr__(self, "fixed_point_reached", fixed_point_reached)
 
 
 def default_grid(spec: ProblemSpec) -> tuple[float, ...]:
@@ -120,14 +105,17 @@ def analyze_convergence(
     which is the triangle-inequality consequence of a true contraction
     constant gamma_max; the slack absorbs grid evaluation roundoff.  A
     power of gamma_max that overflows is +inf; delta_0 == 0 bounds by 0.
-    Raises :class:`~vihpm.engine.NonFiniteIterateError` when an iterate's
-    value on the grid or a gap between two iterates is not finite.
-    ``iterates``, such as a :class:`~vihpm.solver.SolveResult`'s, are
-    v_0..v_j at ``constants``; only corrections past j are run.
+    An empty grid or a non-finite grid point raises ``ValueError`` before
+    any correction runs.  Raises :class:`~vihpm.engine.NonFiniteIterateError`
+    when an iterate's value on the grid or a gap between two iterates is not
+    finite.  ``iterates``, such as a :class:`~vihpm.solver.SolveResult`'s,
+    are v_0..v_j at ``constants``; only corrections past j are run.
     """
     check_depth(spec, depth)
     if grid is None:
         grid = default_grid(spec)
+    if not grid or not all(map(math.isfinite, grid)):
+        raise ValueError("grid must be non-empty and finite")
     v = iterate(spec, constants, depth, iterates or ())
     # each iterate is evaluated once; every sup below reads these values
     values = [[evaluate(vk, x) for x in grid] for vk in v]

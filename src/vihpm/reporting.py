@@ -20,27 +20,16 @@ __all__ = [
 
 
 class ErrorRow(_Value):
-    """One grid point: reference value (if known), series value, defect."""
+    """One grid point: ``x``, the reference value ``exact`` (None if not
+    known), the series value ``approx`` and the defect ``abs_error``."""
 
     __slots__ = _fields = ("x", "exact", "approx", "abs_error")
 
-    def __init__(
-        self, x: float, exact: float | None, approx: float, abs_error: float | None
-    ) -> None:
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "exact", exact)
-        object.__setattr__(self, "approx", approx)
-        object.__setattr__(self, "abs_error", abs_error)
-
 
 class ErrorTable(_Value):
-    """Rows on the grid; ``max_abs_error`` is None without a reference."""
+    """``rows`` on the grid; ``max_abs_error`` is None without a reference."""
 
     __slots__ = _fields = ("rows", "max_abs_error")
-
-    def __init__(self, rows: tuple[ErrorRow, ...], max_abs_error: float | None) -> None:
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "max_abs_error", max_abs_error)
 
 
 def error_table(
@@ -49,13 +38,13 @@ def error_table(
     """Tabulate the solved series against the reference on a grid.
 
     Without a reference solution the exact and error columns stay empty.
-    The grid must be strictly increasing so emitted tables read naturally.
-    Raises :class:`~vihpm.engine.NonFiniteIterateError` when a value in
-    the table is not finite.
+    The grid must be finite and strictly increasing so emitted tables read
+    naturally.  Raises :class:`~vihpm.engine.NonFiniteIterateError` when a
+    value in the table is not finite.
     """
     grid = [float(x) for x in grid]
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("grid must be strictly increasing")
+    if not all(map(math.isfinite, grid)) or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError("grid must be finite and strictly increasing")
     rows = []
     worst: float | None = None
     for x in grid:

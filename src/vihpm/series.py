@@ -61,15 +61,33 @@ class _Value:
     """Base of the package's immutable values, compared by their fields.
 
     ``_fields`` names the constructor arguments in order; ``__slots__``
-    holds them and the tables derived from them, which each constructor
-    stores with ``object.__setattr__``.  ``==``, ``hash`` and ``repr`` read
-    the fields alone.  :meth:`_replace`, ``copy`` and ``pickle`` build
-    through the constructor, so a copy is checked again and derives its own
-    tables.
+    holds them and the tables derived from them.  The shared constructor
+    stores the fields as given; a class that checks or derives anything
+    writes its own.  ``==``, ``hash`` and ``repr`` read the fields alone.
+    :meth:`_replace`, ``copy`` and ``pickle`` build through the
+    constructor, so a copy is checked again and derives its own tables.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        """Store the fields given by position or keyword; like a written-out
+        signature, raise ``TypeError`` if one is missing, unknown or given
+        twice, or if there are too many positional arguments."""
+        fields = self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{type(self).__name__}() takes {len(fields)} arguments")
+        for name, value in zip(fields, args):
+            if name in kwargs:
+                raise TypeError(f"{type(self).__name__}() got {name!r} twice")
+            kwargs[name] = value
+        if kwargs.keys() != set(fields):
+            raise TypeError(
+                f"{type(self).__name__}() takes {fields}, got {tuple(kwargs)}"
+            )
+        for name in fields:
+            object.__setattr__(self, name, kwargs[name])
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

@@ -47,10 +47,11 @@ class SolveResult(_Value):
     """Outcome of the constant determination.
 
     ``constants`` are the solved free coefficients in increasing degree
-    order; ``solution`` is the final iterated series at those constants.
-    ``converged`` is False when Newton stalled, in which case
-    ``bc_residual_norm`` reports the last achieved sup-norm.  ``iterates``
-    (v_0..v_k, kept out of ``==``, ``hash`` and ``repr``) is None in a copy.
+    order; ``solution`` is the final iterated series at those constants
+    after ``newton_iterations`` steps; ``bc_residual_norm`` is the last
+    sup-norm of the off-origin defects; ``converged`` is False when Newton
+    stalled.  The keyword-only ``iterates`` (v_0..v_k) is not a field, so
+    ``==``, ``hash`` and ``repr`` skip it and a copy holds None.
     """
 
     _fields = (
@@ -58,21 +59,9 @@ class SolveResult(_Value):
     )
     __slots__ = _fields + ("iterates",)
 
-    def __init__(
-        self,
-        constants: tuple[float, ...],
-        solution: Series,
-        newton_iterations: int,
-        bc_residual_norm: float,
-        converged: bool,
-        *,
-        iterates: tuple[Series, ...] | None = None,
-    ) -> None:
-        object.__setattr__(self, "constants", constants)
-        object.__setattr__(self, "solution", solution)
-        object.__setattr__(self, "newton_iterations", newton_iterations)
-        object.__setattr__(self, "bc_residual_norm", bc_residual_norm)
-        object.__setattr__(self, "converged", converged)
+    def __init__(self, *args: object, iterates: tuple[Series, ...] | None = None,
+                 **kwargs: object) -> None:
+        super().__init__(*args, **kwargs)
         object.__setattr__(self, "iterates", iterates)
 
 

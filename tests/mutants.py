@@ -1,0 +1,179 @@
+"""Rerun the recorded mutation checks: each mutant must meet its expected fate.
+
+Usage: python tests/mutants.py
+
+Each entry names a file under ``src/``, an exact piece of its text, the text
+that replaces it, the tests to run and the expected outcome.  For every
+entry the script copies the repository without ``.git`` into a temporary
+directory, applies the edit to its ``src/`` and runs the selection there
+with pytest.  A mutant expected "killed" must make some selected test
+fail.  One expected "equivalent" must survive, every selected test
+passing, because the edit cannot change a result, for the reason the entry
+records.  Each selection first runs on the unedited copy and must pass
+there, so a kill is the mutant's doing.  The script prints one line per
+entry and exits non-zero if the text to replace is not found exactly once,
+or if any mutant meets another fate than the one expected.  The file name
+does not match ``test_*.py``, so pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+    expected: str
+    reason: str = ""
+
+
+PRODUCT_TESTS = ("tests/test_trusted_ring.py::TestCauchyProduct",)
+VALUE_TESTS = ("tests/test_values.py",)
+EXPANSION_TESTS = (
+    "tests/test_series.py",
+    "tests/test_trusted_ring.py",
+    "tests/test_engine.py",
+    "tests/test_problems.py",
+)
+
+MUTANTS = (
+    Mutant(
+        "mul: a four-row block skips one row too few",
+        "vihpm/series.py",
+        "                next(rows)\n                g0 = gc[0]\n",
+        "                g0 = gc[0]\n",
+        PRODUCT_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "mul: the four-term sum regrouped",
+        "vihpm/series.py",
+        "out[k] = out[k] + a * g3 + b * g2 + c * g1 + d * g0",
+        "out[k] = out[k] + (a * g3 + b * g2 + c * g1 + d * g0)",
+        PRODUCT_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "mul: carried g values shifted in the wrong order",
+        "vihpm/series.py",
+        "g0 = g1\n                    g1 = g2\n                    g2 = g3\n",
+        "g2 = g3\n                    g1 = g2\n                    g0 = g1\n",
+        PRODUCT_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "mul: the block test written with or",
+        "vihpm/series.py",
+        "if i + 3 < n and fc[i + 2] and fc[i + 3]:",
+        "if i + 3 < n and (fc[i + 2] or fc[i + 3]):",
+        PRODUCT_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "_Value.__init__: a field given twice is not rejected",
+        "vihpm/series.py",
+        "            if name in kwargs:\n"
+        "                raise TypeError("
+        "f\"{type(self).__name__}() got {name!r} twice\")\n",
+        "",
+        VALUE_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "_Value.__init__: too many positional arguments are not rejected",
+        "vihpm/series.py",
+        "        if len(args) > len(fields):\n"
+        "            raise TypeError(f\"{type(self).__name__}() takes {len(fields)} "
+        "arguments\")\n",
+        "",
+        VALUE_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "expand_exppoly: a zero p_j is not skipped",
+        "vihpm/series.py",
+        "                if p == 0.0:\n                    continue\n",
+        "",
+        EXPANSION_TESTS,
+        "equivalent",
+        "a zero p_j adds +0.0 or -0.0 to an accumulator that is never -0.0, "
+        "so the sum changes only where a weight has overflowed, and such a "
+        "run is rejected as non-finite either way",
+    ),
+)
+
+
+SKIP = shutil.ignore_patterns(
+    ".git", "__pycache__", ".hypothesis", ".pytest_cache", ".perfbench_work"
+)
+
+
+def _run(tests: tuple[str, ...], mutant: Mutant | None) -> int:
+    """Exit status of pytest on ``tests`` in a fresh copy, ``mutant`` applied."""
+    with tempfile.TemporaryDirectory(prefix="vihpm-mutant-") as tmp:
+        work = Path(tmp) / "repo"
+        shutil.copytree(ROOT, work, ignore=SKIP)
+        if mutant is not None:
+            target = work / "src" / mutant.path
+            text = target.read_text(encoding="utf-8")
+            count = text.count(mutant.old)
+            if count != 1:
+                raise SystemExit(
+                    f"{mutant.name}: the text to replace occurs {count} times "
+                    f"in src/{mutant.path}, not once"
+                )
+            target.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(work / "src"))
+        return subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
+            + list(tests),
+            cwd=work,
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+            check=False,
+        ).returncode
+
+
+def main() -> int:
+    started = time.perf_counter()
+    wrong = 0
+    for tests in dict.fromkeys(m.tests for m in MUTANTS):
+        status = _run(tests, None)
+        if status != 0:
+            print(f"baseline: {' '.join(tests)} exits {status} on unedited code")
+            wrong += 1
+    if wrong:
+        return 1
+    for mutant in MUTANTS:
+        begun = time.perf_counter()
+        status = _run(mutant.tests, mutant)
+        # pytest exits 1 when tests failed; other codes mean it could not run them
+        outcome = {0: "survived", 1: "killed"}.get(status, f"pytest exit {status}")
+        ok = outcome == {"killed": "killed", "equivalent": "survived"}[mutant.expected]
+        wrong += not ok
+        seconds = time.perf_counter() - begun
+        verdict = "ok" if ok else "WRONG"
+        print(f"{verdict:5} {outcome:8} {seconds:5.1f} s  {mutant.name}")
+        if mutant.reason:
+            print(f"{'':21}{mutant.expected}: {mutant.reason}")
+    seconds = time.perf_counter() - started
+    print(f"{len(MUTANTS)} mutants, {wrong} not as expected, {seconds:.0f} s")
+    return 1 if wrong else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

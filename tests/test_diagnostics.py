@@ -88,6 +88,17 @@ class TestAnalyzeConvergence:
         analyze_convergence(builtin(2), (0.0, 0.0, 0.0), depth=depth, grid=GRID)
         assert len(calls) == (depth + 1) * len(GRID)
 
+    @pytest.mark.parametrize(
+        "grid",
+        [(), (0.0, math.nan), (0.0, math.inf), (-math.inf, 0.0)],
+        ids=["empty", "nan", "inf", "-inf"],
+    )
+    def test_bad_grid_rejected_before_any_correction(self, monkeypatch, grid):
+        # a ValueError (exit 1), not a solver failure, and before any iterate
+        monkeypatch.setattr(diagnostics, "iterate", lambda *args: pytest.fail("ran"))
+        with pytest.raises(ValueError, match="grid must be non-empty and finite"):
+            analyze_convergence(builtin(1), (0.0, 0.0, 0.0), depth=2, grid=grid)
+
     def test_default_grid_matches_table_spacing(self):
         grid = default_grid(builtin(1))
         assert grid == GRID

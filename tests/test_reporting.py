@@ -1,9 +1,11 @@
 """Error tables, CSV emission, and the published per-row error profile."""
 
 import io
+import math
 
 import pytest
 
+from vihpm import reporting
 from vihpm.problems import (
     BoundaryCondition,
     ProblemSpec,
@@ -81,6 +83,19 @@ class TestErrorTable:
         result = solve(spec)
         with pytest.raises(ValueError, match="increasing"):
             error_table(spec, result, (0.0, 0.2, 0.1))
+
+    @pytest.mark.parametrize(
+        "grid",
+        [(0.0, math.nan), (0.0, math.inf), (-math.inf, 0.0), (math.nan,)],
+        ids=["nan", "inf", "-inf", "nan-alone"],
+    )
+    def test_non_finite_grid_point_is_the_callers_error(self, monkeypatch, grid):
+        # a ValueError (exit 1), not a solver failure, and before any value
+        spec = builtin(1)
+        result = solve(spec)
+        monkeypatch.setattr(reporting, "evaluate", lambda *args: pytest.fail("ran"))
+        with pytest.raises(ValueError, match="grid must be finite"):
+            error_table(spec, result, grid)
 
     def test_without_reference_columns_empty(self):
         spec = ProblemSpec(

@@ -32,6 +32,27 @@ PUBLISHED_CONSTANTS_2 = (
     0.001388890268167299,
 )
 
+# (builtin, W, k) -> Cauchy products, madds and Newton steps of one solve; a
+# madd is one term f_i * g_j, and a change to any count is a change of work
+SOLVE_WORK = {
+    (1, 12, 1): (5, 65, 1),
+    (2, 12, 1): (14, 641, 2),
+    (3, 12, 1): (22, 307, 2),
+    (4, 12, 1): (26, 389, 2),
+    (1, 30, 3): (15, 570, 1),
+    (2, 30, 3): (42, 22020, 2),
+    (3, 30, 3): (66, 13987, 2),
+    (4, 30, 3): (78, 18037, 2),
+}
+
+
+def solve_work_id(case):
+    # builtin(n) is at the paper's setting (12, 1), named by n alone
+    n, truncation, iterations = case
+    if (truncation, iterations) == (12, 1):
+        return str(n)
+    return f"{n}-{truncation}-{iterations}"
+
 
 def eval_derivative_direct(coeffs, order, x):
     """Independent derivative evaluation via falling-factorial power sums."""
@@ -229,9 +250,11 @@ class TestJacobian:
         jacobian(spec, iterates)
         assert len(calls) == products
 
-    @pytest.mark.parametrize("n", range(1, 5))
-    def test_solve_iterates_once_per_newton_step(self, monkeypatch, n):
-        calls = {"iterate": 0, "fd_jacobian": 0}
+    @pytest.mark.parametrize("case", SOLVE_WORK, ids=solve_work_id)
+    def test_solve_iterates_once_per_newton_step(self, monkeypatch, case):
+        n, truncation, iterations = case
+        products, madds, steps = SOLVE_WORK[case]
+        calls = {"iterate": 0, "jacobian": 0, "fd_jacobian": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -242,6 +265,15 @@ class TestJacobian:
 
         for name in calls:
             monkeypatch.setattr(solver, name, counted(name, getattr(solver, name)))
-        result = solve(builtin(n))
-        assert result.converged
-        assert calls == {"iterate": result.newton_iterations + 1, "fd_jacobian": 0}
+        rows = []
+
+        def counted_mul(f, g):
+            # f_i * g_j for j <= W - i, over the rows i that mul does not skip
+            rows.append(sum(len(f.coeffs) - i for i, a in enumerate(f.coeffs) if a))
+            return mul(f, g)
+
+        monkeypatch.setattr(engine, "mul", counted_mul)
+        result = solve(with_settings(builtin(n), truncation, iterations))
+        assert result.converged and result.newton_iterations == steps
+        assert calls == {"iterate": steps + 1, "jacobian": steps, "fd_jacobian": 0}
+        assert (len(rows), sum(rows)) == (products, madds)

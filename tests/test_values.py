@@ -24,7 +24,7 @@ from vihpm.problems import (
     with_settings,
 )
 from vihpm.reporting import ErrorRow, ErrorTable
-from vihpm.series import ExpPoly, ExpTerm, Series, expand_exppoly
+from vihpm.series import ExpPoly, ExpTerm, Series, _Value, expand_exppoly
 from vihpm.solver import SolveResult, solve
 
 from ring_helpers import replace
@@ -251,6 +251,62 @@ def test_copied_builtins_solve_alike(n, duplicate):
     assert solve(twin) == solve(spec)
     result = solve(spec)
     assert duplicate(result) == result
+
+
+# the classes that check nothing and build through _Value's constructor
+shared = pytest.mark.parametrize(
+    "name", ["ConvergenceReport", "ErrorRow", "ErrorTable", "SolveResult"]
+)
+
+# what a written-out signature rejects: (fields, values) -> (args, kwargs)
+MISTAKES = {
+    "missing-by-position": lambda f, v: (v[:-1], {}),
+    "missing-by-keyword": lambda f, v: ((), dict(zip(f[1:], v[1:]))),
+    "unknown": lambda f, v: (v, {"no_such_field": 0}),
+    "first-twice": lambda f, v: (v[:1], dict(zip(f, v))),
+    "last-twice": lambda f, v: (v, {f[-1]: v[-1]}),
+    "too-many-positional": lambda f, v: ((*v, v[0]), {}),
+}
+
+
+@shared
+def test_shared_constructor_takes_positions_keywords_and_both(name):
+    value = CASES[name][0]()
+    cls, fields, values = type(value), FIELDS[name], field_values(value)
+    assert cls.__init__ is _Value.__init__ or name == "SolveResult"
+    for split in range(len(fields) + 1):
+        built = cls(*values[:split], **dict(zip(fields[split:], values[split:])))
+        assert built == value and repr(built) == repr(value)
+        # stored as given
+        assert all(getattr(built, f) is v for f, v in zip(fields, values))
+
+
+@shared
+@pytest.mark.parametrize("mistake", MISTAKES)
+def test_shared_constructor_rejects_what_a_signature_would(name, mistake):
+    value = CASES[name][0]()
+    args, kwargs = MISTAKES[mistake](FIELDS[name], field_values(value))
+    with pytest.raises(TypeError, match=f"^{name}\\(\\)"):
+        type(value)(*args, **kwargs)
+
+
+def test_solve_result_iterates_is_keyword_only_and_not_a_field():
+    value = CASES["SolveResult"][0]()
+    values = field_values(value)
+    iterates = (Series((1.0,)), Series((2.0,)))
+    kept = SolveResult(*values, iterates=iterates)
+    assert kept.iterates is iterates and value.iterates is None
+    assert kept == value and hash(kept) == hash(value) and repr(kept) == repr(value)
+    assert "iterates" not in SolveResult._fields
+    with pytest.raises(TypeError, match="SolveResult"):
+        SolveResult(*values, iterates)
+    for twin in (
+        replace(kept),
+        replace(kept, converged=False),
+        copy.copy(kept),
+        pickle.loads(pickle.dumps(kept)),
+    ):
+        assert twin.iterates is None
 
 
 class TestReplaceValidates:
