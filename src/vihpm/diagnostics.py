@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .engine import NonFiniteIterateError, iterate, residual
+from .engine import NonFiniteIterateError, iterate
 from .problems import MAX_SERIES_DEGREE, ProblemSpec
 from .series import Series, _Value, evaluate
 
@@ -23,7 +23,6 @@ __all__ = [
     "ConvergenceReport",
     "analyze_convergence",
     "check_depth",
-    "ode_residual_report",
     "default_grid",
 ]
 
@@ -150,11 +149,3 @@ def analyze_convergence(
         banach_bound_ok=bound_ok,
         fixed_point_reached=fixed_point,
     )
-
-
-def ode_residual_report(
-    spec: ProblemSpec, solution: Series, grid: Sequence[float]
-) -> tuple[float, ...]:
-    """Pointwise |equation defect| of a candidate solution; informational."""
-    defect = residual(solution, spec)
-    return tuple(abs(evaluate(defect, x)) for x in grid)

@@ -28,7 +28,7 @@ import math
 from functools import lru_cache
 from operator import mul
 
-from .series import CACHE_SIZE, Series, _trusted, _Value
+from .series import CACHE_SIZE, Series, _integer, _raise, _trusted, _Value
 
 __all__ = ["CorrectionKernel"]
 
@@ -39,6 +39,10 @@ class CorrectionKernel(_Value):
     __slots__ = _fields = ("order", "truncation")
 
     def __init__(self, order: int, truncation: int) -> None:
+        errors: list[str] = []
+        order = _integer("order", order, errors)
+        truncation = _integer("truncation", truncation, errors)
+        _raise(errors)
         if order < 1:
             raise ValueError("operator order must be at least 1")
         if truncation < order:

@@ -10,7 +10,8 @@ A :class:`ProblemSpec` is valid by construction: it runs :func:`validate`
 on itself and raises :class:`InvalidProblemError` with every violation, or
 naming each field of the wrong type.  Parsed, built-in and directly built
 specs and their copies all pass through that one check, so the solver never
-re-checks.
+re-checks.  The field checkers are :mod:`vihpm.series`'s, as for every
+checked value of the package.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-from .series import ExpPoly, ExpTerm, _Value
+from .series import ExpPoly, ExpTerm, _entries, _horner, _integer, _number, _typed, _Value
 
 __all__ = [
     "BoundaryCondition",
@@ -53,44 +54,6 @@ class InvalidProblemError(ValueError):
     def __init__(self, errors: Sequence[str]) -> None:
         self.errors = tuple(errors)
         super().__init__("; ".join(errors))
-
-
-# Each check returns its input, converted where it can be, and notes a
-# fault in ``errors``; a constructor raises once with every note.
-def _integer(name: str, value: object, errors: list[str]) -> object:
-    try:
-        if int(value) == value:
-            return int(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    errors.append(f"{name} must be an integer, got {value!r}")
-    return value
-
-
-def _number(name: str, value: object, errors: list[str]) -> object:
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        errors.append(f"{name} must be a number, got {value!r}")
-        return value
-
-
-def _typed(name: str, value: object, kind: type, errors: list[str]) -> object:
-    if not isinstance(value, kind):
-        errors.append(f"{name} must be {kind.__name__}, got {value!r}")
-    return value
-
-
-def _entries(name: str, values: object, kind: type, errors: list[str]) -> tuple:
-    try:
-        entries = tuple(values)
-    except TypeError:
-        errors.append(f"{name} must be iterable, got {values!r}")
-        return ()
-    for entry in entries:
-        if not isinstance(entry, kind):
-            errors.append(f"each of {name} must be {kind.__name__}, got {entry!r}")
-    return entries
 
 
 class BoundaryCondition(_Value):
@@ -297,9 +260,7 @@ def _exact_overflows(exact: ExpPoly, b: float) -> list[str]:
     reach = max(1.0, b)
     bound = 0.0
     for part in exact.terms:
-        size = 0.0
-        for c in reversed(part.poly):
-            size = size * reach + abs(c)
+        size = _horner([abs(c) for c in part.poly], reach)
         try:
             size *= math.exp(max(0.0, part.rate * b))
         except OverflowError:
@@ -326,7 +287,7 @@ def _parse_floats(tokens: Sequence[str], line_number: int) -> list[float]:
 def _parse_exp_term(tokens: Sequence[str], line_number: int) -> ExpTerm:
     rate, *poly = _parse_floats(tokens, line_number)
     try:
-        return ExpTerm(rate, tuple(poly))
+        return ExpTerm(rate, poly)
     except ValueError as exc:
         raise ProblemFormatError(line_number, str(exc)) from None
 
@@ -428,10 +389,6 @@ def parse_problem(text: str) -> ProblemSpec:
     )
 
 
-def _exppoly(rate: float, poly: Sequence[float]) -> ExpPoly:
-    return ExpPoly((ExpTerm(rate, tuple(poly)),))
-
-
 # builtins 1 and 3 share the exact solution exp(x)(x - x^2) and these
 # conditions on it
 _EXP_X_TIMES_X_MINUS_X2_BCS = (
@@ -454,18 +411,18 @@ def builtin(n: int) -> ProblemSpec:
             order=7,
             domain_end=1.0,
             terms=(
-                RhsTerm(_exppoly(1.0, (-35.0, -12.0, -2.0))),
-                RhsTerm(_exppoly(0.0, (-1.0,)), (0,)),
+                RhsTerm(ExpPoly.from_terms([(1.0, (-35.0, -12.0, -2.0))])),
+                RhsTerm(ExpPoly.from_terms([(0.0, (-1.0,))]), (0,)),
             ),
             bcs=_EXP_X_TIMES_X_MINUS_X2_BCS,
-            exact=_exppoly(1.0, (0.0, 1.0, -1.0)),
+            exact=ExpPoly.from_terms([(1.0, (0.0, 1.0, -1.0))]),
         )
     if n == 2:
         # u^(7) = exp(-x) u^2, exact u = exp(x)
         return ProblemSpec(
             order=7,
             domain_end=1.0,
-            terms=(RhsTerm(_exppoly(-1.0, (1.0,)), (0, 0)),),
+            terms=(RhsTerm(ExpPoly.from_terms([(-1.0, (1.0,))]), (0, 0)),),
             bcs=(
                 BoundaryCondition(0.0, 0, 1.0),
                 BoundaryCondition(0.0, 1, 1.0),
@@ -475,7 +432,7 @@ def builtin(n: int) -> ProblemSpec:
                 BoundaryCondition(1.0, 1, e),
                 BoundaryCondition(1.0, 2, e),
             ),
-            exact=_exppoly(1.0, (1.0,)),
+            exact=ExpPoly.from_terms([(1.0, (1.0,))]),
         )
     if n == 3:
         # u^(7) = -u u' + exp(x)(-35 - 13x - x^2) + exp(2x)(x - 2x^2 + x^4)
@@ -483,12 +440,12 @@ def builtin(n: int) -> ProblemSpec:
             order=7,
             domain_end=1.0,
             terms=(
-                RhsTerm(_exppoly(0.0, (-1.0,)), (0, 1)),
-                RhsTerm(_exppoly(1.0, (-35.0, -13.0, -1.0))),
-                RhsTerm(_exppoly(2.0, (0.0, 1.0, -2.0, 0.0, 1.0))),
+                RhsTerm(ExpPoly.from_terms([(0.0, (-1.0,))]), (0, 1)),
+                RhsTerm(ExpPoly.from_terms([(1.0, (-35.0, -13.0, -1.0))])),
+                RhsTerm(ExpPoly.from_terms([(2.0, (0.0, 1.0, -2.0, 0.0, 1.0))])),
             ),
             bcs=_EXP_X_TIMES_X_MINUS_X2_BCS,
-            exact=_exppoly(1.0, (0.0, 1.0, -1.0)),
+            exact=ExpPoly.from_terms([(1.0, (0.0, 1.0, -1.0))]),
         )
     if n == 4:
         # u^(7) = u u' + exp(x)(-6 - x) + exp(2x)(x - x^2), three-point
@@ -497,9 +454,9 @@ def builtin(n: int) -> ProblemSpec:
             order=7,
             domain_end=1.0,
             terms=(
-                RhsTerm(_exppoly(0.0, (1.0,)), (0, 1)),
-                RhsTerm(_exppoly(1.0, (-6.0, -1.0))),
-                RhsTerm(_exppoly(2.0, (0.0, 1.0, -1.0))),
+                RhsTerm(ExpPoly.from_terms([(0.0, (1.0,))]), (0, 1)),
+                RhsTerm(ExpPoly.from_terms([(1.0, (-6.0, -1.0))])),
+                RhsTerm(ExpPoly.from_terms([(2.0, (0.0, 1.0, -1.0))])),
             ),
             bcs=(
                 BoundaryCondition(0.0, 0, 1.0),
@@ -510,7 +467,7 @@ def builtin(n: int) -> ProblemSpec:
                 BoundaryCondition(1.0, 2, -2.0 * e),
                 BoundaryCondition(1.0, 0, 0.0),
             ),
-            exact=_exppoly(1.0, (1.0, -1.0)),
+            exact=ExpPoly.from_terms([(1.0, (1.0, -1.0))]),
         )
     raise ValueError(f"builtin problem number must be 1..{BUILTIN_COUNT}, got {n}")
 

@@ -10,9 +10,10 @@ straight from the coefficients and builds no series.
 
 Validation happens where data enters: ``Series(...)`` and
 :func:`make_series` convert every coefficient to float and reject empty or
-non-finite input.  The ring operations trust their operands and build their
-results through :func:`_trusted` without re-checking them, so an overflow
-inside the arithmetic propagates as ``inf``/``nan``.
+non-finite input, with the field checkers defined here that every checked
+value of the package shares.  The ring operations trust their operands and
+build their results through :func:`_trusted` without re-checking them, so
+an overflow inside the arithmetic propagates as ``inf``/``nan``.
 :func:`vihpm.engine.iterate` checks each correction once for finiteness, so
 no non-finite series reaches the solver or a printed table.
 
@@ -63,9 +64,10 @@ class _Value:
     ``_fields`` names the constructor arguments in order; ``__slots__``
     holds them and the tables derived from them.  The shared constructor
     stores the fields as given; a class that checks or derives anything
-    writes its own.  ``==``, ``hash`` and ``repr`` read the fields alone.
-    :meth:`_replace`, ``copy`` and ``pickle`` build through the
-    constructor, so a copy is checked again and derives its own tables.
+    writes its own with the checkers below.  ``==``, ``hash`` and ``repr``
+    read the fields alone.  :meth:`_replace`, ``copy`` and ``pickle`` build
+    through the constructor, so a copy is checked again and derives its own
+    tables.
     """
 
     __slots__ = ()
@@ -134,7 +136,9 @@ class Series(_Value):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        coeffs = tuple(_floats("coeffs", self.coeffs))
+        errors: list[str] = []
+        coeffs = _numbers("coeffs", self.coeffs, errors)
+        _raise(errors)
         if len(coeffs) == 0:
             raise ValueError("a series needs at least one coefficient")
         if not all(math.isfinite(c) for c in coeffs):
@@ -147,12 +151,56 @@ class Series(_Value):
         return len(self.coeffs) - 1
 
 
-def _floats(name: str, values: object) -> list[float]:
-    """``values`` as floats, or a ``ValueError`` that names their field."""
+# Each check returns its input, converted where it can be, and notes a
+# fault in ``errors``; a constructor raises once with every note.
+def _integer(name: str, value: object, errors: list[str]) -> object:
     try:
-        return [float(v) for v in values]
+        if int(value) == value:
+            return int(value)
     except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{name} must be a sequence of numbers, got {values!r}") from None
+        pass
+    errors.append(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _number(name: str, value: object, errors: list[str]) -> object:
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        errors.append(f"{name} must be a number, got {value!r}")
+        return value
+
+
+def _numbers(name: str, values: object, errors: list[str]) -> object:
+    try:
+        return tuple([float(v) for v in values])
+    except (TypeError, ValueError, OverflowError):
+        errors.append(f"{name} must be a sequence of numbers, got {values!r}")
+        return values
+
+
+def _typed(name: str, value: object, kind: type, errors: list[str]) -> object:
+    if not isinstance(value, kind):
+        errors.append(f"{name} must be {kind.__name__}, got {value!r}")
+    return value
+
+
+def _entries(name: str, values: object, kind: type, errors: list[str]) -> tuple:
+    try:
+        entries = tuple(values)
+    except TypeError:
+        errors.append(f"{name} must be iterable, got {values!r}")
+        return ()
+    for entry in entries:
+        if not isinstance(entry, kind):
+            errors.append(f"each of {name} must be {kind.__name__}, got {entry!r}")
+    return entries
+
+
+def _raise(errors: list[str]) -> None:
+    """Raise one ``ValueError`` joining the faults noted, if there are any."""
+    if errors:
+        raise ValueError("; ".join(errors))
 
 
 def _trusted(coeffs: tuple[float, ...]) -> Series:
@@ -168,15 +216,17 @@ def make_series(coeffs: Sequence[float], truncation: int) -> Series:
     Rejects coefficient lists longer than ``truncation + 1``: dropping
     supplied data would hide a degree error at the call site.
     """
+    errors: list[str] = []
+    values = _numbers("coeffs", coeffs, errors)
+    truncation = _integer("truncation", truncation, errors)
+    _raise(errors)
     if truncation < 0:
         raise ValueError("truncation degree must be non-negative")
-    values = _floats("coeffs", coeffs)
     if len(values) > truncation + 1:
         raise ValueError(
             f"{len(values)} coefficients exceed truncation degree {truncation}"
         )
-    values += [0.0] * (truncation + 1 - len(values))
-    return Series(tuple(values))
+    return Series(values + (0.0,) * (truncation + 1 - len(values)))
 
 
 def pad_to(f: Series, truncation: int) -> Series:
@@ -290,12 +340,17 @@ def _falling_factorials(order: int, truncation: int) -> tuple[float, ...]:
     return tuple(table)
 
 
-def evaluate(f: Series, x: float) -> float:
-    """Horner evaluation of the truncated polynomial at ``x``."""
+def _horner(coeffs: Sequence[float], x: float) -> float:
+    """``sum(coeffs[k] * x**k)`` by Horner's rule, from +0.0 at the top."""
     acc = 0.0
-    for c in reversed(f.coeffs):
+    for c in reversed(coeffs):
         acc = acc * x + c
     return acc
+
+
+def evaluate(f: Series, x: float) -> float:
+    """Horner evaluation of the truncated polynomial at ``x``."""
+    return _horner(f.coeffs, x)
 
 
 def evaluate_derivative(f: Series, order: int, x: float) -> float:
@@ -324,11 +379,10 @@ class ExpTerm(_Value):
     __slots__ = _fields = ("rate", "poly")
 
     def __init__(self, rate: float, poly: Sequence[float]) -> None:
-        try:
-            rate = float(rate)
-        except (TypeError, ValueError, OverflowError):
-            raise ValueError(f"rate must be a number, got {rate!r}") from None
-        poly = tuple(_floats("poly", poly))
+        errors: list[str] = []
+        rate = _number("rate", rate, errors)
+        poly = _numbers("poly", poly, errors)
+        _raise(errors)
         if len(poly) == 0:
             raise ValueError("exponential-polynomial term needs a polynomial part")
         if not math.isfinite(rate) or not all(math.isfinite(c) for c in poly):
@@ -344,30 +398,23 @@ class ExpPoly(_Value):
     _fields = ("terms",)
 
     def __init__(self, terms: Sequence[ExpTerm]) -> None:
-        try:
-            # a tuple keeps the value hashable, so the specs that hold it are too
-            terms = tuple(terms)
-        except TypeError:
-            raise ValueError(f"terms must be iterable, got {terms!r}") from None
-        for term in terms:
-            if not isinstance(term, ExpTerm):
-                raise ValueError(f"each of terms must be ExpTerm, got {term!r}")
+        errors: list[str] = []
+        # a tuple keeps the value hashable, so the specs that hold it are too
+        terms = _entries("terms", terms, ExpTerm, errors)
+        _raise(errors)
         object.__setattr__(self, "terms", terms)
         # degree -> Series, filled by expand_exppoly
         object.__setattr__(self, "_expansion", {})
 
     @classmethod
     def from_terms(cls, terms: Sequence[tuple[float, Sequence[float]]]) -> "ExpPoly":
-        return cls(tuple(ExpTerm(rate, tuple(poly)) for rate, poly in terms))
+        return cls(tuple(ExpTerm(rate, poly) for rate, poly in terms))
 
     def evaluate(self, x: float) -> float:
         """Direct evaluation, independent of any series truncation."""
         total = 0.0
         for term in self.terms:
-            acc = 0.0
-            for c in reversed(term.poly):
-                acc = acc * x + c
-            total += math.exp(term.rate * x) * acc
+            total += math.exp(term.rate * x) * _horner(term.poly, x)
         return total
 
 

@@ -48,6 +48,19 @@ EXPANSION_TESTS = (
     "tests/test_engine.py",
     "tests/test_problems.py",
 )
+PICARD_TESTS = ("tests/test_trusted_ring.py::TestPicardStep", "tests/test_engine.py")
+DERIVATIVE_TESTS = (
+    "tests/test_series.py",
+    "tests/test_trusted_ring.py::TestDerivativeWithoutCopies",
+)
+DENSE_SOLVE_TESTS = ("tests/test_trusted_ring.py::TestDenseSolve",)
+GEOMETRIC_TESTS = ("tests/test_diagnostics.py",)
+FIELD_TESTS = ("tests/test_series.py", "tests/test_kernel.py", "tests/test_problems.py")
+HORNER_TESTS = (
+    "tests/test_series.py",
+    "tests/test_problems.py",
+    "tests/test_reporting.py",
+)
 
 MUTANTS = (
     Mutant(
@@ -80,6 +93,94 @@ MUTANTS = (
         "if i + 3 < n and fc[i + 2] and fc[i + 3]:",
         "if i + 3 < n and (fc[i + 2] or fc[i + 3]):",
         PRODUCT_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "mul: a two-row pass skips no row",
+        "vihpm/series.py",
+        "            next(rows)\n            p = gc[0]\n",
+        "            p = gc[0]\n",
+        PRODUCT_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "mul: a one-row pass stops a degree short",
+        "vihpm/series.py",
+        "for j in range(n - i):",
+        "for j in range(n - i - 1):",
+        PRODUCT_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "_picard: the integral negated as -(f_j * w_j), which is -0.0 at a zero",
+        "vihpm/engine.py",
+        "0.0 - c * w for c, w",
+        "-(c * w) for c, w",
+        PICARD_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "_picard: the integral added instead of subtracted",
+        "vihpm/engine.py",
+        "0.0 - c * w for c, w",
+        "c * w for c, w",
+        PICARD_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "evaluate_derivative: the falling factorials taken in the wrong order",
+        "vihpm/series.py",
+        "zip(reversed(f.coeffs[order:]), reversed(falls))",
+        "zip(reversed(f.coeffs[order:]), falls)",
+        DERIVATIVE_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "_solve_dense: a tie moves the pivot to the lower row",
+        "vihpm/solver.py",
+        "            if entry > size:\n",
+        "            if entry >= size:\n",
+        DENSE_SOLVE_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "_solve_dense: a NaN pivot candidate is replaced",
+        "vihpm/solver.py",
+        "            if entry > size:\n",
+        "            if not entry <= size:\n",
+        DENSE_SOLVE_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "_geometric_sum: the powers added from the largest exponent down",
+        "vihpm/diagnostics.py",
+        "for j in range(first, stop):",
+        "for j in reversed(range(first, stop)):",
+        GEOMETRIC_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "_integer: a non-integral number is truncated, not rejected",
+        "vihpm/series.py",
+        "        if int(value) == value:\n            return int(value)\n",
+        "        return int(value)\n",
+        FIELD_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "_entries: the class of each entry is not checked",
+        "vihpm/series.py",
+        "    for entry in entries:\n        if not isinstance(entry, kind):\n",
+        "    for entry in ():\n        if not isinstance(entry, kind):\n",
+        FIELD_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "_horner: the coefficients taken from the lowest degree up",
+        "vihpm/series.py",
+        "    for c in reversed(coeffs):\n",
+        "    for c in coeffs:\n",
+        HORNER_TESTS,
         "killed",
     ),
     Mutant(

@@ -51,6 +51,11 @@ class TestSolveCommand:
         code, out, err = run_cli(capsys, "solve", str(path))
         assert code == 0
         assert "-0.333333" in out
+        # u' = u, u(0) = 1: every condition is at the origin
+        path.write_text("order 1\ndomain 0 1\nterm 0 1 ; 0\nbc 0 0 1\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "solve", str(path))
+        assert code == 0
+        assert out.startswith("no free constants (all conditions at the origin)\n")
 
     def test_emit_files(self, capsys, tmp_path):
         csv_path = tmp_path / "table.csv"
@@ -81,6 +86,11 @@ class TestSolveCommand:
         assert code == 0
         assert " 0.250 " in out
         assert " 0.750 " in out
+        # 0.3 does not divide [0, 1]: the grid takes its multiples up to 0.9
+        code, out, _ = run_cli(capsys, "solve", "--builtin", "1", "--grid-step", "0.3")
+        assert code == 0
+        rows = out.split("abs_error\n")[1].splitlines()[:-1]
+        assert [row.split()[0] for row in rows] == ["0.000", "0.300", "0.600", "0.900"]
 
     def test_iterations_override(self, capsys, tmp_path):
         series_path = tmp_path / "series.csv"

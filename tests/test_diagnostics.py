@@ -1,4 +1,4 @@
-"""Contraction estimates and equation-defect reporting."""
+"""Contraction estimates from successive corrections."""
 
 import math
 import pickle
@@ -6,8 +6,8 @@ import pickle
 import pytest
 
 from vihpm import diagnostics
-from vihpm.diagnostics import analyze_convergence, default_grid, ode_residual_report
-from vihpm.engine import correct_once, initial_approx, residual
+from vihpm.diagnostics import analyze_convergence, default_grid
+from vihpm.engine import NonFiniteIterateError, correct_once, initial_approx
 from vihpm.problems import (
     BoundaryCondition,
     ProblemSpec,
@@ -15,7 +15,7 @@ from vihpm.problems import (
     parse_problem,
     with_settings,
 )
-from vihpm.series import Series, evaluate, expand_exppoly, pad_to, sub
+from vihpm.series import Series, evaluate, pad_to, sub
 from vihpm.solver import solve
 
 GRID = tuple(i / 10 for i in range(11))
@@ -190,6 +190,9 @@ class TestSolveIterates:
         report = self.report_on_constant_iterates((0.0, 1.0, 1e200, 2e200, 3e200))
         assert report.gamma_max == 1e200
         assert not report.banach_bound_ok
+        # but a gap between two iterates that overflows raises
+        with pytest.raises(NonFiniteIterateError, match="gap between two iterates"):
+            self.report_on_constant_iterates((0.0, 1e308, -1e308))
 
 
 class TestGeometricSum:
@@ -197,34 +200,6 @@ class TestGeometricSum:
         # 1 + 0.3 + 0.3**2: sum() of floats, compensated since 3.12, gives
         # 0x1.63d70a3d70a3dp+0 there
         assert diagnostics._geometric_sum(0.3, 0, 3).hex() == "0x1.63d70a3d70a3ep+0"
-
-
-class TestOdeResidualReport:
-    def test_reference_series_defect_is_truncation_limited(self):
-        spec = with_settings(builtin(2), truncation=20)
-        ref = expand_exppoly(spec.exact, 20)
-        values = ode_residual_report(spec, ref, GRID)
-        assert len(values) == 11
-        assert max(values) <= 1e-6
-
-    def test_zero_rhs_polynomial_reports_zeros(self):
-        spec = ProblemSpec(
-            order=3,
-            domain_end=1.0,
-            terms=(),
-            bcs=(
-                BoundaryCondition(0.0, 0, 1.0),
-                BoundaryCondition(0.0, 1, 1.0),
-                BoundaryCondition(0.0, 2, 1.0),
-            ),
-        )
-        u0 = initial_approx(spec, ())
-        assert ode_residual_report(spec, u0, GRID) == (0.0,) * 11
-
-    def test_solved_first_builtin_values_reported(self):
-        result = solve(builtin(1))
-        values = ode_residual_report(builtin(1), result.solution, GRID)
-        assert len(values) == 11
-        assert all(v >= 0.0 for v in values)
-        # defect vanishes identically at the origin by construction
-        assert values[0] == 0.0
+        # 1 + 0.7 + ... + 0.7**4 added from the largest power down gives
+        # 0x1.62f4f0d844d00p+1
+        assert diagnostics._geometric_sum(0.7, 0, 5).hex() == "0x1.62f4f0d844d01p+1"

@@ -122,6 +122,14 @@ class TestResidual:
         v = initial_approx(spec, (0.3, -0.2, 0.7))
         assert all(c == 0.0 for c in residual(v, spec).coeffs)
 
+    def test_solved_first_builtin_defect(self):
+        result = solve(builtin(1))
+        defect = residual(result.solution, builtin(1))
+        values = [evaluate(defect, i / 10) for i in range(11)]
+        assert all(map(math.isfinite, values))
+        # the defect vanishes identically at the origin by construction
+        assert values[0] == 0.0
+
 
 class TestCorrectOnce:
     def test_degree_grows_by_order(self):
@@ -280,6 +288,8 @@ class TestHeCoefficients:
             he_coefficients(
                 builtin(1), (make_series([1.0], 5), make_series([1.0], 6))
             )
+        with pytest.raises(ValueError, match="at least one expansion part"):
+            he_coefficients(builtin(1), ())
 
 
 class TestPicks:
@@ -350,6 +360,8 @@ class TestIterate:
     def test_default_depth_comes_from_spec(self):
         spec = with_settings(builtin(1), iterations=2)
         assert iterate(spec, (0.0, 0.0, 0.0))[-1].truncation == 12 + 14
+        with pytest.raises(ValueError, match="iteration count must be non-negative"):
+            iterate(spec, (0.0, 0.0, 0.0), -1)
 
     def test_origin_conditions_preserved_exactly(self):
         for n in range(1, 5):

@@ -16,13 +16,21 @@ class TestConstruction:
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
             CorrectionKernel(0, 5)
+        # before, a float order was stored and a text one raised TypeError
+        with pytest.raises(ValueError, match="^order must be an integer, got 7.5$"):
+            CorrectionKernel(7.5, 12)
+        with pytest.raises(ValueError, match="^order must be an integer, got 'a'$"):
+            CorrectionKernel("a", 5)
 
     def test_rejects_truncation_below_order(self):
         with pytest.raises(ValueError):
             CorrectionKernel(7, 6)
 
     def test_rejects_mismatched_residual(self):
-        k = CorrectionKernel(7, 12)
+        # integral floats become ints; before, integrate raised TypeError
+        k = CorrectionKernel(7.0, 12.0)
+        assert k == CorrectionKernel(7, 12) and type(k.order) is int
+        assert k.integrate(make_series([1.0], 12)).truncation == 12
         with pytest.raises(ValueError):
             k.integrate(make_series([1.0], 11))
 

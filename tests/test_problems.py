@@ -168,6 +168,9 @@ class TestValidate:
         ]
 
     def test_direct_construction_is_checked(self):
+        assert rejection(ProblemSpec, order=0, domain_end=1.0, terms=(), bcs=()) == [
+            "operator order must be at least 1, got 0"
+        ]
         # neither spec may reach the engine: both used to iterate silently
         assert rejection(
             ProblemSpec,
@@ -496,6 +499,20 @@ class TestParse:
         assert str(info.value) == (
             "line 3: exponential-polynomial data must be finite"
         )
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("truncation x", "not an integer: 'x'"),
+            ("domain 1", "domain takes two numbers"),
+            ("bc 0 0", "bc takes point, derivative order, value"),
+            ("exact 1", "exact needs a rate and at least one coefficient"),
+        ],
+    )
+    def test_malformed_line_is_named(self, line, message):
+        with pytest.raises(ProblemFormatError) as info:
+            parse_problem(f"order 1\ndomain 0 1\n{line}\nbc 0 0 0\n")
+        assert str(info.value) == f"line 3: {message}"
 
     @pytest.mark.parametrize("keyword", ["order", "truncation", "iterations"])
     def test_integer_setting_takes_one_value(self, keyword):

@@ -102,11 +102,18 @@ class TestInputTypes:
             (lambda: Series([None]), "coeffs must be a sequence of numbers, got \\[None\\]"),
             (lambda: Series(["a"]), "coeffs must be a sequence of numbers"),
             (lambda: make_series([None], 3), "coeffs must be a sequence of numbers"),
+            (lambda: make_series([1.0], 2.5), "^truncation must be an integer, got 2.5$"),
+            (
+                lambda: ExpTerm(None, None),
+                "^rate must be a number, got None; "
+                "poly must be a sequence of numbers, got None$",
+            ),
         ],
         ids=[
             "exppoly-float-term", "exppoly-none-term", "exppoly-none", "expterm-none-rate",
             "expterm-text-rate", "expterm-none-poly", "expterm-text-poly", "series-none",
             "series-none-coeff", "series-text-coeff", "make-series-none-coeff",
+            "make-series-float-truncation", "expterm-every-fault",
         ],
     )
     def test_wrong_type_names_the_field(self, build, message):
