@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .engine import NonFiniteIterateError, iterate
 from .problems import MAX_SERIES_DEGREE, ProblemSpec
-from .series import Series, _Value, evaluate
+from .series import Series, _numbers, _raise, _Value, evaluate
 
 __all__ = [
     "ConvergenceReport",
@@ -104,15 +104,19 @@ def analyze_convergence(
     which is the triangle-inequality consequence of a true contraction
     constant gamma_max; the slack absorbs grid evaluation roundoff.  A
     power of gamma_max that overflows is +inf; delta_0 == 0 bounds by 0.
-    An empty grid or a non-finite grid point raises ``ValueError`` before
-    any correction runs.  Raises :class:`~vihpm.engine.NonFiniteIterateError`
-    when an iterate's value on the grid or a gap between two iterates is not
-    finite.  ``iterates``, such as a :class:`~vihpm.solver.SolveResult`'s,
+    A grid that is not a sequence of numbers, is empty or has a non-finite
+    point raises ``ValueError`` before any correction runs, as do constants
+    that :func:`~vihpm.engine.initial_approx` rejects.  Raises
+    :class:`~vihpm.engine.NonFiniteIterateError` when an iterate's value on
+    the grid or a gap between two iterates is not finite.  ``iterates``, such as a :class:`~vihpm.solver.SolveResult`'s,
     are v_0..v_j at ``constants``; only corrections past j are run.
     """
     check_depth(spec, depth)
     if grid is None:
         grid = default_grid(spec)
+    errors: list[str] = []
+    grid = _numbers("grid", grid, errors)
+    _raise(errors)
     if not grid or not all(map(math.isfinite, grid)):
         raise ValueError("grid must be non-empty and finite")
     v = iterate(spec, constants, depth, iterates or ())

@@ -26,7 +26,8 @@ the derivative of F at v along dv.  :func:`tangents` differentiates the
 whole iteration with respect to every free constant at once: per iterate it
 builds that derivative once, as a sum over derivative orders d of
 ``dv^(d) * L_d``, and carries all the tangents through it and the same
-Picard step (vector forward mode).
+Picard step (vector forward mode); only this module pairs a term's factors
+into the chains of L_d (:func:`_rests`).
 """
 
 from __future__ import annotations
@@ -42,6 +43,8 @@ from .series import (
     CACHE_SIZE,
     Series,
     _check_same_ring,
+    _numbers,
+    _raise,
     _trusted,
     add,
     differentiate,
@@ -79,15 +82,15 @@ def initial_approx(spec: ProblemSpec, constants: Sequence[float]) -> Series:
     m to W are zero.  Only the constants are checked: they come from the
     caller, while the spec checked its condition values and computed the
     origin coefficients once when it was built, so the coefficients are
-    wrapped without re-validating them.  A non-finite constant raises
-    ``ValueError``, as :func:`make_series` would.
+    wrapped without re-validating them.  Non-numeric or non-finite
+    constants raise ``ValueError``, as :func:`make_series` would.
     """
+    errors: list[str] = []
+    values = _numbers("constants", constants, errors)
+    _raise(errors)
     free = spec.unknown_degrees()
-    if len(constants) != len(free):
-        raise ValueError(
-            f"expected {len(free)} free constants, got {len(constants)}"
-        )
-    values = [float(c) for c in constants]
+    if len(values) != len(free):
+        raise ValueError(f"expected {len(free)} free constants, got {len(values)}")
     if not all(map(math.isfinite, values)):
         raise ValueError("series coefficients must be finite")
     coeffs = [*spec._origin_head, *[0.0] * (spec.truncation + 1 - spec.order)]
@@ -127,6 +130,16 @@ def _picks(
         pick[t] = 0
         pick[t - 1] += 1
         pick[-1] = rest
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _rests(factors: tuple[int, ...]) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """For each factor i of a term, d_i and the other factors' orders as a
+    sorted tuple: the chain that ``dv^(d_i)`` multiplies in ``F'(v) dv``."""
+    return tuple([
+        (d, tuple(sorted(factors[:i] + factors[i + 1 :])))
+        for i, d in enumerate(factors)
+    ])
 
 
 def _he_order(spec: ProblemSpec, parts: Sequence[Series], k: int) -> Series:
@@ -204,27 +217,20 @@ def _sparse_first(f: Series, g: Series) -> Series:
     return mul(f, g)
 
 
-def _linearization(
-    spec: ProblemSpec, v: Series
-) -> tuple[tuple[int, Series, bool], ...]:
-    """F'(v) as triples ``(d, L_d, affine)``, ``F'(v) dv = sum_d dv^(d) L_d``.
+def _linearization(spec: ProblemSpec, v: Series) -> tuple[tuple[int, Series], ...]:
+    """F'(v) as pairs ``(d, L_d)``, ``F'(v) dv = sum_d dv^(d) L_d``.
 
     Putting dv into factor i of a term ``c * prod_l u^(d_l)`` leaves the
-    chain ``c * prod_{l != i} v^(d_l)``.  Each distinct chain of a term (its
-    remaining orders as a sorted tuple, which the term's ``_rests`` pairs
-    with d_i) is formed once, and the chains that pair with the same order
-    d are summed into L_d.  ``affine`` marks an L_d made of one-factor
-    terms' coefficients alone.  :func:`_apply` keeps such an L_d as the
-    first operand of its product, so an affine problem's tangent is, bit
-    for bit, the iterate of its homogeneous equation.
+    chain ``c * prod_{l != i} v^(d_l)``.  Each distinct chain of a term (a
+    sorted tuple of :func:`_rests`) is formed once, and the chains that pair
+    with the same order d are summed into L_d.
     """
     w = v.truncation
     derivatives: dict[int, Series] = {}
     linear: dict[int, Series] = {}
-    affine: dict[int, bool] = {}
     for term in spec.terms:
         chains: dict[tuple[int, ...], Series] = {}
-        for d, rest in term._rests:
+        for d, rest in _rests(term.factors):
             chain = chains.get(rest)
             if chain is None:
                 chain = expand_exppoly(term.coeff, w)
@@ -234,16 +240,14 @@ def _linearization(
                     chain = _sparse_first(chain, derivatives[e])
                 chains[rest] = chain
             linear[d] = add(linear[d], chain) if d in linear else chain
-            affine[d] = affine.get(d, True) and not rest
-    return tuple((d, weight, affine[d]) for d, weight in linear.items())
+    return tuple(linear.items())
 
 
-def _apply(linear: tuple[tuple[int, Series, bool], ...], dv: Series) -> Series:
-    """``F'(v) dv`` from the triples of :func:`_linearization`."""
+def _apply(linear: tuple[tuple[int, Series], ...], dv: Series) -> Series:
+    """``F'(v) dv`` from the pairs of :func:`_linearization`."""
     total: Series | None = None
-    for d, weight, affine in linear:
-        derivative = differentiate(dv, d)
-        term = mul(weight, derivative) if affine else _sparse_first(weight, derivative)
+    for d, weight in linear:
+        term = _sparse_first(weight, differentiate(dv, d))
         total = term if total is None else add(total, term)
     if total is None:
         total = make_series((), dv.truncation)

@@ -11,7 +11,8 @@ on itself and raises :class:`InvalidProblemError` with every violation, or
 naming each field of the wrong type.  Parsed, built-in and directly built
 specs and their copies all pass through that one check, so the solver never
 re-checks.  The field checkers are :mod:`vihpm.series`'s, as for every
-checked value of the package.
+checked value of the package.  A term is plain data, its coefficient and
+factors; the tables the solver needs from the factors are :mod:`vihpm.engine`'s.
 """
 
 from __future__ import annotations
@@ -77,14 +78,10 @@ class RhsTerm(_Value):
     """One right-hand-side term ``coeff(x) * prod_i u^(d_i)(x)``.
 
     ``factors`` lists the derivative orders d_1..d_r of the product; empty
-    factors mean the term is a pure forcing function.  A term computes its
-    ``_rests`` once: for each factor i, the pair of d_i and the other
-    factors' orders as a sorted tuple, which is what the linearization of F
-    pairs a tangent's derivative with.
+    factors mean the term is a pure forcing function.
     """
 
-    __slots__ = ("coeff", "factors", "_rests")
-    _fields = ("coeff", "factors")
+    __slots__ = _fields = ("coeff", "factors")
 
     def __init__(self, coeff: ExpPoly, factors: Iterable[int] = ()) -> None:
         errors: list[str] = []
@@ -95,15 +92,6 @@ class RhsTerm(_Value):
             raise InvalidProblemError(errors)
         object.__setattr__(self, "coeff", coeff)
         object.__setattr__(self, "factors", factors)
-        # not a field, so ==, hash and repr still see the fields alone
-        object.__setattr__(
-            self,
-            "_rests",
-            tuple([
-                (d, tuple(sorted(factors[:i] + factors[i + 1 :])))
-                for i, d in enumerate(factors)
-            ]),
-        )
 
 
 class ProblemSpec(_Value):

@@ -7,7 +7,7 @@ from typing import IO, Sequence
 
 from .engine import NonFiniteIterateError
 from .problems import ProblemSpec
-from .series import Series, _Value, evaluate
+from .series import Series, _numbers, _raise, _Value, evaluate
 from .solver import SolveResult
 
 __all__ = [
@@ -38,11 +38,14 @@ def error_table(
     """Tabulate the solved series against the reference on a grid.
 
     Without a reference solution the exact and error columns stay empty.
-    The grid must be finite and strictly increasing so emitted tables read
-    naturally.  Raises :class:`~vihpm.engine.NonFiniteIterateError` when a
-    value in the table is not finite.
+    The grid must be a sequence of numbers, finite and strictly increasing
+    so emitted tables read naturally.  Raises
+    :class:`~vihpm.engine.NonFiniteIterateError` when a value in the table
+    is not finite.
     """
-    grid = [float(x) for x in grid]
+    errors: list[str] = []
+    grid = _numbers("grid", grid, errors)
+    _raise(errors)
     if not all(map(math.isfinite, grid)) or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be finite and strictly increasing")
     rows = []

@@ -61,6 +61,10 @@ HORNER_TESTS = (
     "tests/test_problems.py",
     "tests/test_reporting.py",
 )
+LINEARIZATION_TESTS = (
+    "tests/test_trusted_ring.py::TestSpecTables",
+    "tests/test_engine.py::TestLinearization",
+)
 
 MUTANTS = (
     Mutant(
@@ -181,6 +185,22 @@ MUTANTS = (
         "    for c in reversed(coeffs):\n",
         "    for c in coeffs:\n",
         HORNER_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "_rests: the other factors' orders left unsorted",
+        "vihpm/engine.py",
+        "(d, tuple(sorted(factors[:i] + factors[i + 1 :])))",
+        "(d, factors[:i] + factors[i + 1 :])",
+        LINEARIZATION_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "_apply: the weight kept as the first operand of every tangent product",
+        "vihpm/engine.py",
+        "_sparse_first(weight, differentiate(dv, d))",
+        "mul(weight, differentiate(dv, d))",
+        LINEARIZATION_TESTS,
         "killed",
     ),
     Mutant(

@@ -5,7 +5,7 @@ import pickle
 
 import pytest
 
-from vihpm import diagnostics
+from vihpm import diagnostics, engine
 from vihpm.diagnostics import analyze_convergence, default_grid
 from vihpm.engine import NonFiniteIterateError, correct_once, initial_approx
 from vihpm.problems import (
@@ -98,6 +98,23 @@ class TestAnalyzeConvergence:
         monkeypatch.setattr(diagnostics, "iterate", lambda *args: pytest.fail("ran"))
         with pytest.raises(ValueError, match="grid must be non-empty and finite"):
             analyze_convergence(builtin(1), (0.0, 0.0, 0.0), depth=2, grid=grid)
+
+    @pytest.mark.parametrize(
+        "field,constants,grid",
+        [
+            ("grid", (0.0, 0.0, 0.0), (0.0, None)),
+            ("grid", (0.0, 0.0, 0.0), ("a", 1.0)),
+            ("grid", (0.0, 0.0, 0.0), 1.0),
+            ("constants", (None, 0, 0), GRID),
+            ("constants", ("a", 0, 0), GRID),
+        ],
+        ids=["grid-none", "grid-text", "grid-bare", "constants-none", "constants-text"],
+    )
+    def test_non_numeric_field_is_named(self, monkeypatch, field, constants, grid):
+        # a ValueError naming the field, before any correction runs
+        monkeypatch.setattr(engine, "correct_once", lambda *args: pytest.fail("ran"))
+        with pytest.raises(ValueError, match=f"^{field} must be a sequence of numbers, got "):
+            analyze_convergence(builtin(1), constants, depth=2, grid=grid)
 
     def test_default_grid_matches_table_spacing(self):
         grid = default_grid(builtin(1))

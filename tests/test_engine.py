@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -80,6 +81,16 @@ class TestInitialApprox:
     def test_wrong_constant_count(self):
         with pytest.raises(ValueError, match="free constants"):
             initial_approx(builtin(1), (1.0,))
+
+    @pytest.mark.parametrize("run", [initial_approx, iterate])
+    @pytest.mark.parametrize(
+        "constants", [(None, 0, 0), ("a", 0, 0), None], ids=["none", "text", "bare"]
+    )
+    def test_non_numeric_constants_name_the_field(self, run, constants):
+        # a ValueError naming the field, not a bare float() error
+        message = f"constants must be a sequence of numbers, got {constants!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run(builtin(1), constants)
 
     def test_all_origin_conditions_pure_taylor(self):
         spec = ProblemSpec(
@@ -592,36 +603,26 @@ class TestLinearization:
         monkeypatch.setattr(engine, "mul", lambda f, g: calls.append(1) or mul(f, g))
         linear = _linearization(spec, self.random_series(random.Random(5), 14))
         assert len(calls) == products
-        assert sorted(d for d, _, _ in linear) == orders
-        assert not any(affine for _, _, affine in linear)
-
-    def test_affine_orders_are_marked(self):
-        linear = _linearization(
-            cubic_spec(MIXED_TERMS[:1] + MIXED_TERMS[2:]),
-            self.random_series(random.Random(6), 14),
-        )
-        # L_0 sums the affine coefficient and the chain u'u', so no order is affine
-        assert {d: affine for d, _, affine in linear} == {0: False, 1: False}
-        linear = _linearization(
-            cubic_spec(MIXED_TERMS[:1]), self.random_series(random.Random(7), 14)
-        )
-        assert [(d, affine) for d, _, affine in linear] == [(0, True)]
+        assert sorted(d for d, _ in linear) == orders
 
     def test_sparser_operand_comes_first(self, monkeypatch):
-        # mul skips the zero coefficients of its first operand only; builtin
-        # 2 has no affine term, whose coefficient would stay first
-        spec = with_settings(builtin(2), truncation=30, iterations=3)
-        iterates = iterate(spec, [0.1] * spec.unknown_count())
-        operands = []
+        # mul skips the zero coefficients of its first operand only; the
+        # second spec is affine, with a dense coefficient against seeds x^j
+        for spec in (
+            with_settings(builtin(2), truncation=30, iterations=3),
+            cubic_spec(MIXED_TERMS[:1]),
+        ):
+            iterates = iterate(spec, [0.1] * spec.unknown_count())
+            operands = []
 
-        def spy(f, g):
-            operands.append([len(s.coeffs) - s.coeffs.count(0.0) for s in (f, g)])
-            return mul(f, g)
+            def spy(f, g):
+                operands.append([len(s.coeffs) - s.coeffs.count(0.0) for s in (f, g)])
+                return mul(f, g)
 
-        monkeypatch.setattr(engine, "mul", spy)
-        tangents(spec, iterates)
-        assert all(first <= second for first, second in operands)
-        assert any(first < second for first, second in operands)
+            monkeypatch.setattr(engine, "mul", spy)
+            tangents(spec, iterates)
+            assert all(first <= second for first, second in operands)
+            assert any(first < second for first, second in operands)
 
     @LINEARIZED
     def test_jacobian_matches_central_differences(self, terms):

@@ -97,6 +97,16 @@ class TestErrorTable:
         with pytest.raises(ValueError, match="grid must be finite"):
             error_table(spec, result, grid)
 
+    @pytest.mark.parametrize(
+        "grid", [(0.0, None), ("a", 1.0), 1.0], ids=["none", "text", "bare"]
+    )
+    def test_non_numeric_grid_names_the_field(self, monkeypatch, grid):
+        spec = builtin(1)
+        result = solve(spec)
+        monkeypatch.setattr(reporting, "evaluate", lambda *args: pytest.fail("ran"))
+        with pytest.raises(ValueError, match="^grid must be a sequence of numbers, got "):
+            error_table(spec, result, grid)
+
     def test_without_reference_columns_empty(self):
         spec = ProblemSpec(
             order=1,

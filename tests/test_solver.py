@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 
 import pytest
 
@@ -45,6 +46,21 @@ SOLVE_WORK = {
     (4, 30, 3): (78, 18037, 2),
 }
 
+# (builtin, W, k) -> the madds of one solve by the engine function whose
+# product does them: F's order-0 terms (_he_order), the chains of F's
+# linearization (_linearization) and the tangent products (_apply); they
+# add up to SOLVE_WORK's madds
+SITE_MADDS = {
+    (1, 12, 1): (26, 0, 39),
+    (2, 12, 1): (477, 116, 48),
+    (3, 12, 1): (153, 52, 102),
+    (4, 12, 1): (179, 52, 158),
+    (1, 30, 3): (228, 0, 342),
+    (2, 30, 3): (12975, 3647, 5398),
+    (3, 30, 3): (5295, 456, 8236),
+    (4, 30, 3): (5523, 456, 12058),
+}
+
 
 def solve_work_id(case):
     # builtin(n) is at the paper's setting (12, 1), named by n alone
@@ -52,6 +68,12 @@ def solve_work_id(case):
     if (truncation, iterations) == (12, 1):
         return str(n)
     return f"{n}-{truncation}-{iterations}"
+
+
+def row_madds(f):
+    """Madds of ``mul(f, g)``: f_i * g_j for j <= W - i, over the rows i that
+    mul does not skip."""
+    return sum(len(f.coeffs) - i for i, a in enumerate(f.coeffs) if a)
 
 
 def eval_derivative_direct(coeffs, order, x):
@@ -268,8 +290,7 @@ class TestJacobian:
         rows = []
 
         def counted_mul(f, g):
-            # f_i * g_j for j <= W - i, over the rows i that mul does not skip
-            rows.append(sum(len(f.coeffs) - i for i, a in enumerate(f.coeffs) if a))
+            rows.append(row_madds(f))
             return mul(f, g)
 
         monkeypatch.setattr(engine, "mul", counted_mul)
@@ -277,3 +298,21 @@ class TestJacobian:
         assert result.converged and result.newton_iterations == steps
         assert calls == {"iterate": steps + 1, "jacobian": steps, "fd_jacobian": 0}
         assert (len(rows), sum(rows)) == (products, madds)
+
+    @pytest.mark.parametrize("case", SITE_MADDS, ids=solve_work_id)
+    def test_madds_by_call_site(self, monkeypatch, case):
+        n, truncation, iterations = case
+        madds = dict.fromkeys(("_he_order", "_linearization", "_apply"), 0)
+
+        def counted_mul(f, g):
+            # booked to the nearest of the three on the call stack
+            frame = sys._getframe(1)
+            while frame.f_code.co_name not in madds:
+                frame = frame.f_back
+            madds[frame.f_code.co_name] += row_madds(f)
+            return mul(f, g)
+
+        monkeypatch.setattr(engine, "mul", counted_mul)
+        solve(with_settings(builtin(n), truncation, iterations))
+        assert tuple(madds.values()) == SITE_MADDS[case]
+        assert sum(SITE_MADDS[case]) == SOLVE_WORK[case][1]

@@ -127,7 +127,6 @@ CASES = {
 # what each class keeps beside its fields
 DERIVED = {
     "ExpPoly": ("_expansion",),
-    "RhsTerm": ("_rests",),
     "ProblemSpec": ("_origin", "_origin_head", "_off_origin", "_unknown_degrees"),
     "SolveResult": ("iterates",),
 }
@@ -196,6 +195,12 @@ def test_equality_and_hash(name):
     assert a.__eq__(field_values(a)) is NotImplemented
     assert a.__eq__(object()) is NotImplemented
     assert a != field_values(a)
+
+
+@names
+def test_slots_are_the_fields_then_the_derived_tables(name):
+    cls = type(CASES[name][0]())
+    assert cls.__slots__ == (*FIELDS[name], *DERIVED.get(name, ()))
 
 
 @names
@@ -328,11 +333,6 @@ class TestReplaceValidates:
             replace(BoundaryCondition(0.0, 1, 0.0), derivative_order=0.5)
         moved = replace(BoundaryCondition(0.0, 1, 0.0), derivative_order=2.0)
         assert moved.derivative_order == 2 and type(moved.derivative_order) is int
-
-    def test_rhs_term_recomputes_its_rests(self):
-        term = RhsTerm(ExpPoly((ExpTerm(0.0, (1.0,)),)), (0,))
-        moved = replace(term, factors=(2, 0, 1))
-        assert moved._rests == ((2, (0, 1)), (0, (1, 2)), (1, (0, 2)))
 
     def test_problem_spec_revalidates(self):
         with pytest.raises(InvalidProblemError, match="below operator order"):
