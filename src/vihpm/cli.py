@@ -108,7 +108,7 @@ def _make_grid(end: float, step: float) -> tuple[float, ...]:
 
 
 def _table_lines(table: ErrorTable) -> list[str]:
-    if not any(row.exact is not None for row in table.rows):
+    if table.max_abs_error is None:
         return [f"{'x':>6} {'approx':>24}"] + [
             f"{row.x:>6.3f} {row.approx:>24.16e}" for row in table.rows
         ]
@@ -234,7 +234,3 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (SingularJacobianError, NonFiniteIterateError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER_FAILURE
-
-
-if __name__ == "__main__":
-    sys.exit(main())

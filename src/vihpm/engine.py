@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import combinations, pairwise
 from typing import Sequence
 
 from .kernel import _kernel_weights
@@ -108,28 +109,20 @@ def _picks(
     Each pick pairs every derivative order d_j in ``factors`` with a part
     index i_j, and i_1 + ... + i_r == k.  A term without factors has one
     (empty) pick at k = 0 and none above, so forcing reaches order 0 only.
-    The picks come in the lexicographic order of their part indices, which
-    fixes the order in which :func:`_he_order` adds them up.
+    The index tuples are the weak compositions of k into r parts, taken by
+    stars and bars: k stars and r - 1 bars fill k + r - 1 slots, and the
+    parts are the runs of stars between consecutive bars.  Bar positions in
+    lexicographic order give the picks in the lexicographic order of their
+    part indices, which fixes the order in which :func:`_he_order` adds
+    them up.
     """
     r = len(factors)
     if r == 0:
         return ((),) if k == 0 else ()
-    # the compositions of k into r parts, from (0, ..., 0, k) upwards: move
-    # one unit from the last nonzero part t to part t - 1, and the rest of
-    # part t to the end
-    pick = [0] * (r - 1) + [k]
-    picks = []
-    while True:
-        picks.append(tuple(zip(pick, factors)))
-        t = r - 1
-        while t > 0 and pick[t] == 0:
-            t -= 1
-        if t == 0:
-            return tuple(picks)
-        rest = pick[t] - 1
-        pick[t] = 0
-        pick[t - 1] += 1
-        pick[-1] = rest
+    return tuple([
+        tuple(zip([b - a - 1 for a, b in pairwise((-1, *bars, k + r - 1))], factors))
+        for bars in combinations(range(k + r - 1), r - 1)
+    ])
 
 
 @lru_cache(maxsize=CACHE_SIZE)

@@ -366,14 +366,14 @@ def parse_problem(text: str) -> ProblemSpec:
         if keyword not in settings:
             raise ProblemFormatError(0, f"missing {keyword!r} line")
 
+    # settings holds order, and truncation and iterations if given: an
+    # omitted one takes ProblemSpec's default
     return ProblemSpec(
-        order=settings["order"],
-        domain_end=settings["domain"],
+        domain_end=settings.pop("domain"),
         terms=tuple(terms),
         bcs=tuple(bcs),
         exact=ExpPoly(tuple(exact_terms)) if exact_terms else None,
-        truncation=settings.get("truncation", 12),
-        iterations=settings.get("iterations", 1),
+        **settings,
     )
 
 

@@ -61,6 +61,8 @@ HORNER_TESTS = (
     "tests/test_problems.py",
     "tests/test_reporting.py",
 )
+PICK_TESTS = ("tests/test_engine.py::TestPicks",)
+PARSE_TESTS = ("tests/test_problems.py::TestParse",)
 LINEARIZATION_TESTS = (
     "tests/test_trusted_ring.py::TestSpecTables",
     "tests/test_engine.py::TestLinearization",
@@ -201,6 +203,22 @@ MUTANTS = (
         "_sparse_first(weight, differentiate(dv, d))",
         "mul(weight, differentiate(dv, d))",
         LINEARIZATION_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "_picks: the bars drawn from one slot too many",
+        "vihpm/engine.py",
+        "for bars in combinations(range(k + r - 1), r - 1)",
+        "for bars in combinations(range(k + r), r - 1)",
+        PICK_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "parse_problem: the truncation and iterations lines not handed on",
+        "vihpm/problems.py",
+        "        **settings,\n",
+        "        order=settings[\"order\"],\n",
+        PARSE_TESTS,
         "killed",
     ),
     Mutant(

@@ -316,6 +316,19 @@ class TestPicks:
             )
             assert _picks(factors, k) == reference
 
+    @pytest.mark.parametrize("r", range(1, 11))
+    def test_structure(self, r):
+        # beyond the filter's reach: C(k + r - 1, r - 1) picks in strictly
+        # increasing order, each summing to k, factors left to right
+        factors = tuple(range(r))
+        for k in range(7):
+            picks = _picks(factors, k)
+            assert len(picks) == math.comb(k + r - 1, r - 1)
+            indices = [tuple(i for i, _ in pick) for pick in picks]
+            assert all(a < b for a, b in zip(indices, indices[1:]))
+            assert all(sum(pick) == k for pick in indices)
+            assert all(tuple(d for _, d in pick) == factors for pick in picks)
+
     def test_many_factors(self):
         # a tangent's picks are the 64 ways to put one unit on one factor;
         # filtering all 2**64 index tuples would never finish

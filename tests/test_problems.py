@@ -462,6 +462,21 @@ class TestParse:
         assert spec.iterations == 1
         assert spec.exact is None
 
+    @pytest.mark.parametrize("settings", [{}, {"truncation": 15, "iterations": 3}])
+    def test_settings_lines_reach_the_constructor(self, settings):
+        # an omitted line leaves ProblemSpec's own default
+        lines = "".join(f"{keyword} {value}\n" for keyword, value in settings.items())
+        spec = parse_problem(
+            f"order 2\ndomain 0 1.5\n{lines}term 0 -1 ; 1\nbc 0 0 0\nbc 1.5 1 2\n"
+        )
+        assert spec == ProblemSpec(
+            2,
+            1.5,
+            (RhsTerm(ExpPoly.from_terms([(0.0, (-1.0,))]), (1,)),),
+            (BoundaryCondition(0.0, 0, 0.0), BoundaryCondition(1.5, 1, 2.0)),
+            **settings,
+        )
+
     def test_settings_lines(self):
         spec = parse_problem(
             "order 1\ndomain 0 1\ntruncation 15\niterations 3\nbc 0 0 0\n"

@@ -1,8 +1,10 @@
 """Newton shooting on the off-origin boundary conditions."""
 
+import importlib.util
 import math
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +16,7 @@ from vihpm.problems import (
     ProblemSpec,
     RhsTerm,
     builtin,
+    parse_problem,
     with_settings,
 )
 from vihpm.series import ExpPoly, evaluate, mul
@@ -60,6 +63,24 @@ SITE_MADDS = {
     (3, 30, 3): (5295, 456, 8236),
     (4, 30, 3): (5523, 456, 12058),
 }
+
+# every 20th problem of perfbench/genproblems.generate(1), each solved once:
+# products, madds, Newton steps and iterate calls summed over the 40
+GENERATED_WORK = (1090, 51762, 29, 69)
+
+
+def generated_slice(monkeypatch):
+    """Every 20th problem of ``perfbench/genproblems.generate(1)``, parsed.
+
+    The generator is loaded from its file, read only, so it needs no import
+    path; its dataclass looks its module up in ``sys.modules`` while the
+    module runs."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "genproblems.py"
+    spec = importlib.util.spec_from_file_location("genproblems", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return [parse_problem(p.text) for p in module.generate(1)[::20]]
 
 
 def solve_work_id(case):
@@ -316,3 +337,26 @@ class TestJacobian:
         solve(with_settings(builtin(n), truncation, iterations))
         assert tuple(madds.values()) == SITE_MADDS[case]
         assert sum(SITE_MADDS[case]) == SOLVE_WORK[case][1]
+
+    def test_generated_slice_work(self, monkeypatch):
+        specs = generated_slice(monkeypatch)
+        assert len(specs) == 40
+        rows = []
+        calls = []
+
+        def counted_mul(f, g):
+            rows.append(row_madds(f))
+            return mul(f, g)
+
+        def counted_iterate(*args, **kwargs):
+            calls.append(1)
+            return iterate(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "mul", counted_mul)
+        monkeypatch.setattr(solver, "iterate", counted_iterate)
+        steps = 0
+        for spec in specs:
+            result = solve(spec)
+            assert result.converged
+            steps += result.newton_iterations
+        assert (len(rows), sum(rows), steps, len(calls)) == GENERATED_WORK
