@@ -17,14 +17,15 @@ an overflow inside the arithmetic propagates as ``inf``/``nan``.
 :func:`vihpm.engine.iterate` checks each correction once for finiteness, so
 no non-finite series reaches the solver or a printed table.
 
-Tables that depend only on a derivative order and a truncation degree are
-cached with a fixed bound of ``CACHE_SIZE`` entries each: the falling
-factorials here, the kernel weights of :mod:`vihpm.kernel`, and the He
-polynomial picks and tangent seeds of :mod:`vihpm.engine`.  Each
-:class:`ExpPoly` owns its expansion table, which lives as long as the value
-does and keeps the series returned at each degree.  A degree below the
-highest one held is a slice; a higher one is computed afresh, so
-:func:`vihpm.engine.iterate` asks for its top ring before its corrections.
+Tables that depend only on a few integers are cached with a fixed bound
+of ``CACHE_SIZE`` entries each: the falling factorials here, the kernel
+weights of :mod:`vihpm.kernel`, and the He polynomial picks, each factor's
+tangent chain orders and the tangent seeds of :mod:`vihpm.engine`
+(``_picks``, ``_rests`` and ``_seed``).  Each :class:`ExpPoly` owns its
+expansion table, which lives as long as the value does and keeps the
+series returned at each degree.  A degree below the highest one held is
+a slice; a higher one is computed afresh, so :func:`vihpm.engine.iterate`
+asks for its top ring before its corrections.
 
 :class:`ExpPoly` represents a finite sum of ``exp(rate * x) * p(x)`` terms
 with polynomial ``p``.  It is the closed function class used for forcing
@@ -262,10 +263,10 @@ def mul(f: Series, g: Series) -> Series:
 
     Only the nonzero rows ``f_i * g`` are added, so zero coefficients of the
     first operand cost nothing (a float is false exactly when it equals
-    0.0, so a NaN row still runs).  A run of adjacent nonzero rows goes
-    four rows per pass over the output, then two, then one.  Every output
-    coefficient starts from +0.0 and gets its terms ``f_i * g_(k-i)`` one
-    at a time in ascending ``i``, so the result has the bits of the
+    0.0, so a NaN row still runs).  Four adjacent nonzero rows go in one
+    pass over the output, and every other nonzero row goes alone.  Every
+    output coefficient starts from +0.0 and gets its terms ``f_i * g_(k-i)``
+    one at a time in ascending ``i``, so the result has the bits of the
     one-row-per-pass loop.
     """
     _check_same_ring(f, g)
@@ -276,34 +277,25 @@ def mul(f: Series, g: Series) -> Series:
     rows = compress(range(n), fc)
     for i in rows:
         a = fc[i]
-        if i + 1 < n and fc[i + 1]:
+        if i + 3 < n and fc[i + 1] and fc[i + 2] and fc[i + 3]:
             b = fc[i + 1]
-            if i + 3 < n and fc[i + 2] and fc[i + 3]:
-                c = fc[i + 2]
-                d = fc[i + 3]
-                next(rows)
-                next(rows)
-                next(rows)
-                g0 = gc[0]
-                g1 = gc[1]
-                g2 = gc[2]
-                out[i] += a * g0
-                out[i + 1] = out[i + 1] + a * g1 + b * g0
-                out[i + 2] = out[i + 2] + a * g2 + b * g1 + c * g0
-                for k in range(i + 3, n):
-                    g3 = gc[k - i]
-                    out[k] = out[k] + a * g3 + b * g2 + c * g1 + d * g0
-                    g0 = g1
-                    g1 = g2
-                    g2 = g3
-                continue
+            c = fc[i + 2]
+            d = fc[i + 3]
             next(rows)
-            p = gc[0]
-            out[i] += a * p
-            for k in range(i + 1, n):
-                c = gc[k - i]
-                out[k] = out[k] + a * c + b * p
-                p = c
+            next(rows)
+            next(rows)
+            g0 = gc[0]
+            g1 = gc[1]
+            g2 = gc[2]
+            out[i] += a * g0
+            out[i + 1] = out[i + 1] + a * g1 + b * g0
+            out[i + 2] = out[i + 2] + a * g2 + b * g1 + c * g0
+            for k in range(i + 3, n):
+                g3 = gc[k - i]
+                out[k] = out[k] + a * g3 + b * g2 + c * g1 + d * g0
+                g0 = g1
+                g1 = g2
+                g2 = g3
         else:
             for j in range(n - i):
                 out[i + j] += a * gc[j]

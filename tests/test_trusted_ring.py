@@ -1,9 +1,10 @@
 """Validated edges, unchecked ring operations and cached solve invariants.
 
 The ring operations build their results without validation, the product
-adds two rows per pass, and derivative, kernel and expansion tables are
-read from caches; specs and terms compute their constant tables once; the
-dense Newton solve picks its pivots with a loop of its own.  These tests pin
+adds four adjacent nonzero rows per pass and every other row alone, and
+derivative, kernel, expansion and tangent-chain tables are read from
+caches; specs compute their constant tables once; the dense Newton solve
+picks its pivots with a loop of its own.  These tests pin
 that down: the outputs equal, bit for bit, both the values recorded before
 the caches existed and a local copy of the original formulas.
 """
@@ -487,8 +488,8 @@ PRODUCT_SPECIALS = (0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan)
 def product_operands(draw):
     """Two series at one degree W in 0..60.  The first is laid out in runs
     of 1-9 zero rows (either sign) or mostly nonzero rows, so one and two
-    four-row blocks with 1-3 rows left over, pairs and lone rows all
-    occur; -0.0, nan and +-inf can land in either operand.  The values come
+    four-row blocks with 1-3 rows left over and lone rows all occur;
+    -0.0, nan and +-inf can land in either operand.  The values come
     from a drawn seed, which keeps a long series cheap to draw."""
     n = draw(st.integers(min_value=1, max_value=61))
     rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
@@ -532,7 +533,7 @@ class TestCauchyProduct:
         assert_one_row_bits(PRODUCT_ROWS[:n])
 
     @pytest.mark.parametrize("start", [0, 1, 2])
-    @pytest.mark.parametrize("run", [3, 4, 5, 7, 8])
+    @pytest.mark.parametrize("run", [1, 2, 3, 4, 5, 6, 7, 8])
     def test_a_run_of_nonzero_rows(self, run, start):
         # a pass that took a row past the run would drop the row after
         # the zero row
@@ -542,7 +543,7 @@ class TestCauchyProduct:
     @pytest.mark.parametrize("special", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("row", range(4))
     def test_a_special_value_in_a_block_row(self, row, special):
-        # a block at rows 1-4, then a pair
+        # a block at rows 1-4, then rows 5 and 6 alone
         f = [0.0, *PRODUCT_ROWS[:6]]
         f[1 + row] = special
         assert_one_row_bits(f)
