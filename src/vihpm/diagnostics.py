@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .engine import NonFiniteIterateError, iterate
 from .problems import MAX_SERIES_DEGREE, ProblemSpec
-from .series import Series, _numbers, _raise, _Value, evaluate
+from .series import Series, _integer, _numbers, _raise, _Value, evaluate
 
 __all__ = [
     "ConvergenceReport",
@@ -73,12 +73,14 @@ def _geometric_sum(ratio: float, first: int, stop: int) -> float:
     return total
 
 
-def check_depth(spec: ProblemSpec, depth: int) -> None:
-    """Reject a correction depth that gives no ratio or exceeds the degree cap.
-
-    The last of ``depth`` corrections lives at degree W + depth * m, which
-    must stay within ``MAX_SERIES_DEGREE`` like the solve itself.
+def check_depth(spec: ProblemSpec, depth: int) -> int:
+    """Return ``depth`` as an int, or reject it: it must be an integer of at
+    least 2, so that there is a ratio, and the last correction's degree
+    W + depth * m must stay within ``MAX_SERIES_DEGREE`` like the solve's.
     """
+    errors: list[str] = []
+    depth = _integer("depth", depth, errors)
+    _raise(errors)
     if depth < 2:
         raise ValueError("need at least two corrections to estimate a ratio")
     top = spec.truncation + depth * spec.order
@@ -86,6 +88,7 @@ def check_depth(spec: ProblemSpec, depth: int) -> None:
         raise ValueError(
             f"depth {depth} reaches series degree {top}, above {MAX_SERIES_DEGREE}"
         )
+    return depth
 
 
 def analyze_convergence(
@@ -111,7 +114,7 @@ def analyze_convergence(
     the grid or a gap between two iterates is not finite.  ``iterates``, such as a :class:`~vihpm.solver.SolveResult`'s,
     are v_0..v_j at ``constants``; only corrections past j are run.
     """
-    check_depth(spec, depth)
+    depth = check_depth(spec, depth)
     if grid is None:
         grid = default_grid(spec)
     errors: list[str] = []

@@ -44,6 +44,7 @@ from .series import (
     CACHE_SIZE,
     Series,
     _check_same_ring,
+    _integer,
     _numbers,
     _raise,
     _trusted,
@@ -302,8 +303,9 @@ def iterate(
     ``W + (n-1)m``, the highest ring a correction evaluates F in, so every
     later expansion at up to n corrections is a slice.
     """
-    if n_iter is None:
-        n_iter = spec.iterations
+    errors: list[str] = []
+    n_iter = spec.iterations if n_iter is None else _integer("n_iter", n_iter, errors)
+    _raise(errors)
     if n_iter < 0:
         raise ValueError("iteration count must be non-negative")
     iterates = [*known[: n_iter + 1]] or [initial_approx(spec, constants)]

@@ -8,9 +8,9 @@ immutable, so specs can be shared freely across solver runs.
 
 A :class:`ProblemSpec` is valid by construction: it runs :func:`validate`
 on itself and raises :class:`InvalidProblemError` with every violation, or
-naming each field of the wrong type.  Parsed, built-in and directly built
-specs and their copies all pass through that one check, so the solver never
-re-checks.  The field checkers are :mod:`vihpm.series`'s, as for every
+naming each field of the wrong type.  Parsed (the built-ins too), directly
+built specs and their copies all pass through that one check, so the solver
+never re-checks.  The field checkers are :mod:`vihpm.series`'s, as for every
 checked value of the package.  A term is plain data, its coefficient and
 factors; the tables the solver needs from the factors are :mod:`vihpm.engine`'s.
 """
@@ -33,8 +33,6 @@ __all__ = [
     "BUILTIN_COUNT",
     "MAX_SERIES_DEGREE",
 ]
-
-BUILTIN_COUNT = 4
 
 # bounds the work a problem can request: every series product costs
 # O(degree**2), and the k-th correction lives at truncation + k * order
@@ -377,87 +375,80 @@ def parse_problem(text: str) -> ProblemSpec:
     )
 
 
-# builtins 1 and 3 share the exact solution exp(x)(x - x^2) and these
-# conditions on it
-_EXP_X_TIMES_X_MINUS_X2_BCS = (
-    BoundaryCondition(0.0, 0, 0.0),
-    BoundaryCondition(1.0, 0, 0.0),
-    BoundaryCondition(0.0, 1, 1.0),
-    BoundaryCondition(1.0, 1, -math.e),
-    BoundaryCondition(0.0, 2, 0.0),
-    BoundaryCondition(1.0, 2, -4.0 * math.e),
-    BoundaryCondition(0.0, 3, -3.0),
+# The four seventh-order benchmarks at the format's default settings, the
+# paper's W = 12 and k = 1; each number is the repr of its float.
+_BUILTINS = (
+    """\
+# u^(7) = -exp(x)(35 + 12x + 2x^2) - u, exact u = exp(x)(x - x^2)
+order 7
+domain 0 1.0
+term 1.0 -35.0 -12.0 -2.0
+term 0.0 -1.0 ; 0
+bc 0.0 0 0.0
+bc 1.0 0 0.0
+bc 0.0 1 1.0
+bc 1.0 1 -2.718281828459045  # -e
+bc 0.0 2 0.0
+bc 1.0 2 -10.87312731383618  # -4e
+bc 0.0 3 -3.0
+exact 1.0 0.0 1.0 -1.0
+""",
+    """\
+# u^(7) = exp(-x) u^2, exact u = exp(x)
+order 7
+domain 0 1.0
+term -1.0 1.0 ; 0 0
+bc 0.0 0 1.0
+bc 0.0 1 1.0
+bc 0.0 2 1.0
+bc 0.0 3 1.0
+bc 1.0 0 2.718281828459045  # e
+bc 1.0 1 2.718281828459045  # e
+bc 1.0 2 2.718281828459045  # e
+exact 1.0 1.0
+""",
+    """\
+# u^(7) = -u u' + exp(x)(-35 - 13x - x^2) + exp(2x)(x - 2x^2 + x^4),
+# exact u = exp(x)(x - x^2)
+order 7
+domain 0 1.0
+term 0.0 -1.0 ; 0 1
+term 1.0 -35.0 -13.0 -1.0
+term 2.0 0.0 1.0 -2.0 0.0 1.0
+bc 0.0 0 0.0
+bc 1.0 0 0.0
+bc 0.0 1 1.0
+bc 1.0 1 -2.718281828459045  # -e
+bc 0.0 2 0.0
+bc 1.0 2 -10.87312731383618  # -4e
+bc 0.0 3 -3.0
+exact 1.0 0.0 1.0 -1.0
+""",
+    """\
+# u^(7) = u u' + exp(x)(-6 - x) + exp(2x)(x - x^2), exact u = exp(x)(1 - x)
+order 7
+domain 0 1.0
+term 0.0 1.0 ; 0 1
+term 1.0 -6.0 -1.0
+term 2.0 0.0 1.0 -1.0
+bc 0.0 0 1.0
+bc 0.5 0 0.8243606353500641  # sqrt(e)/2
+bc 0.0 1 0.0
+bc 0.5 1 -0.8243606353500641  # -sqrt(e)/2
+bc 0.0 2 -1.0
+bc 1.0 2 -5.43656365691809  # -2e
+bc 1.0 0 0.0
+exact 1.0 1.0 -1.0
+""",
 )
+BUILTIN_COUNT = len(_BUILTINS)
 
 
 def builtin(n: int) -> ProblemSpec:
-    """Benchmark problems 1..4 with machine-precision boundary data."""
-    e = math.e
-    if n == 1:
-        # u^(7) = -exp(x)(35 + 12x + 2x^2) - u, exact u = exp(x)(x - x^2)
-        return ProblemSpec(
-            order=7,
-            domain_end=1.0,
-            terms=(
-                RhsTerm(ExpPoly.from_terms([(1.0, (-35.0, -12.0, -2.0))])),
-                RhsTerm(ExpPoly.from_terms([(0.0, (-1.0,))]), (0,)),
-            ),
-            bcs=_EXP_X_TIMES_X_MINUS_X2_BCS,
-            exact=ExpPoly.from_terms([(1.0, (0.0, 1.0, -1.0))]),
-        )
-    if n == 2:
-        # u^(7) = exp(-x) u^2, exact u = exp(x)
-        return ProblemSpec(
-            order=7,
-            domain_end=1.0,
-            terms=(RhsTerm(ExpPoly.from_terms([(-1.0, (1.0,))]), (0, 0)),),
-            bcs=(
-                BoundaryCondition(0.0, 0, 1.0),
-                BoundaryCondition(0.0, 1, 1.0),
-                BoundaryCondition(0.0, 2, 1.0),
-                BoundaryCondition(0.0, 3, 1.0),
-                BoundaryCondition(1.0, 0, e),
-                BoundaryCondition(1.0, 1, e),
-                BoundaryCondition(1.0, 2, e),
-            ),
-            exact=ExpPoly.from_terms([(1.0, (1.0,))]),
-        )
-    if n == 3:
-        # u^(7) = -u u' + exp(x)(-35 - 13x - x^2) + exp(2x)(x - 2x^2 + x^4)
-        return ProblemSpec(
-            order=7,
-            domain_end=1.0,
-            terms=(
-                RhsTerm(ExpPoly.from_terms([(0.0, (-1.0,))]), (0, 1)),
-                RhsTerm(ExpPoly.from_terms([(1.0, (-35.0, -13.0, -1.0))])),
-                RhsTerm(ExpPoly.from_terms([(2.0, (0.0, 1.0, -2.0, 0.0, 1.0))])),
-            ),
-            bcs=_EXP_X_TIMES_X_MINUS_X2_BCS,
-            exact=ExpPoly.from_terms([(1.0, (0.0, 1.0, -1.0))]),
-        )
-    if n == 4:
-        # u^(7) = u u' + exp(x)(-6 - x) + exp(2x)(x - x^2), three-point
-        root_e = math.sqrt(e)
-        return ProblemSpec(
-            order=7,
-            domain_end=1.0,
-            terms=(
-                RhsTerm(ExpPoly.from_terms([(0.0, (1.0,))]), (0, 1)),
-                RhsTerm(ExpPoly.from_terms([(1.0, (-6.0, -1.0))])),
-                RhsTerm(ExpPoly.from_terms([(2.0, (0.0, 1.0, -1.0))])),
-            ),
-            bcs=(
-                BoundaryCondition(0.0, 0, 1.0),
-                BoundaryCondition(0.5, 0, root_e / 2.0),
-                BoundaryCondition(0.0, 1, 0.0),
-                BoundaryCondition(0.5, 1, -root_e / 2.0),
-                BoundaryCondition(0.0, 2, -1.0),
-                BoundaryCondition(1.0, 2, -2.0 * e),
-                BoundaryCondition(1.0, 0, 0.0),
-            ),
-            exact=ExpPoly.from_terms([(1.0, (1.0, -1.0))]),
-        )
-    raise ValueError(f"builtin problem number must be 1..{BUILTIN_COUNT}, got {n}")
+    """Benchmark problem ``n`` of 1..4, parsed from its text above."""
+    if n not in range(1, BUILTIN_COUNT + 1):
+        raise ValueError(f"builtin problem number must be 1..{BUILTIN_COUNT}, got {n}")
+    return parse_problem(_BUILTINS[int(n) - 1])
 
 
 def with_settings(

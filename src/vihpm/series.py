@@ -428,6 +428,9 @@ def expand_exppoly(e: ExpPoly, truncation: int) -> Series:
     series = table.get(truncation)
     if series is not None:
         return series
+    errors: list[str] = []
+    truncation = _integer("truncation", truncation, errors)
+    _raise(errors)
     if truncation < 0:
         raise ValueError("truncation degree must be non-negative")
     top = max(table, default=-1)

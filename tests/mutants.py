@@ -67,6 +67,8 @@ LINEARIZATION_TESTS = (
     "tests/test_trusted_ring.py::TestSpecTables",
     "tests/test_engine.py::TestLinearization",
 )
+FROZEN_BITS_TESTS = ("tests/test_trusted_ring.py",)
+DEPTH_TESTS = ("tests/test_diagnostics.py::TestAnalyzeConvergence",)
 
 MUTANTS = (
     Mutant(
@@ -211,6 +213,22 @@ MUTANTS = (
         "        **settings,\n",
         "        order=settings[\"order\"],\n",
         PARSE_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "builtin 4: the last digit of u(1/2) = sqrt(e)/2 changed",
+        "vihpm/problems.py",
+        "bc 0.5 0 0.8243606353500641",
+        "bc 0.5 0 0.8243606353500642",
+        FROZEN_BITS_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "check_depth: a non-integral depth is not converted or rejected",
+        "vihpm/diagnostics.py",
+        "    depth = _integer(\"depth\", depth, errors)\n",
+        "",
+        DEPTH_TESTS,
         "killed",
     ),
     Mutant(

@@ -10,6 +10,8 @@ coefficients, which ``data/solve_bits.json`` pins too, they pin the printed
 error tables and convergence reports.  The digests were recorded before the Newton pass
 stopped rebuilding its spec-constant tables (the depth-2 runs before
 ``convergence`` reused the solve's iterates), and hold on CPython 3.10-3.13.
+Each run is repeated with the builtin's problem text written to a file and
+named in place of ``--builtin N``, and must print the same bytes.
 """
 
 import contextlib
@@ -21,6 +23,7 @@ from pathlib import Path
 import pytest
 
 from vihpm.cli import main
+from vihpm.problems import _BUILTINS
 
 CLI_OUTPUTS = json.loads(
     (Path(__file__).parent / "data" / "cli_outputs.json").read_text()
@@ -37,12 +40,13 @@ SETTINGS = {"12-1": ("12", "1"), "30-3": ("30", "3")}
 RECORDED_SETTINGS = {"convergence-2": ("30-3",)}
 
 
-def argv_of(case):
-    """``"<command>/<builtin>/<W>-<k>"`` as the argument list of one run."""
+def argv_of(case, source=None):
+    """``"<command>/<builtin>/<W>-<k>"`` as the argument list of one run,
+    which reads the problem from the file ``source`` if one is given."""
     command, n, setting = case.split("/")
     truncation, iterations = SETTINGS[setting]
-    return COMMANDS[command] + [
-        "--builtin", n, "--truncation", truncation, "--iterations", iterations,
+    return COMMANDS[command] + ([source] if source else ["--builtin", n]) + [
+        "--truncation", truncation, "--iterations", iterations,
     ]
 
 
@@ -67,3 +71,12 @@ def test_every_run_is_recorded():
 @pytest.mark.parametrize("case", sorted(CLI_OUTPUTS))
 def test_cli_output_frozen(case):
     assert digest(argv_of(case)) == CLI_OUTPUTS[case]
+
+
+@pytest.mark.parametrize("case", sorted(CLI_OUTPUTS))
+def test_cli_output_frozen_from_the_builtin_text(case, tmp_path):
+    # the builtin's own text as a problem file prints the same bytes
+    n = int(case.split("/")[1])
+    path = tmp_path / f"builtin-{n}.txt"
+    path.write_text(_BUILTINS[n - 1], encoding="utf-8")
+    assert digest(argv_of(case, str(path))) == CLI_OUTPUTS[case]

@@ -6,7 +6,7 @@ import pickle
 import pytest
 
 from vihpm import diagnostics, engine
-from vihpm.diagnostics import analyze_convergence, default_grid
+from vihpm.diagnostics import analyze_convergence, check_depth, default_grid
 from vihpm.engine import NonFiniteIterateError, correct_once, initial_approx
 from vihpm.problems import (
     BoundaryCondition,
@@ -25,6 +25,23 @@ class TestAnalyzeConvergence:
     def test_requires_depth_two(self):
         with pytest.raises(ValueError):
             analyze_convergence(builtin(1), (0.0, 0.0, 0.0), depth=1)
+
+    def test_integral_float_depth_runs_as_an_int(self):
+        spec, constants = builtin(1), (0.0, 0.0, 0.0)
+        depth = check_depth(spec, 3.0)
+        assert depth == 3 and type(depth) is int
+        assert analyze_convergence(spec, constants, 3.0) == analyze_convergence(
+            spec, constants, 3
+        )
+
+    @pytest.mark.parametrize("depth", [2.5, None, "3"])
+    def test_non_integral_depth_is_named(self, monkeypatch, depth):
+        # a ValueError naming the field, before any correction runs
+        monkeypatch.setattr(engine, "correct_once", lambda *args: pytest.fail("ran"))
+        with pytest.raises(ValueError, match="^depth must be an integer, got "):
+            check_depth(builtin(1), depth)
+        with pytest.raises(ValueError, match="^depth must be an integer, got "):
+            analyze_convergence(builtin(1), (0.0, 0.0, 0.0), depth)
 
     def test_first_builtin_contracts(self):
         result = solve(builtin(1))

@@ -387,6 +387,16 @@ class TestIterate:
         with pytest.raises(ValueError, match="iteration count must be non-negative"):
             iterate(spec, (0.0, 0.0, 0.0), -1)
 
+    def test_integral_float_count_runs_as_an_int(self):
+        spec, constants = builtin(2), (0.1, -0.2, 0.05)
+        assert iterate(spec, constants, 2.0) == iterate(spec, constants, 2)
+
+    @pytest.mark.parametrize("n_iter", [2.5, "2"])
+    def test_non_integral_count_is_named(self, monkeypatch, n_iter):
+        monkeypatch.setattr(engine, "correct_once", lambda *args: pytest.fail("ran"))
+        with pytest.raises(ValueError, match="^n_iter must be an integer, got "):
+            iterate(builtin(1), (0.0, 0.0, 0.0), n_iter)
+
     def test_origin_conditions_preserved_exactly(self):
         for n in range(1, 5):
             spec = builtin(n)

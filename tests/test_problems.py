@@ -31,9 +31,15 @@ class TestBuiltins:
     def test_count_and_range(self):
         for n in range(1, 5):
             assert validate(builtin(n)) == []
-        for n in (0, 5, -1):
-            with pytest.raises(ValueError):
+        for n in (0, 5, -1, 1.5):
+            with pytest.raises(
+                ValueError, match=rf"^builtin problem number must be 1\.\.4, got {n}$"
+            ):
                 builtin(n)
+
+    def test_integral_float_number(self):
+        assert builtin(1.0) == builtin(1)
+        assert builtin(4.0) == builtin(4)
 
     def test_first_problem_structure(self):
         spec = builtin(1)

@@ -283,6 +283,28 @@ class TestExpPoly:
         with pytest.raises(ValueError):
             expand_exppoly(ExpPoly.from_terms([(0.0, (1.0,))]), -1)
 
+    def test_expand_integral_float_degree_on_a_cold_table(self):
+        e = ExpPoly.from_terms([(1.5, (1.0, -2.0))])
+        s = expand_exppoly(e, 4.0)
+        assert s.coeffs == expand_exppoly(ExpPoly(e.terms), 4).coeffs
+        # stored under the int degree, so asking again returns the same series
+        assert expand_exppoly(e, 4) is s
+
+    def test_expand_integral_float_degree_on_a_warm_table(self):
+        e = ExpPoly.from_terms([(1.5, (1.0, -2.0))])
+        top = expand_exppoly(e, 6)
+        assert expand_exppoly(e, 3.0).coeffs == top.coeffs[:4]
+        assert expand_exppoly(e, 6.0) is top
+
+    @pytest.mark.parametrize("warm", [False, True])
+    @pytest.mark.parametrize("truncation", [2.5, None, "3"])
+    def test_expand_non_integral_degree_is_named(self, warm, truncation):
+        e = ExpPoly.from_terms([(1.5, (1.0, -2.0))])
+        if warm:
+            expand_exppoly(e, 6)
+        with pytest.raises(ValueError, match="^truncation must be an integer, got "):
+            expand_exppoly(e, truncation)
+
     def test_expansion_matches_pointwise_within_tail_bound(self):
         """Series evaluation agrees with the closed form up to the
         rigorously bounded Taylor remainder of each exponential term."""
