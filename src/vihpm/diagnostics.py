@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .engine import NonFiniteIterateError, iterate
 from .problems import MAX_SERIES_DEGREE, ProblemSpec
-from .series import Series, _integer, _numbers, _raise, _Value, evaluate
+from .series import Series, _checked, _integer, _numbers, _Value, evaluate
 
 __all__ = [
     "ConvergenceReport",
@@ -78,9 +78,7 @@ def check_depth(spec: ProblemSpec, depth: int) -> int:
     least 2, so that there is a ratio, and the last correction's degree
     W + depth * m must stay within ``MAX_SERIES_DEGREE`` like the solve's.
     """
-    errors: list[str] = []
-    depth = _integer("depth", depth, errors)
-    _raise(errors)
+    depth = _checked(_integer, "depth", depth)
     if depth < 2:
         raise ValueError("need at least two corrections to estimate a ratio")
     top = spec.truncation + depth * spec.order
@@ -117,9 +115,7 @@ def analyze_convergence(
     depth = check_depth(spec, depth)
     if grid is None:
         grid = default_grid(spec)
-    errors: list[str] = []
-    grid = _numbers("grid", grid, errors)
-    _raise(errors)
+    grid = _checked(_numbers, "grid", grid)
     if not grid or not all(map(math.isfinite, grid)):
         raise ValueError("grid must be non-empty and finite")
     v = iterate(spec, constants, depth, iterates or ())

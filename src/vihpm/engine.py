@@ -44,9 +44,9 @@ from .series import (
     CACHE_SIZE,
     Series,
     _check_same_ring,
-    _integer,
+    _checked,
+    _count,
     _numbers,
-    _raise,
     _trusted,
     add,
     differentiate,
@@ -87,9 +87,7 @@ def initial_approx(spec: ProblemSpec, constants: Sequence[float]) -> Series:
     wrapped without re-validating them.  Non-numeric or non-finite
     constants raise ``ValueError``, as :func:`make_series` would.
     """
-    errors: list[str] = []
-    values = _numbers("constants", constants, errors)
-    _raise(errors)
+    values = _checked(_numbers, "constants", constants)
     free = spec.unknown_degrees()
     if len(values) != len(free):
         raise ValueError(f"expected {len(free)} free constants, got {len(values)}")
@@ -202,9 +200,9 @@ def _sparse_first(f: Series, g: Series) -> Series:
 
     :func:`~vihpm.series.mul` skips the zero coefficients of its first
     operand only, so a seed ``x**j`` costs O(W) per product this way instead
-    of O(W**2).  Taking adjacent nonzero rows four or two per pass makes
-    each row cheaper, not fewer, so the count of rows to add stays the
-    cost.  A tie keeps ``f`` first.
+    of O(W**2).  Taking four adjacent nonzero rows per pass makes each row
+    cheaper, not fewer, so the count of rows to add stays the cost.  A tie
+    keeps ``f`` first.
     """
     if g.coeffs.count(0.0) > f.coeffs.count(0.0):
         return mul(g, f)
@@ -303,11 +301,7 @@ def iterate(
     ``W + (n-1)m``, the highest ring a correction evaluates F in, so every
     later expansion at up to n corrections is a slice.
     """
-    errors: list[str] = []
-    n_iter = spec.iterations if n_iter is None else _integer("n_iter", n_iter, errors)
-    _raise(errors)
-    if n_iter < 0:
-        raise ValueError("iteration count must be non-negative")
+    n_iter = spec.iterations if n_iter is None else _checked(_count, "n_iter", n_iter)
     iterates = [*known[: n_iter + 1]] or [initial_approx(spec, constants)]
     if len(iterates) <= n_iter:
         for term in spec.terms:

@@ -7,7 +7,7 @@ from typing import IO, Sequence
 
 from .engine import NonFiniteIterateError
 from .problems import ProblemSpec
-from .series import Series, _numbers, _raise, _Value, evaluate
+from .series import Series, _checked, _numbers, _Value, evaluate
 from .solver import SolveResult
 
 __all__ = [
@@ -43,9 +43,7 @@ def error_table(
     :class:`~vihpm.engine.NonFiniteIterateError` when a value in the table
     is not finite.
     """
-    errors: list[str] = []
-    grid = _numbers("grid", grid, errors)
-    _raise(errors)
+    grid = _checked(_numbers, "grid", grid)
     if not all(map(math.isfinite, grid)) or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be finite and strictly increasing")
     rows = []

@@ -11,9 +11,11 @@ straight from the coefficients and builds no series.
 Validation happens where data enters: ``Series(...)`` and
 :func:`make_series` convert every coefficient to float and reject empty or
 non-finite input, with the field checkers defined here that every checked
-value of the package shares.  The ring operations trust their operands and
-build their results through :func:`_trusted` without re-checking them, so
-an overflow inside the arithmetic propagates as ``inf``/``nan``.
+value of the package shares, ``_count`` (an integer of at least 0) among
+them; ``_checked`` runs one on a single argument and raises at once.  The
+ring operations trust their operands and build their results through
+:func:`_trusted` without re-checking them, so an overflow inside the
+arithmetic propagates as ``inf``/``nan``.
 :func:`vihpm.engine.iterate` checks each correction once for finiteness, so
 no non-finite series reaches the solver or a printed table.
 
@@ -39,7 +41,7 @@ import math
 from functools import lru_cache
 from itertools import compress, islice
 from operator import add as _fadd, mul as _fmul, sub as _fsub
-from typing import Sequence
+from typing import Callable, Sequence
 
 __all__ = [
     "Series",
@@ -137,9 +139,7 @@ class Series(_Value):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        errors: list[str] = []
-        coeffs = _numbers("coeffs", self.coeffs, errors)
-        _raise(errors)
+        coeffs = _checked(_numbers, "coeffs", self.coeffs)
         if len(coeffs) == 0:
             raise ValueError("a series needs at least one coefficient")
         if not all(math.isfinite(c) for c in coeffs):
@@ -162,6 +162,13 @@ def _integer(name: str, value: object, errors: list[str]) -> object:
         pass
     errors.append(f"{name} must be an integer, got {value!r}")
     return value
+
+
+def _count(name: str, value: object, errors: list[str]) -> object:
+    count = _integer(name, value, errors)
+    if isinstance(count, int) and count < 0:
+        errors.append(f"{name} must be non-negative, got {count}")
+    return count
 
 
 def _number(name: str, value: object, errors: list[str]) -> object:
@@ -204,6 +211,14 @@ def _raise(errors: list[str]) -> None:
         raise ValueError("; ".join(errors))
 
 
+def _checked(check: Callable, name: str, value: object, *args: object) -> object:
+    """Run one checker on ``value`` and return its result, or raise its fault."""
+    errors: list[str] = []
+    value = check(name, value, *args, errors)
+    _raise(errors)
+    return value
+
+
 def _trusted(coeffs: tuple[float, ...]) -> Series:
     """Wrap a ring-operation result, a non-empty tuple of floats, unchecked."""
     s = object.__new__(Series)
@@ -219,10 +234,8 @@ def make_series(coeffs: Sequence[float], truncation: int) -> Series:
     """
     errors: list[str] = []
     values = _numbers("coeffs", coeffs, errors)
-    truncation = _integer("truncation", truncation, errors)
+    truncation = _count("truncation", truncation, errors)
     _raise(errors)
-    if truncation < 0:
-        raise ValueError("truncation degree must be non-negative")
     if len(values) > truncation + 1:
         raise ValueError(
             f"{len(values)} coefficients exceed truncation degree {truncation}"
@@ -232,6 +245,7 @@ def make_series(coeffs: Sequence[float], truncation: int) -> Series:
 
 def pad_to(f: Series, truncation: int) -> Series:
     """Re-embed ``f`` in a ring of higher truncation degree (exact)."""
+    truncation = _checked(_count, "truncation", truncation)
     if truncation < f.truncation:
         raise ValueError("padding cannot lower the truncation degree")
     out = [0.0] * (truncation + 1)
@@ -309,8 +323,9 @@ def differentiate(f: Series, order: int) -> Series:
     coefficients of ``f`` carry no information about the derivative there.
     Order 0 returns ``f`` itself: a series is immutable, so it can be shared.
     """
-    if order < 0:
-        raise ValueError("derivative order must be non-negative")
+    # an int order skips the full check: the engine derives every tangent here
+    if order.__class__ is not int or order < 0:
+        order = _checked(_count, "order", order)
     if order == 0:
         return f
     w = f.truncation
@@ -354,8 +369,8 @@ def evaluate_derivative(f: Series, order: int, x: float) -> float:
     the accumulator at +0.0 for any finite ``x``, so skipping them gives
     the bits of :func:`evaluate` on :func:`differentiate`.
     """
-    if order < 0:
-        raise ValueError("derivative order must be non-negative")
+    if order.__class__ is not int or order < 0:
+        order = _checked(_count, "order", order)
     if order == 0:
         return evaluate(f, x)
     falls = _falling_factorials(order, f.truncation)
@@ -390,10 +405,8 @@ class ExpPoly(_Value):
     _fields = ("terms",)
 
     def __init__(self, terms: Sequence[ExpTerm]) -> None:
-        errors: list[str] = []
         # a tuple keeps the value hashable, so the specs that hold it are too
-        terms = _entries("terms", terms, ExpTerm, errors)
-        _raise(errors)
+        terms = _checked(_entries, "terms", terms, ExpTerm)
         object.__setattr__(self, "terms", terms)
         # degree -> Series, filled by expand_exppoly
         object.__setattr__(self, "_expansion", {})
@@ -428,11 +441,7 @@ def expand_exppoly(e: ExpPoly, truncation: int) -> Series:
     series = table.get(truncation)
     if series is not None:
         return series
-    errors: list[str] = []
-    truncation = _integer("truncation", truncation, errors)
-    _raise(errors)
-    if truncation < 0:
-        raise ValueError("truncation degree must be non-negative")
+    truncation = _checked(_count, "truncation", truncation)
     top = max(table, default=-1)
     if truncation < top:
         series = _trusted(table[top].coeffs[: truncation + 1])

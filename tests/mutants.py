@@ -69,6 +69,7 @@ LINEARIZATION_TESTS = (
 )
 FROZEN_BITS_TESTS = ("tests/test_trusted_ring.py",)
 DEPTH_TESTS = ("tests/test_diagnostics.py::TestAnalyzeConvergence",)
+COUNT_TESTS = ("tests/test_series.py::TestInputTypes",)
 
 MUTANTS = (
     Mutant(
@@ -168,6 +169,15 @@ MUTANTS = (
         "killed",
     ),
     Mutant(
+        "_count: a negative count is not rejected",
+        "vihpm/series.py",
+        "    if isinstance(count, int) and count < 0:\n"
+        "        errors.append(f\"{name} must be non-negative, got {count}\")\n",
+        "",
+        COUNT_TESTS,
+        "killed",
+    ),
+    Mutant(
         "_entries: the class of each entry is not checked",
         "vihpm/series.py",
         "    for entry in entries:\n        if not isinstance(entry, kind):\n",
@@ -226,7 +236,7 @@ MUTANTS = (
     Mutant(
         "check_depth: a non-integral depth is not converted or rejected",
         "vihpm/diagnostics.py",
-        "    depth = _integer(\"depth\", depth, errors)\n",
+        "    depth = _checked(_integer, \"depth\", depth)\n",
         "",
         DEPTH_TESTS,
         "killed",

@@ -384,7 +384,7 @@ class TestIterate:
     def test_default_depth_comes_from_spec(self):
         spec = with_settings(builtin(1), iterations=2)
         assert iterate(spec, (0.0, 0.0, 0.0))[-1].truncation == 12 + 14
-        with pytest.raises(ValueError, match="iteration count must be non-negative"):
+        with pytest.raises(ValueError, match="n_iter must be non-negative"):
             iterate(spec, (0.0, 0.0, 0.0), -1)
 
     def test_integral_float_count_runs_as_an_int(self):

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vihpm.engine import iterate
+from vihpm.problems import builtin
 from vihpm.series import (
     ExpPoly,
     ExpTerm,
@@ -85,6 +87,43 @@ class TestConstruction:
             pad_to(Series((1.0, 2.0, 3.0)), 1)
 
 
+def warm_exppoly() -> ExpPoly:
+    """An exponential polynomial whose expansion table already holds degree 6."""
+    e = ExpPoly.from_terms([(1.5, (1.0, -2.0))])
+    expand_exppoly(e, 6)
+    return e
+
+
+# every count argument, as a call taking the count, and the field it names
+COUNT_CALLS = {
+    "make-series": (lambda n: make_series([1.0], n), "truncation"),
+    "expand-cold": (
+        lambda n: expand_exppoly(ExpPoly.from_terms([(1.5, (1.0, -2.0))]), n),
+        "truncation",
+    ),
+    "expand-warm": (lambda n: expand_exppoly(warm_exppoly(), n), "truncation"),
+    "iterate": (lambda n: iterate(builtin(1), (0.1, -0.2, 0.05), n), "n_iter"),
+    "differentiate": (lambda n: differentiate(Series((1.0, 2.0, 3.0, 4.0)), n), "order"),
+    "evaluate-derivative": (
+        lambda n: evaluate_derivative(Series((1.0, 2.0, 3.0, 4.0)), n, 0.5),
+        "order",
+    ),
+    "pad-to": (lambda n: pad_to(Series((2.0,)), n), "truncation"),
+}
+COUNT_FAULTS = [
+    (f"{label}-{bad!r}", lambda call=call, bad=bad: call(bad), f"^{name} must be {fault}")
+    for label, (call, name) in COUNT_CALLS.items()
+    for bad, fault in [
+        (1.5, "an integer, got "),
+        (None, "an integer, got "),
+        ("1", "an integer, got "),
+        (-1, "non-negative, got -1$"),
+    ]
+    # None is iterate's default: the spec's own count
+    if not (label == "iterate" and bad is None)
+]
+
+
 class TestInputTypes:
     """A wrongly typed input raises ValueError naming its field."""
 
@@ -108,17 +147,30 @@ class TestInputTypes:
                 "^rate must be a number, got None; "
                 "poly must be a sequence of numbers, got None$",
             ),
+            (
+                lambda: make_series([None], -1),
+                "^coeffs must be a sequence of numbers, got \\[None\\]; "
+                "truncation must be non-negative, got -1$",
+            ),
+            *[(build, message) for _, build, message in COUNT_FAULTS],
         ],
         ids=[
             "exppoly-float-term", "exppoly-none-term", "exppoly-none", "expterm-none-rate",
             "expterm-text-rate", "expterm-none-poly", "expterm-text-poly", "series-none",
             "series-none-coeff", "series-text-coeff", "make-series-none-coeff",
-            "make-series-float-truncation", "expterm-every-fault",
+            "make-series-float-truncation", "expterm-every-fault", "make-series-every-fault",
+            *[label for label, _, _ in COUNT_FAULTS],
         ],
     )
     def test_wrong_type_names_the_field(self, build, message):
         with pytest.raises(ValueError, match=message):
             build()
+
+    @pytest.mark.parametrize(
+        "call", [call for call, _ in COUNT_CALLS.values()], ids=list(COUNT_CALLS)
+    )
+    def test_integral_float_count_runs_as_an_int(self, call):
+        assert call(1.0) == call(1)
 
     def test_numbers_given_as_text_or_ints_are_still_converted(self):
         assert ExpTerm("0.5", [1, "2"]) == ExpTerm(0.5, (1.0, 2.0))
