@@ -102,7 +102,7 @@ def _make_grid(end: float, step: float) -> tuple[float, ...]:
         )
     n = round(end / step)
     if n >= 1 and abs(n * step - end) <= 1e-9 * max(1.0, end):
-        return tuple(i * end / n for i in range(n + 1))
+        return (*[i * end / n for i in range(n)], end)
     n = int(end / step + 1e-9)
     return tuple(i * step for i in range(n + 1))
 

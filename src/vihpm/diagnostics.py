@@ -49,7 +49,7 @@ class ConvergenceReport(_Value):
 def default_grid(spec: ProblemSpec) -> tuple[float, ...]:
     """Eleven evenly spaced evaluation points over the problem domain."""
     b = spec.domain_end
-    return tuple(b * i / 10 for i in range(11))
+    return (*[b * i / 10 for i in range(10)], b)
 
 
 def _sup_gap(f: Sequence[float], g: Sequence[float]) -> float:

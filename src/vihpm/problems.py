@@ -125,7 +125,7 @@ class ProblemSpec(_Value):
         iterations: int = 1,
     ) -> None:
         errors: list[str] = []
-        for name, value in zip(self._fields, (
+        super().__init__(
             _integer("order", order, errors),
             _number("domain_end", domain_end, errors),
             _entries("terms", terms, RhsTerm, errors),
@@ -133,8 +133,7 @@ class ProblemSpec(_Value):
             exact if exact is None else _typed("exact", exact, ExpPoly, errors),
             _integer("truncation", truncation, errors),
             _integer("iterations", iterations, errors),
-        )):
-            object.__setattr__(self, name, value)
+        )
         if not errors:
             errors = validate(self)
         if errors:

@@ -41,7 +41,7 @@ def error_table(
     The grid must be a sequence of numbers, finite and strictly increasing
     so emitted tables read naturally.  Raises
     :class:`~vihpm.engine.NonFiniteIterateError` when a value in the table
-    is not finite.
+    is not finite, a reference that overflows included.
     """
     grid = _checked(_numbers, "grid", grid)
     if not all(map(math.isfinite, grid)) or any(b <= a for a, b in zip(grid, grid[1:])):
@@ -51,7 +51,10 @@ def error_table(
     for x in grid:
         approx = evaluate(result.solution, x)
         if spec.exact is not None:
-            exact = spec.exact.evaluate(x)
+            try:
+                exact = spec.exact.evaluate(x)
+            except OverflowError:
+                exact = math.inf
             err = abs(approx - exact)
             worst = err if worst is None else max(worst, err)
         else:

@@ -67,10 +67,10 @@ class _Value:
     ``_fields`` names the constructor arguments in order; ``__slots__``
     holds them and the tables derived from them.  The shared constructor
     stores the fields as given; a class that checks or derives anything
-    writes its own with the checkers below.  ``==``, ``hash`` and ``repr``
-    read the fields alone.  :meth:`_replace`, ``copy`` and ``pickle`` build
-    through the constructor, so a copy is checked again and derives its own
-    tables.
+    writes its own with the checkers below, and may bind through this one.
+    ``==``, ``hash`` and ``repr`` read the fields alone.  :meth:`_replace`,
+    ``copy`` and ``pickle`` build through the constructor, so a copy is
+    checked again and derives its own tables.
     """
 
     __slots__ = ()
@@ -81,15 +81,11 @@ class _Value:
         signature, raise ``TypeError`` if one is missing, unknown or given
         twice, or if there are too many positional arguments."""
         fields = self._fields
-        if len(args) > len(fields):
-            raise TypeError(f"{type(self).__name__}() takes {len(fields)} arguments")
-        for name, value in zip(fields, args):
-            if name in kwargs:
-                raise TypeError(f"{type(self).__name__}() got {name!r} twice")
-            kwargs[name] = value
-        if kwargs.keys() != set(fields):
+        count = len(args) + len(kwargs)
+        kwargs.update(zip(fields, args))
+        if len(kwargs) < count or kwargs.keys() != set(fields):
             raise TypeError(
-                f"{type(self).__name__}() takes {fields}, got {tuple(kwargs)}"
+                f"{type(self).__name__}() takes {fields}, got {count} for {tuple(kwargs)}"
             )
         for name in fields:
             object.__setattr__(self, name, kwargs[name])

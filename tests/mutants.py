@@ -70,6 +70,11 @@ LINEARIZATION_TESTS = (
 FROZEN_BITS_TESTS = ("tests/test_trusted_ring.py",)
 DEPTH_TESTS = ("tests/test_diagnostics.py::TestAnalyzeConvergence",)
 COUNT_TESTS = ("tests/test_series.py::TestInputTypes",)
+GRID_TESTS = (
+    "tests/test_cli.py::TestGrid",
+    "tests/test_cli.py::TestSolveCommand::test_grid_step_ends_at_the_domain_end",
+)
+TABLE_TESTS = ("tests/test_reporting.py::TestErrorTable",)
 
 MUTANTS = (
     Mutant(
@@ -242,23 +247,30 @@ MUTANTS = (
         "killed",
     ),
     Mutant(
-        "_Value.__init__: a field given twice is not rejected",
+        "_Value.__init__: the entry count is not compared",
         "vihpm/series.py",
-        "            if name in kwargs:\n"
-        "                raise TypeError("
-        "f\"{type(self).__name__}() got {name!r} twice\")\n",
-        "",
+        "if len(kwargs) < count or kwargs.keys()",
+        "if kwargs.keys()",
         VALUE_TESTS,
         "killed",
     ),
     Mutant(
-        "_Value.__init__: too many positional arguments are not rejected",
-        "vihpm/series.py",
-        "        if len(args) > len(fields):\n"
-        "            raise TypeError(f\"{type(self).__name__}() takes {len(fields)} "
-        "arguments\")\n",
-        "",
-        VALUE_TESTS,
+        "_make_grid: a dividing step's last point is i * end / n, not end",
+        "vihpm/cli.py",
+        "(*[i * end / n for i in range(n)], end)",
+        "tuple([i * end / n for i in range(n + 1)])",
+        GRID_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "error_table: a reference that overflows raises OverflowError",
+        "vihpm/reporting.py",
+        "            try:\n"
+        "                exact = spec.exact.evaluate(x)\n"
+        "            except OverflowError:\n"
+        "                exact = math.inf\n",
+        "            exact = spec.exact.evaluate(x)\n",
+        TABLE_TESTS,
         "killed",
     ),
     Mutant(

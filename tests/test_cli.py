@@ -11,6 +11,8 @@ import pytest
 
 from vihpm import cli, engine, solver
 from vihpm.cli import MAX_GRID_POINTS, main
+from vihpm.diagnostics import default_grid
+from vihpm.problems import BoundaryCondition, ProblemSpec
 
 from ring_helpers import count_computations
 
@@ -92,6 +94,21 @@ class TestSolveCommand:
         rows = out.split("abs_error\n")[1].splitlines()[:-1]
         assert [row.split()[0] for row in rows] == ["0.000", "0.300", "0.600", "0.900"]
 
+    def test_grid_step_ends_at_the_domain_end(self, capsys, tmp_path):
+        # 3 * 0.1 / 3 is one ulp past 0.1, where this reference overflows
+        path = tmp_path / "edge.txt"
+        path.write_text(
+            "order 1\ndomain 0 0.1\nterm 0.0 1.0\nbc 0.0 0 0.0\n"
+            "exact 7097.827128933839 1e-300\n",
+            encoding="utf-8",
+        )
+        code, out, _ = run_cli(
+            capsys, "solve", str(path), "--grid-step", "0.03333333333333333"
+        )
+        assert code == 0
+        rows = out.split("abs_error\n")[1].splitlines()[:-1]
+        assert rows[-1].split()[0] == "0.100"
+
     def test_iterations_override(self, capsys, tmp_path):
         series_path = tmp_path / "series.csv"
         code, _, _ = run_cli(
@@ -142,6 +159,23 @@ class TestSolveCommand:
         run_cli(capsys, "convergence", "--builtin", "1")
         run_cli(capsys, "solve", "--builtin", "2")
         assert len(built) == per_call
+
+
+class TestGrid:
+    def test_grid_runs_from_zero_to_the_domain_end(self):
+        spec = ProblemSpec(
+            order=1, domain_end=0.7, terms=(), bcs=(BoundaryCondition(0.0, 0, 1.0),)
+        )
+        # 0.7 * 10 / 10 and, for n = 3, 3 * 0.1 / 3 are one ulp past the end
+        grids = [(0.7, default_grid(spec))]
+        for end in (0.1, 0.7, 1.0, 3.3, 19.9):
+            for n in range(2, 40):
+                grid = cli._make_grid(end, end / n)
+                assert len(grid) == n + 1
+                grids.append((end, grid))
+        for end, grid in grids:
+            assert grid[0] == 0.0 and grid[-1] == end
+            assert all(a < b for a, b in zip(grid, grid[1:]))
 
 
 class TestConvergenceCommand:

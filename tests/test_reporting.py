@@ -6,6 +6,7 @@ import math
 import pytest
 
 from vihpm import reporting
+from vihpm.engine import NonFiniteIterateError
 from vihpm.problems import (
     BoundaryCondition,
     ProblemSpec,
@@ -106,6 +107,14 @@ class TestErrorTable:
         monkeypatch.setattr(reporting, "evaluate", lambda *args: pytest.fail("ran"))
         with pytest.raises(ValueError, match="^grid must be a sequence of numbers, got "):
             error_table(spec, result, grid)
+
+    def test_overflowing_reference_is_non_finite(self):
+        spec = builtin(1)
+        result = solve(spec)
+        with pytest.raises(
+            NonFiniteIterateError, match="^the error table is non-finite at x = 1000.0$"
+        ):
+            error_table(spec, result, (0.5, 1000.0))
 
     def test_without_reference_columns_empty(self):
         spec = ProblemSpec(
