@@ -259,51 +259,38 @@ def _exact_overflows(exact: ExpPoly, b: float) -> list[str]:
     return errors
 
 
-def _parse_floats(tokens: Sequence[str], line_number: int) -> list[float]:
+# the token kinds of each line, by keyword, and the message for a wrong
+# count; None reads a rate and one or more coefficients, all numbers
+_LINES = {
+    "order": ((int,), "order takes one integer"),
+    "domain": ((float, float), "domain takes two numbers"),
+    "truncation": ((int,), "truncation takes one integer"),
+    "iterations": ((int,), "iterations takes one integer"),
+    "term": (None, "term needs a rate and at least one coefficient"),
+    "bc": ((float, int, float), "bc takes point, derivative order, value"),
+    "exact": (None, "exact needs a rate and at least one coefficient"),
+}
+
+
+def _parse(kinds: Sequence[type], tokens: Sequence[str], line_number: int) -> list:
+    """Convert each token to its kind, ``float`` or ``int``, left to right."""
     values = []
-    for tok in tokens:
+    for kind, token in zip(kinds, tokens):
         try:
-            values.append(float(tok))
+            values.append(kind(token))
         except ValueError:
-            raise ProblemFormatError(line_number, f"not a number: {tok!r}") from None
+            noun = "a number" if kind is float else "an integer"
+            raise ProblemFormatError(line_number, f"not {noun}: {token!r}") from None
     return values
-
-
-def _parse_exp_term(tokens: Sequence[str], line_number: int) -> ExpTerm:
-    rate, *poly = _parse_floats(tokens, line_number)
-    try:
-        return ExpTerm(rate, poly)
-    except ValueError as exc:
-        raise ProblemFormatError(line_number, str(exc)) from None
-
-
-def _parse_int(token: str, line_number: int) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ProblemFormatError(line_number, f"not an integer: {token!r}") from None
-
-
-def _parse_setting(keyword: str, rest: Sequence[str], line_number: int) -> float:
-    """Value of an ``order``, ``domain``, ``truncation`` or ``iterations`` line."""
-    if keyword == "domain":
-        if len(rest) != 2:
-            raise ProblemFormatError(line_number, "domain takes two numbers")
-        start, end = _parse_floats(rest, line_number)
-        if start != 0.0:
-            raise ProblemFormatError(line_number, "domain must start at 0")
-        return end
-    if len(rest) != 1:
-        raise ProblemFormatError(line_number, f"{keyword} takes one integer")
-    return _parse_int(rest[0], line_number)
 
 
 def parse_problem(text: str) -> ProblemSpec:
     """Parse the line-oriented problem format into a (valid) spec.
 
-    Grammar (whitespace-separated tokens, '#' starts a comment; the
-    ``order``, ``domain``, ``truncation`` and ``iterations`` lines may each
-    appear at most once):
+    Grammar (whitespace-separated tokens, '#' starts a comment; ``m``,
+    ``W``, ``n`` and the derivative orders are integers, every other token
+    a number; the ``order``, ``domain``, ``truncation`` and ``iterations``
+    lines may each appear at most once):
 
         order <m>
         domain <0> <b>
@@ -323,41 +310,37 @@ def parse_problem(text: str) -> ProblemSpec:
         if not line:
             continue
         keyword, *rest = line.split()
-        if keyword in ("order", "domain", "truncation", "iterations"):
-            value = _parse_setting(keyword, rest, line_number)
+        shape = _LINES.get(keyword)
+        if shape is None:
+            raise ProblemFormatError(line_number, f"unknown keyword {keyword!r}")
+        kinds, wrong_count = shape
+        tail: list[str] = []
+        if keyword == "term" and ";" in rest:
+            split = rest.index(";")
+            rest, tail = rest[:split], rest[split + 1 :]
+        if kinds is None:  # two numbers or more
+            kinds = [float] * max(2, len(rest))
+        if len(rest) != len(kinds):
+            raise ProblemFormatError(line_number, wrong_count)
+        values = _parse(kinds, rest, line_number)
+        if keyword == "bc":
+            bcs.append(BoundaryCondition(*values))
+        elif keyword in ("term", "exact"):
+            try:
+                part = ExpTerm(values[0], values[1:])
+            except ValueError as exc:
+                raise ProblemFormatError(line_number, str(exc)) from None
+            if keyword == "exact":
+                exact_terms.append(part)
+            else:
+                factors = _parse([int] * len(tail), tail, line_number)
+                terms.append(RhsTerm(ExpPoly((part,)), factors))
+        else:
+            if keyword == "domain" and values[0] != 0.0:
+                raise ProblemFormatError(line_number, "domain must start at 0")
             if keyword in settings:
                 raise ProblemFormatError(line_number, f"duplicate {keyword!r} line")
-            settings[keyword] = value
-        elif keyword == "term":
-            if ";" in rest:
-                split = rest.index(";")
-                head, tail = rest[:split], rest[split + 1 :]
-            else:
-                head, tail = rest, []
-            if len(head) < 2:
-                raise ProblemFormatError(
-                    line_number, "term needs a rate and at least one coefficient"
-                )
-            part = _parse_exp_term(head, line_number)
-            factors = tuple(_parse_int(t, line_number) for t in tail)
-            terms.append(RhsTerm(ExpPoly((part,)), factors))
-        elif keyword == "bc":
-            if len(rest) != 3:
-                raise ProblemFormatError(
-                    line_number, "bc takes point, derivative order, value"
-                )
-            point = _parse_floats(rest[:1], line_number)[0]
-            deriv = _parse_int(rest[1], line_number)
-            value = _parse_floats(rest[2:], line_number)[0]
-            bcs.append(BoundaryCondition(point, deriv, value))
-        elif keyword == "exact":
-            if len(rest) < 2:
-                raise ProblemFormatError(
-                    line_number, "exact needs a rate and at least one coefficient"
-                )
-            exact_terms.append(_parse_exp_term(rest, line_number))
-        else:
-            raise ProblemFormatError(line_number, f"unknown keyword {keyword!r}")
+            settings[keyword] = values[-1]
 
     for keyword in ("order", "domain"):
         if keyword not in settings:
@@ -446,7 +429,7 @@ BUILTIN_COUNT = len(_BUILTINS)
 def builtin(n: int) -> ProblemSpec:
     """Benchmark problem ``n`` of 1..4, parsed from its text above."""
     if n not in range(1, BUILTIN_COUNT + 1):
-        raise ValueError(f"builtin problem number must be 1..{BUILTIN_COUNT}, got {n}")
+        raise ValueError(f"builtin problem number must be 1..{BUILTIN_COUNT}, got {n!r}")
     return parse_problem(_BUILTINS[int(n) - 1])
 
 

@@ -38,12 +38,14 @@ def error_table(
     """Tabulate the solved series against the reference on a grid.
 
     Without a reference solution the exact and error columns stay empty.
-    The grid must be a sequence of numbers, finite and strictly increasing
-    so emitted tables read naturally.  Raises
+    The grid must be a non-empty sequence of numbers, finite and strictly
+    increasing so emitted tables read naturally.  Raises
     :class:`~vihpm.engine.NonFiniteIterateError` when a value in the table
     is not finite, a reference that overflows included.
     """
     grid = _checked(_numbers, "grid", grid)
+    if not grid:
+        raise ValueError("grid must be non-empty")
     if not all(map(math.isfinite, grid)) or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be finite and strictly increasing")
     rows = []

@@ -433,11 +433,13 @@ def expand_exppoly(e: ExpPoly, truncation: int) -> Series:
     because a zero rate gives zero weights past degree 0, a zero ``p_j`` is
     skipped, and +0.0 plus a zero of either sign is +0.0.
     """
+    # an int degree skips the full check: the solver asks for every expansion here
+    if truncation.__class__ is not int or truncation < 0:
+        truncation = _checked(_count, "truncation", truncation)
     table = e._expansion
     series = table.get(truncation)
     if series is not None:
         return series
-    truncation = _checked(_count, "truncation", truncation)
     top = max(table, default=-1)
     if truncation < top:
         series = _trusted(table[top].coeffs[: truncation + 1])

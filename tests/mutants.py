@@ -231,6 +231,14 @@ MUTANTS = (
         "killed",
     ),
     Mutant(
+        "_LINES: a bc line's derivative order read as a number",
+        "vihpm/problems.py",
+        '"bc": ((float, int, float),',
+        '"bc": ((float, float, float),',
+        PARSE_TESTS,
+        "killed",
+    ),
+    Mutant(
         "builtin 4: the last digit of u(1/2) = sqrt(e)/2 changed",
         "vihpm/problems.py",
         "bc 0.5 0 0.8243606353500641",

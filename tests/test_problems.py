@@ -31,9 +31,10 @@ class TestBuiltins:
     def test_count_and_range(self):
         for n in range(1, 5):
             assert validate(builtin(n)) == []
-        for n in (0, 5, -1, 1.5):
+        for n in (0, 5, -1, 1.5, "1"):
+            got = re.escape(repr(n))
             with pytest.raises(
-                ValueError, match=rf"^builtin problem number must be 1\.\.4, got {n}$"
+                ValueError, match=rf"^builtin problem number must be 1\.\.4, got {got}$"
             ):
                 builtin(n)
 
@@ -524,10 +525,46 @@ class TestParse:
     @pytest.mark.parametrize(
         "line, message",
         [
+            ("wibble 3", "unknown keyword 'wibble'"),
+            # a token that is not a number
+            ("domain x 1", "not a number: 'x'"),
+            ("domain 0 x", "not a number: 'x'"),
+            ("bc x 0 0", "not a number: 'x'"),
+            ("bc 0 0 x", "not a number: 'x'"),
+            ("term 0 1 x", "not a number: 'x'"),
+            ("term 0 1 ; 0 ; 1", "not an integer: ';'"),
+            ("exact 0 1 x", "not a number: 'x'"),
+            ("exact 0 1 ; 0", "not a number: ';'"),
+            # a token that is not an integer
+            ("order x", "not an integer: 'x'"),
             ("truncation x", "not an integer: 'x'"),
+            ("iterations 1.5", "not an integer: '1.5'"),
+            ("bc 0 1.5 0", "not an integer: '1.5'"),
+            ("term 0 1 ; 0 x", "not an integer: 'x'"),
+            # the tokens are read left to right
+            ("bc x 1.5 y", "not a number: 'x'"),
+            ("bc 0 1.5 y", "not an integer: '1.5'"),
+            ("term x 1 ; y", "not a number: 'x'"),
+            ("term 0 1 ; 1.5 y", "not an integer: '1.5'"),
+            # a wrong token count, checked before any token is read
+            ("order", "order takes one integer"),
+            ("truncation x y", "truncation takes one integer"),
+            ("iterations", "iterations takes one integer"),
             ("domain 1", "domain takes two numbers"),
+            ("domain x y z", "domain takes two numbers"),
             ("bc 0 0", "bc takes point, derivative order, value"),
+            ("bc x 0 0 0", "bc takes point, derivative order, value"),
+            ("term 0", "term needs a rate and at least one coefficient"),
+            ("term 0 ; 0", "term needs a rate and at least one coefficient"),
+            ("term ; x y", "term needs a rate and at least one coefficient"),
             ("exact 1", "exact needs a rate and at least one coefficient"),
+            ("exact", "exact needs a rate and at least one coefficient"),
+            # the exponential polynomial is checked before the factors are read
+            ("term inf 1 ; x", "exponential-polynomial data must be finite"),
+            ("term 1e400 1", "exponential-polynomial data must be finite"),
+            # the domain's start is checked before a repeated line
+            ("domain 1 2", "domain must start at 0"),
+            ("domain 0 2", "duplicate 'domain' line"),
         ],
     )
     def test_malformed_line_is_named(self, line, message):

@@ -85,6 +85,12 @@ class TestErrorTable:
         with pytest.raises(ValueError, match="increasing"):
             error_table(spec, result, (0.0, 0.2, 0.1))
 
+    def test_empty_grid_is_the_callers_error(self):
+        # an empty table would read as one without a reference
+        spec = builtin(1)
+        with pytest.raises(ValueError, match="^grid must be non-empty$"):
+            error_table(spec, solve(spec), ())
+
     @pytest.mark.parametrize(
         "grid",
         [(0.0, math.nan), (0.0, math.inf), (-math.inf, 0.0), (math.nan,)],

@@ -349,7 +349,7 @@ class TestExpPoly:
         assert expand_exppoly(e, 6.0) is top
 
     @pytest.mark.parametrize("warm", [False, True])
-    @pytest.mark.parametrize("truncation", [2.5, None, "3"])
+    @pytest.mark.parametrize("truncation", [2.5, None, "3", [3]])
     def test_expand_non_integral_degree_is_named(self, warm, truncation):
         e = ExpPoly.from_terms([(1.5, (1.0, -2.0))])
         if warm:
