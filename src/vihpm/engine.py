@@ -200,9 +200,10 @@ def _sparse_first(f: Series, g: Series) -> Series:
 
     :func:`~vihpm.series.mul` skips the zero coefficients of its first
     operand only, so a seed ``x**j`` costs O(W) per product this way instead
-    of O(W**2).  Taking four adjacent nonzero rows per pass makes each row
-    cheaper, not fewer, so the count of rows to add stays the cost.  A tie
-    keeps ``f`` first.
+    of O(W**2).  Taking four adjacent nonzero rows per pass, or a ring
+    size's straight-line kernel when both operands are mostly nonzero, makes
+    each row cheaper, not fewer, so the count of rows to add stays the cost.
+    A tie keeps ``f`` first.
     """
     if g.coeffs.count(0.0) > f.coeffs.count(0.0):
         return mul(g, f)

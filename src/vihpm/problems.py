@@ -187,7 +187,9 @@ def validate(spec: ProblemSpec) -> list[str]:
         errors.append(f"operator order must be at least 1, got {m}")
         return errors
     if not math.isfinite(spec.domain_end) or spec.domain_end <= 0.0:
-        errors.append(f"domain end must be positive, got {spec.domain_end}")
+        errors.append(
+            f"domain end must be positive and finite, got {spec.domain_end}"
+        )
     if spec.truncation < m:
         errors.append(
             f"truncation degree {spec.truncation} is below operator order {m}"

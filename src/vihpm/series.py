@@ -19,15 +19,21 @@ arithmetic propagates as ``inf``/``nan``.
 :func:`vihpm.engine.iterate` checks each correction once for finiteness, so
 no non-finite series reaches the solver or a printed table.
 
+:func:`mul` gives the bits of the loop that adds one nonzero row of its
+first operand per pass.  It runs a four-row form of that loop, or, for a
+mostly nonzero first operand in a ring of at most ``KERNEL_CAP``
+coefficients, straight-line code generated for the ring size.
+
 Tables that depend only on a few integers are cached with a fixed bound
-of ``CACHE_SIZE`` entries each: the falling factorials here, the kernel
-weights of :mod:`vihpm.kernel`, and the He polynomial picks, each factor's
-tangent chain orders and the tangent seeds of :mod:`vihpm.engine`
-(``_picks``, ``_rests`` and ``_seed``).  Each :class:`ExpPoly` owns its
-expansion table, which lives as long as the value does and keeps the
-series returned at each degree.  A degree below the highest one held is
-a slice; a higher one is computed afresh, so :func:`vihpm.engine.iterate`
-asks for its top ring before its corrections.
+of ``CACHE_SIZE`` entries each: the falling factorials and the product
+kernels here (at most ``KERNEL_CAP`` of them, each compiled on first use,
+none at import), the kernel weights of :mod:`vihpm.kernel`, and the He
+polynomial picks, each factor's tangent chain orders and the tangent
+seeds of :mod:`vihpm.engine` (``_picks``, ``_rests`` and ``_seed``).
+Each :class:`ExpPoly` owns its expansion table, which lives as long as the
+value does and keeps the series returned at each degree.  A degree below
+the highest one held is a slice; a higher one is computed afresh, so
+:func:`vihpm.engine.iterate` asks for its top ring before its corrections.
 
 :class:`ExpPoly` represents a finite sum of ``exp(rate * x) * p(x)`` terms
 with polynomial ``p``.  It is the closed function class used for forcing
@@ -59,6 +65,8 @@ __all__ = [
 ]
 
 CACHE_SIZE = 256
+# the largest ring, in coefficients, whose dense products run a generated kernel
+KERNEL_CAP = 64
 
 
 class _Value:
@@ -271,17 +279,67 @@ def sub(f: Series, g: Series) -> Series:
 def mul(f: Series, g: Series) -> Series:
     """Cauchy product truncated at the common degree.
 
-    Only the nonzero rows ``f_i * g`` are added, so zero coefficients of the
-    first operand cost nothing (a float is false exactly when it equals
-    0.0, so a NaN row still runs).  Four adjacent nonzero rows go in one
-    pass over the output, and every other nonzero row goes alone.  Every
-    output coefficient starts from +0.0 and gets its terms ``f_i * g_(k-i)``
-    one at a time in ascending ``i``, so the result has the bits of the
-    one-row-per-pass loop.
+    Every output coefficient starts from +0.0 and gets its terms
+    ``f_i * g_(k-i)`` one at a time in ascending ``i``, and the zero rows of
+    the first operand are skipped, so the result has the bits of the
+    one-row-per-pass loop.  In a ring of at most ``KERNEL_CAP``
+    coefficients, a first operand with more nonzero than zero coefficients
+    goes through the straight-line code of :func:`_kernel`.  Its zero rows
+    add ``0 * g_j`` to an accumulator that is never -0.0; while ``g_j`` is
+    finite that is a zero of either sign and changes nothing, so a kernel
+    result whose sum is finite is kept.  Any other kernel result is
+    dropped: a zero row meeting an infinite or NaN ``g_j`` gives NaN where
+    the loop skips the row, and a NaN's sign can differ between freshly
+    compiled code and warm code.  It and every other product run the row
+    loop of :func:`_rows`.
     """
     _check_same_ring(f, g)
     fc = f.coeffs
-    gc = g.coeffs
+    n = len(fc)
+    if n <= KERNEL_CAP and 2 * fc.count(0.0) < n:
+        out = _kernel(n)(fc, g.coeffs)
+        if math.isfinite(sum(out)):
+            return _trusted(out)
+    return _trusted(_rows(fc, g.coeffs))
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _kernel(n: int) -> Callable[[tuple, tuple], tuple]:
+    """The Cauchy product of two ``n``-coefficient tuples as straight-line
+    code, compiled on first use from integer indices alone.
+
+    It unpacks both operands into locals and returns
+    ``(0.0 + f0 * g0, 0.0 + f0 * g1 + f1 * g0, ...)``, with every term in
+    ascending row order, as the row loop adds them.  Each term has a
+    source line of its own, which keeps the code object's location table
+    short.
+    """
+    out = []
+    for k in range(n):
+        terms = "\n        + ".join([f"f{i} * g{k - i}" for i in range(k + 1)])
+        out.append(f"        0.0 + {terms},")
+    source = "\n".join([
+        "def kernel(f, g):",
+        f"    {''.join([f'f{i}, ' for i in range(n)])}= f",
+        f"    {''.join([f'g{i}, ' for i in range(n)])}= g",
+        "    return (",
+        *out,
+        "    )",
+    ])
+    namespace: dict[str, Callable] = {}
+    exec(compile(source, f"<series.mul kernel, n={n}>", "exec"), namespace)
+    return namespace["kernel"]
+
+
+def _rows(fc: tuple[float, ...], gc: tuple[float, ...]) -> tuple[float, ...]:
+    """The Cauchy product of two coefficient tuples of one length, by rows.
+
+    Only the nonzero rows ``f_i * g`` are added, so zero coefficients of the
+    first operand cost nothing (a float is false exactly when it equals
+    0.0, so a NaN row still runs).  Four adjacent nonzero rows go in one
+    pass over the output, and every other nonzero row goes alone; each
+    output still gets its terms in ascending row order.
+    """
     n = len(fc)
     out = [0.0] * n
     rows = compress(range(n), fc)
@@ -309,7 +367,7 @@ def mul(f: Series, g: Series) -> Series:
         else:
             for j in range(n - i):
                 out[i + j] += a * gc[j]
-    return _trusted(tuple(out))
+    return tuple(out)
 
 
 def differentiate(f: Series, order: int) -> Series:

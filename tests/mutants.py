@@ -118,6 +118,54 @@ MUTANTS = (
         "killed",
     ),
     Mutant(
+        "_kernel: an output not started from +0.0",
+        "vihpm/series.py",
+        'out.append(f"        0.0 + {terms},")',
+        'out.append(f"        {terms},")',
+        PRODUCT_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "_kernel: the terms taken in descending row order",
+        "vihpm/series.py",
+        "for i in range(k + 1)]",
+        "for i in reversed(range(k + 1))]",
+        PRODUCT_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "mul: a kernel result kept without the finiteness check",
+        "vihpm/series.py",
+        "        if math.isfinite(sum(out)):\n            return _trusted(out)\n",
+        "        return _trusted(out)\n",
+        PRODUCT_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "mul: a first operand with as many zero as nonzero rows takes the kernel",
+        "vihpm/series.py",
+        "2 * fc.count(0.0) < n:",
+        "2 * fc.count(0.0) <= n:",
+        PRODUCT_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "mul: the largest ring left out of the kernels",
+        "vihpm/series.py",
+        "if n <= KERNEL_CAP and",
+        "if n < KERNEL_CAP and",
+        PRODUCT_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "KERNEL_CAP: one ring size too many gets a kernel",
+        "vihpm/series.py",
+        "KERNEL_CAP = 64\n",
+        "KERNEL_CAP = 65\n",
+        PRODUCT_TESTS,
+        "killed",
+    ),
+    Mutant(
         "_picard: the integral negated as -(f_j * w_j), which is -0.0 at a zero",
         "vihpm/engine.py",
         "0.0 - c * w for c, w",

@@ -332,7 +332,7 @@ class TestErrorPaths:
         path.write_text("order 1\ndomain 0 inf\nbc 0 0 1\n")
         code, out, err = run_cli(capsys, "solve", str(path))
         assert code == 1
-        assert "domain end must be positive" in err
+        assert "domain end must be positive and finite, got inf" in err
         assert out == ""
 
     def test_singular_jacobian_exit_code(self, capsys, tmp_path):

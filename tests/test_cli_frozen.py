@@ -4,12 +4,16 @@ Each entry of ``data/cli_outputs.json`` is the SHA-256 of one
 :func:`vihpm.cli.main` run: its exit code, stdout and stderr, serialized
 by :func:`digest`.  The runs cover builtins 1-4 with ``solve``,
 ``convergence --depth 4`` and ``convergence --depth 6`` at (W=12, k=1) and
-(W=30, k=3), depths above the solve's k, and with ``convergence --depth 2``
-at (W=30, k=3), a depth below it.  Besides the solved constants and
-coefficients, which ``data/solve_bits.json`` pins too, they pin the printed
-error tables and convergence reports.  The digests were recorded before the Newton pass
-stopped rebuilding its spec-constant tables (the depth-2 runs before
-``convergence`` reused the solve's iterates), and hold on CPython 3.10-3.13.
+(W=30, k=3), depths above the solve's k, with ``convergence --depth 2``
+at (W=30, k=3), a depth below it, and with ``solve`` at (W=60, k=4), whose
+rings of 61-88 coefficients straddle the largest ring whose products
+:func:`vihpm.series.mul` hands to a generated kernel.  Besides the solved
+constants and coefficients, which ``data/solve_bits.json`` pins too, they
+pin the printed error tables and convergence reports.  The digests were
+recorded before the Newton pass stopped rebuilding its spec-constant
+tables (the depth-2 runs before ``convergence`` reused the solve's
+iterates, the (W=60, k=4) runs before the product had kernels), and hold
+on CPython 3.10-3.13.
 Each run is repeated with the builtin's problem text written to a file and
 named in place of ``--builtin N``, and must print the same bytes.
 """
@@ -35,9 +39,15 @@ COMMANDS = {
     "convergence-4": ["convergence", "--depth", "4"],
     "convergence-6": ["convergence", "--depth", "6"],
 }
-SETTINGS = {"12-1": ("12", "1"), "30-3": ("30", "3")}
-# depth 2 is recorded at k = 3 only, the setting where it is below k
-RECORDED_SETTINGS = {"convergence-2": ("30-3",)}
+SETTINGS = {"12-1": ("12", "1"), "30-3": ("30", "3"), "60-4": ("60", "4")}
+# depth 2 is recorded at k = 3 only, the setting where it is below k, and
+# the long rings of (W=60, k=4) with solve alone
+RECORDED_SETTINGS = {
+    "solve": ("12-1", "30-3", "60-4"),
+    "convergence-2": ("30-3",),
+    "convergence-4": ("12-1", "30-3"),
+    "convergence-6": ("12-1", "30-3"),
+}
 
 
 def argv_of(case, source=None):
@@ -64,7 +74,7 @@ def test_every_run_is_recorded():
         f"{command}/{n}/{setting}"
         for command in COMMANDS
         for n in "1234"
-        for setting in RECORDED_SETTINGS.get(command, SETTINGS)
+        for setting in RECORDED_SETTINGS[command]
     )
 
 

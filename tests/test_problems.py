@@ -186,7 +186,7 @@ class TestValidate:
             terms=(),
             bcs=(BoundaryCondition(0.0, 0, 1.0),),
         ) == [
-            "domain end must be positive, got -1.0",
+            "domain end must be positive and finite, got -1.0",
             "boundary condition point 0.0 outside [0, -1.0]",
         ]
         assert rejection(
@@ -195,6 +195,29 @@ class TestValidate:
             "truncation degree 1 is below operator order 2",
             "expected 2 boundary conditions, found 0",
         ]
+
+    @pytest.mark.parametrize(
+        "end, errors",
+        [
+            # 1e400 reads as inf, and [0, inf] holds the condition point
+            (1e400, ["domain end must be positive and finite, got inf"]),
+            (
+                math.nan,
+                [
+                    "domain end must be positive and finite, got nan",
+                    "boundary condition point 0.0 outside [0, nan]",
+                ],
+            ),
+        ],
+    )
+    def test_non_finite_domain_end(self, end, errors):
+        assert rejection(
+            ProblemSpec,
+            order=1,
+            domain_end=end,
+            terms=(),
+            bcs=(BoundaryCondition(0.0, 0, 1.0),),
+        ) == errors
 
     def test_truncation_and_iterations(self):
         base = builtin(1)

@@ -1,12 +1,14 @@
 """Validated edges, unchecked ring operations and cached solve invariants.
 
 The ring operations build their results without validation, the product
-adds four adjacent nonzero rows per pass and every other row alone, and
-derivative, kernel, expansion and tangent-chain tables are read from
-caches; specs compute their constant tables once; the dense Newton solve
-picks its pivots with a loop of its own.  These tests pin
-that down: the outputs equal, bit for bit, both the values recorded before
-the caches existed and a local copy of the original formulas.
+of a mostly nonzero first operand runs straight-line code generated for
+its ring size and every other product adds four adjacent nonzero rows per
+pass and every other row alone, and derivative, kernel, expansion and
+tangent-chain tables are read from caches; specs compute their constant
+tables once; the dense Newton solve picks its pivots with a loop of its
+own.  These tests pin that down: the outputs equal, bit for bit, both the
+values recorded before the caches existed and a local copy of the
+original formulas.
 """
 
 import json
@@ -40,6 +42,8 @@ from vihpm.series import (
     ExpPoly,
     ExpTerm,
     Series,
+    _kernel,
+    _rows,
     _trusted,
     add,
     differentiate,
@@ -513,24 +517,67 @@ PRODUCT_ROWS = (1.5, -0.7, 3.1, 0.3, -2.9, 1.1, -0.45, 2.3, 0.9)
 PRODUCT_COLUMNS = PRODUCT_ROWS[::-1] * 2
 
 
+def dense_values(n, seed):
+    """``n`` finite nonzero values of both signs, 2**-30 to 2**30 in size."""
+    rng = random.Random(seed)
+    return tuple([
+        rng.choice((-1.0, 1.0)) * rng.uniform(0.5, 1.0) * 2.0 ** rng.randint(-30, 30)
+        for _ in range(n)
+    ])
+
+
 def assert_one_row_bits(f, g=None):
+    """``mul`` and the row loop it falls back to both give the bits of the
+    one-row loop, whichever path ``mul`` takes."""
     if g is None:
         g = PRODUCT_COLUMNS[: len(f)]
     f, g = _trusted(tuple(f)), _trusted(tuple(g))
-    assert packed(mul(f, g).coeffs) == packed(reference_mul(f, g).coeffs)
+    expected = packed(reference_mul(f, g).coeffs)
+    assert packed(mul(f, g).coeffs) == expected
+    assert packed(_rows(f.coeffs, g.coeffs)) == expected
+
+
+def kernel_calls():
+    """How many products have asked for a kernel, compiled or cached."""
+    info = _kernel.cache_info()
+    return info.hits + info.misses
 
 
 class TestCauchyProduct:
     @settings(max_examples=200, deadline=None)
     @given(operands=product_operands())
     def test_same_bits_as_the_one_row_loop(self, operands):
-        f, g = operands
-        assert packed(mul(f, g).coeffs) == packed(reference_mul(f, g).coeffs)
+        assert_one_row_bits(*(s.coeffs for s in operands))
 
-    @pytest.mark.parametrize("n", range(1, 10))
+    @pytest.mark.parametrize("n", range(1, 66))
     def test_dense_first_operand(self, n):
-        # at n = 4 and 8 a four-row block ends at the last row
-        assert_one_row_bits(PRODUCT_ROWS[:n])
+        # a kernel for every ring size up to the cap, then the row loop; in
+        # the loop a four-row block ends at the last row when 4 divides n
+        assert_one_row_bits(dense_values(n, 1), dense_values(n, 2))
+
+    def test_a_zero_sum_is_plus_zero(self):
+        # every term is -0.0, and each output starts from +0.0
+        f, g = _trusted((-1.5, -2.0, -0.5)), _trusted((0.0, 0.0, 0.0))
+        assert packed(mul(f, g).coeffs) == packed((0.0, 0.0, 0.0))
+        assert_one_row_bits(f.coeffs, g.coeffs)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 63, 64, 65])
+    def test_the_kernel_takes_more_nonzero_than_zero_rows(self, n):
+        for zeros in range(n + 1):
+            f = (0.0,) * zeros + dense_values(n - zeros, 1)
+            before = kernel_calls()
+            assert_one_row_bits(f, dense_values(n, 2))
+            assert kernel_calls() - before == (2 * zeros < n and n <= 64)
+
+    def test_one_kernel_per_ring_size(self):
+        _kernel.cache_clear()
+        for n in range(1, 67):
+            f = _trusted(dense_values(n, 1))
+            mul(f, f)
+            mul(f, f)
+        info = _kernel.cache_info()
+        # compiled once each for n = 1..64 and read again from the cache
+        assert (info.misses, info.hits, info.currsize) == (64, 64, 64)
 
     @pytest.mark.parametrize("start", [0, 1, 2])
     @pytest.mark.parametrize("run", [1, 2, 3, 4, 5, 6, 7, 8])
@@ -570,6 +617,12 @@ class TestCauchyProduct:
         # the skipped row would add 0 * inf = nan
         product = mul(_trusted((zero, 1.0)), _trusted((math.inf, 1.0)))
         assert packed(product.coeffs) == packed((0.0, math.inf))
+        # the kernel adds it, so its non-finite result gives way to the loop
+        for special in (math.inf, -math.inf, math.nan):
+            f, g = (1.5, zero, 3.1), (special, 1.1, -0.45)
+            product = mul(_trusted(f), _trusted(g)).coeffs
+            assert product[1] == 1.5 * 1.1
+            assert_one_row_bits(f, g)
 
     def test_nan_rows_still_run(self):
         product = mul(_trusted((math.nan, 0.0, 0.0)), _trusted((0.0, 0.0, 0.0)))
