@@ -8,7 +8,10 @@ Picard iteration on Taylor coefficients (the Parker-Sochacki method),
 ``B(v) = T_{m-1} v + I^m F(v)``: v's first m coefficients, which carry the
 origin conditions, are kept and ``c_{n+m} = F(v)_n * n!/(n+m)!``.  So the
 k-th iterate lives at truncation ``W + k*m``, and each correction leaves a
-growing prefix of the previous iterate's coefficients unchanged.
+growing prefix of the previous iterate's coefficients unchanged.  Up to
+the ring's one cap on generated code, ``KERNEL_CAP``, the Picard step's
+``0.0 - f_j * w_j`` terms run as straight-line code generated per length
+(:func:`_picard_kernel`), with the bits of the loop above the cap.
 
 The series arithmetic does not check its results (see :mod:`vihpm.series`);
 :func:`iterate` checks every new iterate once and raises
@@ -46,7 +49,9 @@ from .series import (
     _check_same_ring,
     _checked,
     _count,
+    _generated,
     _numbers,
+    _returning,
     _trusted,
     add,
     differentiate,
@@ -170,9 +175,18 @@ def _picard(v: Series, f: Series, m: int) -> Series:
     as one tuple.
     """
     weights = _kernel_weights(m, v.truncation + m)
-    return _trusted(
-        v.coeffs[:m] + tuple([0.0 - c * w for c, w in zip(f.coeffs, weights)])
-    )
+    fc = f.coeffs
+    code = _picard_kernel(len(fc))
+    if code:
+        return _trusted(v.coeffs[:m] + code(fc, weights))
+    return _trusted(v.coeffs[:m] + tuple([0.0 - c * w for c, w in zip(fc, weights)]))
+
+
+@_generated
+def _picard_kernel(n: int) -> tuple[str, list[str]]:
+    """``(0.0 - c0 * w0, 0.0 - c1 * w1, ...)``, the integral :func:`_picard`
+    appends to v's head up to the cap."""
+    return "c, w", _returning([f"0.0 - c{i} * w{i}" for i in range(n)])
 
 
 def correct_once(v: Series, spec: ProblemSpec) -> Series:

@@ -20,14 +20,24 @@ arithmetic propagates as ``inf``/``nan``.
 no non-finite series reaches the solver or a printed table.
 
 :func:`mul` gives the bits of the loop that adds one nonzero row of its
-first operand per pass.  It runs a four-row form of that loop, or, for a
-mostly nonzero first operand in a ring of at most ``KERNEL_CAP``
-coefficients, straight-line code generated for the ring size.
+first operand per pass, and runs a four-row form of that loop.  Up to
+``KERNEL_CAP`` coefficients, the one cap on generated code, straight-line
+code generated per length (:func:`_generated`) does the ring's work
+instead: the product of a mostly nonzero first operand, sums, derivatives,
+derivative values of order 1 and up, and the Picard step of
+:mod:`vihpm.engine`.  Each function performs the float operations of the
+loop it replaces in the loop's order, so it gives the loop's bits, but for
+the sign of a NaN made from two NaNs, which CPython does not fix between a
+float method and its inline float bytecode.  Above the cap the loop runs.
+:func:`evaluate`, the value of order 0, stays a loop at every length: its
+step is one multiply and one add, and a generated form did not pay on the
+CLI workload.  So does :func:`sub`, which no solve calls.
 
 Tables that depend only on a few integers are cached with a fixed bound
-of ``CACHE_SIZE`` entries each: the falling factorials and the product
-kernels here (at most ``KERNEL_CAP`` of them, each compiled on first use,
-none at import), the kernel weights of :mod:`vihpm.kernel`, and the He
+of ``CACHE_SIZE`` entries each: the falling factorials and the generated
+functions here (one of each kind per length, each compiled on first use,
+none at import), the kernel weights of :mod:`vihpm.kernel`, the Picard
+functions of :mod:`vihpm.engine`, and the He
 polynomial picks, each factor's tangent chain orders and the tangent
 seeds of :mod:`vihpm.engine` (``_picks``, ``_rests`` and ``_seed``).
 Each :class:`ExpPoly` owns its expansion table, which lives as long as the
@@ -44,8 +54,8 @@ the series ring.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
-from itertools import compress, islice
+from functools import lru_cache, wraps
+from itertools import compress
 from operator import add as _fadd, mul as _fmul, sub as _fsub
 from typing import Callable, Sequence
 
@@ -65,7 +75,7 @@ __all__ = [
 ]
 
 CACHE_SIZE = 256
-# the largest ring, in coefficients, whose dense products run a generated kernel
+# the longest operand, in coefficients, that runs generated code
 KERNEL_CAP = 64
 
 
@@ -264,10 +274,58 @@ def _check_same_ring(f: Series, g: Series) -> None:
         )
 
 
+def _generated(source: Callable[[int], tuple[str, list[str]]]) -> Callable:
+    """Turn a source builder into a cache of straight-line functions.
+
+    ``source(n)`` gives the parameters and the statements of a function on
+    ``n``-coefficient tuples.  Every parameter but ``x`` is such a tuple,
+    unpacked first into locals named after it and the index (``f0, f1,
+    ...``), so each term reads locals alone.  The decorated name maps an
+    ``n`` of at most ``KERNEL_CAP`` to that function, compiled on first use
+    and cached, and a larger ``n`` to ``None``: there its caller runs its
+    loop.  This is the one place the package generates code.
+    """
+
+    @lru_cache(maxsize=CACHE_SIZE)
+    @wraps(source)
+    def generated(n: int) -> Callable | None:
+        if n > KERNEL_CAP:
+            return None
+        params, body = source(n)
+        name = source.__name__
+        text = "\n".join([
+            f"def {name}({params}):",
+            *[
+                f"    [{''.join([f'{p}{i}, ' for i in range(n)])}] = {p}"
+                for p in params.split(", ")
+                if p != "x"
+            ],
+            *[f"    {line}" for line in body],
+        ])
+        namespace: dict[str, Callable] = {}
+        exec(compile(text, f"<{source.__module__}.{name}, n={n}>", "exec"), namespace)
+        return namespace[name]
+
+    return generated
+
+
+def _returning(terms: list[str]) -> list[str]:
+    """Statements that return the tuple of ``terms``, a line for each."""
+    return ["return (", *[f"    {term}," for term in terms], ")"]
+
+
 def add(f: Series, g: Series) -> Series:
     """Coefficient-wise sum at equal truncation."""
     _check_same_ring(f, g)
-    return _trusted(tuple([*map(_fadd, f.coeffs, g.coeffs)]))
+    fc, gc = f.coeffs, g.coeffs
+    code = _add_kernel(len(fc))
+    return _trusted(code(fc, gc) if code else tuple([*map(_fadd, fc, gc)]))
+
+
+@_generated
+def _add_kernel(n: int) -> tuple[str, list[str]]:
+    """``(f0 + g0, f1 + g1, ...)``, the sum :func:`add` runs up to the cap."""
+    return "f, g", _returning([f"f{i} + g{i}" for i in range(n)])
 
 
 def sub(f: Series, g: Series) -> Series:
@@ -303,32 +361,20 @@ def mul(f: Series, g: Series) -> Series:
     return _trusted(_rows(fc, g.coeffs))
 
 
-@lru_cache(maxsize=CACHE_SIZE)
-def _kernel(n: int) -> Callable[[tuple, tuple], tuple]:
+@_generated
+def _kernel(n: int) -> tuple[str, list[str]]:
     """The Cauchy product of two ``n``-coefficient tuples as straight-line
-    code, compiled on first use from integer indices alone.
+    code, built from integer indices alone.
 
-    It unpacks both operands into locals and returns
-    ``(0.0 + f0 * g0, 0.0 + f0 * g1 + f1 * g0, ...)``, with every term in
-    ascending row order, as the row loop adds them.  Each term has a
-    source line of its own, which keeps the code object's location table
-    short.
+    It returns ``(0.0 + f0 * g0, 0.0 + f0 * g1 + f1 * g0, ...)``, with
+    every term in ascending row order, as the row loop adds them.  Each
+    term has a source line of its own, which keeps the code object's
+    location table short.
     """
-    out = []
-    for k in range(n):
-        terms = "\n        + ".join([f"f{i} * g{k - i}" for i in range(k + 1)])
-        out.append(f"        0.0 + {terms},")
-    source = "\n".join([
-        "def kernel(f, g):",
-        f"    {''.join([f'f{i}, ' for i in range(n)])}= f",
-        f"    {''.join([f'g{i}, ' for i in range(n)])}= g",
-        "    return (",
-        *out,
-        "    )",
+    return "f, g", _returning([
+        "0.0 + " + "\n    + ".join([f"f{i} * g{k - i}" for i in range(k + 1)])
+        for k in range(n)
     ])
-    namespace: dict[str, Callable] = {}
-    exec(compile(source, f"<series.mul kernel, n={n}>", "exec"), namespace)
-    return namespace["kernel"]
 
 
 def _rows(fc: tuple[float, ...], gc: tuple[float, ...]) -> tuple[float, ...]:
@@ -382,11 +428,19 @@ def differentiate(f: Series, order: int) -> Series:
         order = _checked(_count, "order", order)
     if order == 0:
         return f
-    w = f.truncation
-    falls = _falling_factorials(order, w)
-    out = [0.0] * (w + 1)
-    out[: len(falls)] = map(_fmul, islice(f.coeffs, order, None), falls)
-    return _trusted(tuple(out))
+    falls = _falling_factorials(order, f.truncation)
+    coeffs = f.coeffs[order:]
+    code = _derivative_kernel(len(coeffs))
+    out = code(coeffs, falls) if code else tuple(map(_fmul, coeffs, falls))
+    return _trusted(out + (0.0,) * (len(f.coeffs) - len(out)))
+
+
+@_generated
+def _derivative_kernel(n: int) -> tuple[str, list[str]]:
+    """``(c0 * w0, c1 * w1, ...)``: the derivative's coefficients below its
+    zeros, from the coefficients ``c`` above the order and the falling
+    factorials ``w``."""
+    return "c, w", _returning([f"c{i} * w{i}" for i in range(n)])
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -428,10 +482,26 @@ def evaluate_derivative(f: Series, order: int, x: float) -> float:
     if order == 0:
         return evaluate(f, x)
     falls = _falling_factorials(order, f.truncation)
+    coeffs = f.coeffs[order:]
+    code = _horner_kernel(len(coeffs))
+    if code:
+        return code(coeffs, falls, x)
     acc = 0.0
-    for c, fall in zip(reversed(f.coeffs[order:]), reversed(falls)):
+    for c, fall in zip(reversed(coeffs), reversed(falls)):
         acc = acc * x + c * fall
     return acc
+
+
+@_generated
+def _horner_kernel(n: int) -> tuple[str, list[str]]:
+    """Horner's rule at ``x`` on ``c_k * w_k``, the loop of
+    :func:`evaluate_derivative` written out: from ``acc = 0.0`` at the top
+    down to degree 0, one statement per coefficient."""
+    return "c, w, x", [
+        "acc = 0.0",
+        *[f"acc = acc * x + c{k} * w{k}" for k in reversed(range(n))],
+        "return acc",
+    ]
 
 
 class ExpTerm(_Value):

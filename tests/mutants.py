@@ -48,10 +48,19 @@ EXPANSION_TESTS = (
     "tests/test_engine.py",
     "tests/test_problems.py",
 )
-PICARD_TESTS = ("tests/test_trusted_ring.py::TestPicardStep", "tests/test_engine.py")
+PICARD_TESTS = (
+    "tests/test_trusted_ring.py::TestPicardStep",
+    "tests/test_trusted_ring.py::TestEveryLength::test_picard_step",
+    "tests/test_engine.py",
+)
 DERIVATIVE_TESTS = (
     "tests/test_series.py",
     "tests/test_trusted_ring.py::TestDerivativeWithoutCopies",
+    "tests/test_trusted_ring.py::TestEveryLength::test_derivative_and_its_value",
+)
+GENERATED_TESTS = (
+    "tests/test_trusted_ring.py::TestEveryLength",
+    "tests/test_trusted_ring.py::TestCauchyProduct::test_dense_first_operand",
 )
 DENSE_SOLVE_TESTS = ("tests/test_trusted_ring.py::TestDenseSolve",)
 GEOMETRIC_TESTS = ("tests/test_diagnostics.py",)
@@ -120,8 +129,8 @@ MUTANTS = (
     Mutant(
         "_kernel: an output not started from +0.0",
         "vihpm/series.py",
-        'out.append(f"        0.0 + {terms},")',
-        'out.append(f"        {terms},")',
+        '"0.0 + " + "\\n',
+        '"\\n',
         PRODUCT_TESTS,
         "killed",
     ),
@@ -166,6 +175,38 @@ MUTANTS = (
         "killed",
     ),
     Mutant(
+        "_generated: the largest length left out of the generated code",
+        "vihpm/series.py",
+        "        if n > KERNEL_CAP:\n            return None\n",
+        "        if n >= KERNEL_CAP:\n            return None\n",
+        GENERATED_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "_horner_kernel: the terms taken from degree 0 up",
+        "vihpm/series.py",
+        "for k in reversed(range(n))]",
+        "for k in range(n)]",
+        DERIVATIVE_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "differentiate: the generated code reads the falling factorials one place off",
+        "vihpm/series.py",
+        "code(coeffs, falls) if code",
+        "code(coeffs, (1.0, *falls[:-1])) if code",
+        DERIVATIVE_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "_picard_kernel: the integral negated as -(f_j * w_j), which is -0.0 at a zero",
+        "vihpm/engine.py",
+        'f"0.0 - c{i} * w{i}"',
+        'f"-(c{i} * w{i})"',
+        PICARD_TESTS,
+        "killed",
+    ),
+    Mutant(
         "_picard: the integral negated as -(f_j * w_j), which is -0.0 at a zero",
         "vihpm/engine.py",
         "0.0 - c * w for c, w",
@@ -184,8 +225,8 @@ MUTANTS = (
     Mutant(
         "evaluate_derivative: the falling factorials taken in the wrong order",
         "vihpm/series.py",
-        "zip(reversed(f.coeffs[order:]), reversed(falls))",
-        "zip(reversed(f.coeffs[order:]), falls)",
+        "zip(reversed(coeffs), reversed(falls))",
+        "zip(reversed(coeffs), falls)",
         DERIVATIVE_TESTS,
         "killed",
     ),

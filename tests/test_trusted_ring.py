@@ -3,7 +3,8 @@
 The ring operations build their results without validation, the product
 of a mostly nonzero first operand runs straight-line code generated for
 its ring size and every other product adds four adjacent nonzero rows per
-pass and every other row alone, and derivative, kernel, expansion and
+pass and every other row alone, sums, derivatives, Picard steps and
+derivative values run straight-line code generated for their length, and derivative, kernel, expansion and
 tangent-chain tables are read from caches; specs compute their constant
 tables once; the dense Newton solve picks its pivots with a loop of its
 own.  These tests pin that down: the outputs equal, bit for bit, both the
@@ -13,6 +14,7 @@ original formulas.
 
 import json
 import math
+import operator
 import random
 import struct
 from pathlib import Path
@@ -24,6 +26,7 @@ from hypothesis import strategies as st
 from vihpm.engine import (
     NonFiniteIterateError,
     _picard,
+    _picard_kernel,
     _rests,
     initial_approx,
     iterate,
@@ -39,9 +42,13 @@ from vihpm.problems import (
 )
 from vihpm.series import (
     CACHE_SIZE,
+    KERNEL_CAP,
     ExpPoly,
     ExpTerm,
     Series,
+    _add_kernel,
+    _derivative_kernel,
+    _horner_kernel,
     _kernel,
     _rows,
     _trusted,
@@ -183,7 +190,7 @@ def oracle_horner(coeffs, x):
 class TestDerivativeWithoutCopies:
     @settings(max_examples=100, deadline=None)
     @given(
-        w=st.integers(min_value=0, max_value=40),
+        w=st.integers(min_value=0, max_value=KERNEL_CAP + 2),
         x=st.one_of(
             st.sampled_from([0.0, 0.5, 1.0]),
             st.floats(min_value=0.0, max_value=2.0),
@@ -228,7 +235,7 @@ class TestPicardStep:
     @given(m=st.integers(min_value=1, max_value=7), data=st.data())
     def test_matches_the_kernel_applied_to_the_lifted_series(self, m, data):
         # v carries at least the m coefficients that the step keeps
-        w = data.draw(st.integers(min_value=m - 1, max_value=30))
+        w = data.draw(st.integers(min_value=m - 1, max_value=KERNEL_CAP))
         v, f = (
             _trusted(tuple(data.draw(st.lists(ring_values, min_size=w + 1, max_size=w + 1))))
             for _ in range(2)
@@ -549,7 +556,7 @@ class TestCauchyProduct:
     def test_same_bits_as_the_one_row_loop(self, operands):
         assert_one_row_bits(*(s.coeffs for s in operands))
 
-    @pytest.mark.parametrize("n", range(1, 66))
+    @pytest.mark.parametrize("n", range(1, KERNEL_CAP + 2))
     def test_dense_first_operand(self, n):
         # a kernel for every ring size up to the cap, then the row loop; in
         # the loop a four-row block ends at the last row when 4 divides n
@@ -627,6 +634,133 @@ class TestCauchyProduct:
     def test_nan_rows_still_run(self):
         product = mul(_trusted((math.nan, 0.0, 0.0)), _trusted((0.0, 0.0, 0.0)))
         assert all(math.isnan(c) for c in product.coeffs)
+
+
+# -- straight-line code for the O(W) operations ------------------------------
+
+
+GENERATED = (
+    _kernel,
+    _add_kernel,
+    _derivative_kernel,
+    _horner_kernel,
+    _picard_kernel,
+)
+
+
+def assert_generated_up_to_the_cap(cache, n):
+    """``cache`` holds generated code for length ``n`` up to ``KERNEL_CAP``,
+    and ``None`` past it, where the caller runs its loop."""
+    assert (cache(n) is None) == (n > KERNEL_CAP)
+
+
+def packed_but_nan(values):
+    """``packed``, with every NaN read as one quiet NaN.  Where two NaNs of
+    either sign meet, the sign of the result depends on whether CPython
+    runs a float method (the ``map`` loops, and cold code) or its inline
+    float bytecode (warm generated code and warm loops), so it is not
+    pinned; every other bit is."""
+    return packed([math.nan if v != v else v for v in values])
+
+
+def with_specials(values, shift):
+    """``values`` with two coefficients in three replaced by
+    ``PRODUCT_SPECIALS``, so zeros of either sign, +-inf and nan meet
+    finite values and each other."""
+    k = len(PRODUCT_SPECIALS)
+    return tuple([
+        PRODUCT_SPECIALS[(i + shift) % k] if (i + shift) % 3 else c
+        for i, c in enumerate(values)
+    ])
+
+
+def ring_operands(n):
+    """Pairs of ``n``-coefficient tuples: dense finite values, then the
+    same values with specials laid in at seven offsets; the two operands'
+    specials are offset by 1-7 places, so every pair of specials meets at
+    some index once ``n`` is large enough."""
+    f, g = dense_values(n, 1), dense_values(n, 2)
+    yield f, g
+    for shift in range(len(PRODUCT_SPECIALS)):
+        yield with_specials(f, shift), with_specials(g, 2 * shift + 1)
+
+
+def oracle_picard(v, f, m):
+    """The Picard step as a loop: v's head, then ``0.0 - f_j * w_j`` with
+    ``w_j = -j!/(j+m)!`` from a running product of reciprocals."""
+    out = list(v[:m])
+    for j, c in enumerate(f):
+        ratio = 1.0
+        for i in range(j + 1, j + m + 1):
+            ratio /= i
+        out.append(0.0 - c * -ratio)
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, KERNEL_CAP + 2))
+class TestEveryLength:
+    """Each O(W) operation gives the bits of the loop it replaced at every
+    length its code is generated for, and one past ``KERNEL_CAP``, where
+    the loop itself runs.  The products' counterpart is
+    ``TestCauchyProduct::test_dense_first_operand``."""
+
+    def test_sum(self, n):
+        assert_generated_up_to_the_cap(_add_kernel, n)
+        for f, g in ring_operands(n):
+            total = add(_trusted(f), _trusted(g))
+            assert packed_but_nan(total.coeffs) == packed_but_nan(map(operator.add, f, g))
+
+    @pytest.mark.parametrize("order", [1, 2, 7])
+    def test_derivative_and_its_value(self, n, order):
+        # a series of n + order coefficients leaves n above the order
+        assert_generated_up_to_the_cap(_derivative_kernel, n)
+        assert_generated_up_to_the_cap(_horner_kernel, n)
+        for f, g in ring_operands(n + order):
+            for coeffs in (f, g, (-0.0,) * (n + order)):
+                series = _trusted(coeffs)
+                derivative = oracle_differentiate(coeffs, order)
+                got = differentiate(series, order).coeffs
+                assert packed_but_nan(got) == packed_but_nan(derivative)
+                for x in (0.5, -1.5, 0.0):
+                    value = evaluate_derivative(series, order, x)
+                    assert packed_but_nan([value]) == packed_but_nan([oracle_horner(derivative, x)])
+
+    @pytest.mark.parametrize("m", [1, 2, 7])
+    def test_picard_step(self, n, m):
+        assert_generated_up_to_the_cap(_picard_kernel, n)
+        for v, f in ring_operands(n):
+            step = _picard(_trusted(v), _trusted(f), m)
+            assert packed_but_nan(step.coeffs) == packed_but_nan(oracle_picard(v, f, m))
+
+
+# (W, k) -> builtin -> how many functions of each of GENERATED one solve()
+# compiles from cold caches: products, sums, derivatives, derivative values
+# and Picard steps
+COLD_SOLVE_COMPILES = {
+    (12, 1): {
+        1: (0, 1, 0, 2, 1),
+        2: (1, 1, 0, 2, 1),
+        3: (0, 1, 1, 2, 1),
+        4: (0, 1, 1, 2, 1),
+    },
+    (30, 3): {
+        1: (0, 3, 0, 2, 3),
+        2: (3, 3, 0, 2, 3),
+        3: (2, 3, 3, 2, 3),
+        4: (2, 3, 3, 2, 3),
+    },
+}
+
+
+@pytest.mark.parametrize("setting", sorted(COLD_SOLVE_COMPILES))
+def test_functions_compiled_by_a_cold_solve(setting):
+    truncation, iterations = setting
+    for n, expected in COLD_SOLVE_COMPILES[setting].items():
+        for cache in GENERATED:
+            cache.cache_clear()
+        spec = with_settings(builtin(n), truncation=truncation, iterations=iterations)
+        assert solve(spec).converged
+        assert tuple([cache.cache_info().misses for cache in GENERATED]) == expected, n
 
 
 @st.composite
