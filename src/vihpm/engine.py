@@ -13,13 +13,18 @@ the ring's one cap on generated code, ``KERNEL_CAP``, the Picard step's
 ``0.0 - f_j * w_j`` terms run as straight-line code generated per length
 (:func:`_picard_kernel`), with the bits of the loop above the cap.
 
-The series arithmetic does not check its results (see :mod:`vihpm.series`);
-:func:`iterate` checks every new iterate once and raises
-:class:`NonFiniteIterateError` when the arithmetic has overflowed.  A
-Newton pass's own inputs skip :func:`make_series` too: the initial
-polynomial copies the origin coefficients the spec computed, and checked,
-when it was built and checks only the caller's constants, and a tangent
-seed ``x**j``, zeros and a one, is built once per degree and truncation.
+Between ring operations the engine passes plain coefficient tuples
+(``Coeffs``) to the tuple functions of :mod:`vihpm.series`, which do not
+check their results.  A :class:`~vihpm.series.Series` is built, unchecked,
+only for a value that leaves the engine: the iterates of :func:`iterate` and
+:func:`correct_once`, and what :func:`tangents`, :func:`residual` and
+:func:`he_coefficients` return.  :func:`iterate` checks every new iterate
+once and raises :class:`NonFiniteIterateError` when the arithmetic has
+overflowed.  A Newton pass's own inputs skip :func:`make_series` too: the
+initial polynomial copies the origin coefficients the spec computed, and
+checked, when it was built and checks only the caller's constants, and a
+tangent seed ``x**j``, zeros and a one, is built once per degree and
+truncation.
 
 F is evaluated in one place, as He's polynomials: the order-k coefficient
 in p of F on a parameter-embedded sum ``sum_i p**i u_i``.  The correction
@@ -42,16 +47,20 @@ from typing import Sequence
 
 from .kernel import _kernel_weights
 from .problems import ProblemSpec
-# pad_to is not called here; perfbench/tracing.py wraps engine.pad_to by name
+# pad_to, add, mul and make_series are not called here, and differentiate
+# only by residual; perfbench/tracing.py wraps them on engine by name
 from .series import (
     CACHE_SIZE,
     Series,
     _check_same_ring,
     _checked,
     _count,
+    _derivative,
     _generated,
     _numbers,
+    _product,
     _returning,
+    _sum,
     _trusted,
     add,
     differentiate,
@@ -71,6 +80,10 @@ __all__ = [
     "iterate",
     "tangents",
 ]
+
+
+# a ring value inside the engine: the coefficients c_0 .. c_W of a series
+Coeffs = tuple[float, ...]
 
 
 class NonFiniteIterateError(ArithmeticError):
@@ -139,47 +152,46 @@ def _rests(factors: tuple[int, ...]) -> tuple[tuple[int, tuple[int, ...]], ...]:
     ])
 
 
-def _he_order(spec: ProblemSpec, parts: Sequence[Series], k: int) -> Series:
+def _he_order(spec: ProblemSpec, parts: Sequence[Coeffs], k: int) -> Coeffs:
     """Order k in p of F(sum_i p**i parts[i]), in the parts' common ring.
 
     Every term adds its coefficient series times one derivative product for
     each pick of part indices summing to k, factors left to right, so order
-    0 is F(parts[0]) itself.  Nothing is checked here; a zero series is built
+    0 is F(parts[0]) itself.  Nothing is checked here; a zero tuple is built
     only when no term contributes.
     """
-    w = parts[0].truncation
-    total: Series | None = None
+    w = len(parts[0]) - 1
+    total: Coeffs | None = None
     for term in spec.terms:
         for pick in _picks(term.factors, k):
-            acc = expand_exppoly(term.coeff, w)
+            acc = expand_exppoly(term.coeff, w).coeffs
             for i, d in pick:
-                acc = mul(acc, differentiate(parts[i], d))
-            total = acc if total is None else add(total, acc)
+                acc = _product(acc, _derivative(parts[i], d))
+            total = acc if total is None else _sum(total, acc)
     if total is None:
-        total = make_series((), w)
+        total = (0.0,) * (w + 1)
     return total
 
 
 def residual(v: Series, spec: ProblemSpec) -> Series:
     """Equation defect ``v^(m) - F(v)`` in v's own ring."""
-    return sub(differentiate(v, spec.order), _he_order(spec, (v,), 0))
+    return sub(differentiate(v, spec.order), _trusted(_he_order(spec, (v.coeffs,), 0)))
 
 
-def _picard(v: Series, f: Series, m: int) -> Series:
+def _picard(v: Coeffs, f: Coeffs, m: int) -> Coeffs:
     """The Picard step ``T_{m-1} v + I^m f`` at truncation ``W + m``.
 
-    ``f`` shares v's ring W.  The result keeps v's first m coefficients and
-    puts ``0.0 - f_j * w_j`` at degree ``j + m``, with ``w_j = -j!/(j+m)!``
-    from the kernel's weight table: bit for bit the kernel's ``-I^m`` of f
-    lifted to degree W + m and subtracted from v's zero-padded head, built
-    as one tuple.
+    ``f`` shares v's ring W, and v has at least m coefficients.  The result
+    keeps v's first m coefficients and puts ``0.0 - f_j * w_j`` at degree
+    ``j + m``, with ``w_j = -j!/(j+m)!`` from the kernel's weight table: bit
+    for bit the kernel's ``-I^m`` of f lifted to degree W + m and subtracted
+    from v's zero-padded head, built as one tuple.
     """
-    weights = _kernel_weights(m, v.truncation + m)
-    fc = f.coeffs
-    code = _picard_kernel(len(fc))
+    weights = _kernel_weights(m, len(f) - 1 + m)
+    code = _picard_kernel(len(f))
     if code:
-        return _trusted(v.coeffs[:m] + code(fc, weights))
-    return _trusted(v.coeffs[:m] + tuple([0.0 - c * w for c, w in zip(fc, weights)]))
+        return v[:m] + code(f, weights)
+    return v[:m] + tuple([0.0 - c * w for c, w in zip(f, weights)])
 
 
 @_generated
@@ -190,8 +202,13 @@ def _picard_kernel(n: int) -> tuple[str, list[str]]:
 
 
 def correct_once(v: Series, spec: ProblemSpec) -> Series:
-    """One correction ``T_{m-1} v + I^m F(v)``, F evaluated in v's own ring."""
-    return _picard(v, _he_order(spec, (v,), 0), spec.order)
+    """One correction ``T_{m-1} v + I^m F(v)``, F evaluated in v's own ring
+    W, at truncation ``W + m``.  A v of fewer than m coefficients has zeros
+    for its missing Taylor coefficients."""
+    m = spec.order
+    vc = v.coeffs
+    head = vc + (0.0,) * (m - len(vc))
+    return _trusted(_picard(head, _he_order(spec, (vc,), 0), m))
 
 
 def he_coefficients(
@@ -206,25 +223,26 @@ def he_coefficients(
         raise ValueError("need at least one expansion part")
     for u in parts[1:]:
         _check_same_ring(parts[0], u)
-    return tuple(_he_order(spec, parts, k) for k in range(len(parts)))
+    coeffs = [u.coeffs for u in parts]
+    return tuple([_trusted(_he_order(spec, coeffs, k)) for k in range(len(parts))])
 
 
-def _sparse_first(f: Series, g: Series) -> Series:
+def _sparse_first(f: Coeffs, g: Coeffs) -> Coeffs:
     """``f * g`` with the operand of fewer nonzero coefficients first.
 
-    :func:`~vihpm.series.mul` skips the zero coefficients of its first
-    operand only, so a seed ``x**j`` costs O(W) per product this way instead
+    The product of :mod:`vihpm.series` skips the zero coefficients of its
+    first operand only, so a seed ``x**j`` costs O(W) per product this way instead
     of O(W**2).  Taking four adjacent nonzero rows per pass, or a ring
     size's straight-line kernel when both operands are mostly nonzero, makes
     each row cheaper, not fewer, so the count of rows to add stays the cost.
     A tie keeps ``f`` first.
     """
-    if g.coeffs.count(0.0) > f.coeffs.count(0.0):
-        return mul(g, f)
-    return mul(f, g)
+    if g.count(0.0) > f.count(0.0):
+        return _product(g, f)
+    return _product(f, g)
 
 
-def _linearization(spec: ProblemSpec, v: Series) -> tuple[tuple[int, Series], ...]:
+def _linearization(spec: ProblemSpec, v: Coeffs) -> tuple[tuple[int, Coeffs], ...]:
     """F'(v) as pairs ``(d, L_d)``, ``F'(v) dv = sum_d dv^(d) L_d``.
 
     Putting dv into factor i of a term ``c * prod_l u^(d_l)`` leaves the
@@ -232,41 +250,55 @@ def _linearization(spec: ProblemSpec, v: Series) -> tuple[tuple[int, Series], ..
     sorted tuple of :func:`_rests`) is formed once, and the chains that pair
     with the same order d are summed into L_d.
     """
-    w = v.truncation
-    derivatives: dict[int, Series] = {}
-    linear: dict[int, Series] = {}
+    w = len(v) - 1
+    derivatives: dict[int, Coeffs] = {}
+    linear: dict[int, Coeffs] = {}
     for term in spec.terms:
-        chains: dict[tuple[int, ...], Series] = {}
+        chains: dict[tuple[int, ...], Coeffs] = {}
         for d, rest in _rests(term.factors):
             chain = chains.get(rest)
             if chain is None:
-                chain = expand_exppoly(term.coeff, w)
+                chain = expand_exppoly(term.coeff, w).coeffs
                 for e in rest:
                     if e not in derivatives:
-                        derivatives[e] = differentiate(v, e)
+                        derivatives[e] = _derivative(v, e)
                     chain = _sparse_first(chain, derivatives[e])
                 chains[rest] = chain
-            linear[d] = add(linear[d], chain) if d in linear else chain
+            linear[d] = _sum(linear[d], chain) if d in linear else chain
     return tuple(linear.items())
 
 
-def _apply(linear: tuple[tuple[int, Series], ...], dv: Series) -> Series:
+def _apply(linear: tuple[tuple[int, Coeffs], ...], dv: Coeffs) -> Coeffs:
     """``F'(v) dv`` from the pairs of :func:`_linearization`."""
-    total: Series | None = None
+    total: Coeffs | None = None
     for d, weight in linear:
-        term = _sparse_first(weight, differentiate(dv, d))
-        total = term if total is None else add(total, term)
+        term = _sparse_first(weight, _derivative(dv, d))
+        total = term if total is None else _sum(total, term)
     if total is None:
-        total = make_series((), dv.truncation)
+        total = (0.0,) * len(dv)
     return total
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _seed(degree: int, truncation: int) -> Series:
-    """The tangent seed ``x**degree`` at ``truncation``, wrapped unchecked,
-    since zeros and a one need no validation; a series is immutable, so
-    every tangent sweep can share it."""
-    return _trusted((0.0,) * degree + (1.0,) + (0.0,) * (truncation - degree))
+def _seed(degree: int, truncation: int) -> Coeffs:
+    """The tangent seed ``x**degree`` at ``truncation``; a tuple is
+    immutable, so every tangent sweep can share it."""
+    return (0.0,) * degree + (1.0,) + (0.0,) * (truncation - degree)
+
+
+def _tangents(spec: ProblemSpec, iterates: Sequence[Series]) -> list[Coeffs]:
+    """The coefficients of :func:`tangents`, which wraps them."""
+    degrees = spec.unknown_degrees()
+    w = iterates[0].truncation
+    dvs = [_seed(degree, w) for degree in degrees]
+    for v in iterates[:-1]:
+        linear = _linearization(spec, v.coeffs)
+        dvs = [_picard(dv, _apply(linear, dv), spec.order) for dv in dvs]
+    # a non-finite coefficient stays non-finite, so one check at the end
+    for degree, dv in zip(degrees, dvs):
+        if not all(map(math.isfinite, dv)):
+            raise NonFiniteIterateError(f"the tangent along x^{degree} is non-finite")
+    return dvs
 
 
 def tangents(spec: ProblemSpec, iterates: Sequence[Series]) -> tuple[Series, ...]:
@@ -285,17 +317,7 @@ def tangents(spec: ProblemSpec, iterates: Sequence[Series]) -> tuple[Series, ...
     overflow where the iterates do not; :class:`NonFiniteIterateError` is
     raised then.
     """
-    degrees = spec.unknown_degrees()
-    w = iterates[0].truncation
-    dvs = [_seed(degree, w) for degree in degrees]
-    for v in iterates[:-1]:
-        linear = _linearization(spec, v)
-        dvs = [_picard(dv, _apply(linear, dv), spec.order) for dv in dvs]
-    # a non-finite coefficient stays non-finite, so one check at the end
-    for degree, dv in zip(degrees, dvs):
-        if not all(map(math.isfinite, dv.coeffs)):
-            raise NonFiniteIterateError(f"the tangent along x^{degree} is non-finite")
-    return tuple(dvs)
+    return tuple([_trusted(dv) for dv in _tangents(spec, iterates)])
 
 
 def iterate(

@@ -12,10 +12,15 @@ Validation happens where data enters: ``Series(...)`` and
 :func:`make_series` convert every coefficient to float and reject empty or
 non-finite input, with the field checkers defined here that every checked
 value of the package shares, ``_count`` (an integer of at least 0) among
-them; ``_checked`` runs one on a single argument and raises at once.  The
-ring operations trust their operands and build their results through
-:func:`_trusted` without re-checking them, so an overflow inside the
-arithmetic propagates as ``inf``/``nan``.
+them; ``_checked`` runs one on a single argument and raises at once.  Each
+ring operation is one function on coefficient tuples (:func:`_sum`,
+:func:`_product`, :func:`_derivative`, :func:`_derivative_value`) that
+trusts its operands.  The public :func:`add`, :func:`mul`,
+:func:`differentiate` and :func:`evaluate_derivative` are shells over them:
+they check their arguments and wrap the result through :func:`_trusted`
+without re-checking it, so an overflow inside the arithmetic propagates as
+``inf``/``nan``.  :mod:`vihpm.engine` and :mod:`vihpm.solver` call the tuple
+functions directly and wrap only the values that leave them.
 :func:`vihpm.engine.iterate` checks each correction once for finiteness, so
 no non-finite series reaches the solver or a printed table.
 
@@ -317,9 +322,13 @@ def _returning(terms: list[str]) -> list[str]:
 def add(f: Series, g: Series) -> Series:
     """Coefficient-wise sum at equal truncation."""
     _check_same_ring(f, g)
-    fc, gc = f.coeffs, g.coeffs
+    return _trusted(_sum(f.coeffs, g.coeffs))
+
+
+def _sum(fc: tuple[float, ...], gc: tuple[float, ...]) -> tuple[float, ...]:
+    """The sum of two coefficient tuples of one length."""
     code = _add_kernel(len(fc))
-    return _trusted(code(fc, gc) if code else tuple([*map(_fadd, fc, gc)]))
+    return code(fc, gc) if code else tuple([*map(_fadd, fc, gc)])
 
 
 @_generated
@@ -352,13 +361,18 @@ def mul(f: Series, g: Series) -> Series:
     loop of :func:`_rows`.
     """
     _check_same_ring(f, g)
-    fc = f.coeffs
+    return _trusted(_product(f.coeffs, g.coeffs))
+
+
+def _product(fc: tuple[float, ...], gc: tuple[float, ...]) -> tuple[float, ...]:
+    """The product :func:`mul` describes, of two coefficient tuples of one
+    length."""
     n = len(fc)
     if n <= KERNEL_CAP and 2 * fc.count(0.0) < n:
-        out = _kernel(n)(fc, g.coeffs)
+        out = _kernel(n)(fc, gc)
         if math.isfinite(sum(out)):
-            return _trusted(out)
-    return _trusted(_rows(fc, g.coeffs))
+            return out
+    return _rows(fc, gc)
 
 
 @_generated
@@ -423,16 +437,20 @@ def differentiate(f: Series, order: int) -> Series:
     coefficients of ``f`` carry no information about the derivative there.
     Order 0 returns ``f`` itself: a series is immutable, so it can be shared.
     """
-    # an int order skips the full check: the engine derives every tangent here
-    if order.__class__ is not int or order < 0:
-        order = _checked(_count, "order", order)
+    order = _checked(_count, "order", order)
+    return f if order == 0 else _trusted(_derivative(f.coeffs, order))
+
+
+def _derivative(fc: tuple[float, ...], order: int) -> tuple[float, ...]:
+    """The derivative :func:`differentiate` describes, of a coefficient
+    tuple; order 0 returns ``fc`` itself."""
     if order == 0:
-        return f
-    falls = _falling_factorials(order, f.truncation)
-    coeffs = f.coeffs[order:]
+        return fc
+    falls = _falling_factorials(order, len(fc) - 1)
+    coeffs = fc[order:]
     code = _derivative_kernel(len(coeffs))
     out = code(coeffs, falls) if code else tuple(map(_fmul, coeffs, falls))
-    return _trusted(out + (0.0,) * (len(f.coeffs) - len(out)))
+    return out + (0.0,) * (len(fc) - len(out))
 
 
 @_generated
@@ -477,12 +495,17 @@ def evaluate_derivative(f: Series, order: int, x: float) -> float:
     the accumulator at +0.0 for any finite ``x``, so skipping them gives
     the bits of :func:`evaluate` on :func:`differentiate`.
     """
-    if order.__class__ is not int or order < 0:
-        order = _checked(_count, "order", order)
+    order = _checked(_count, "order", order)
+    return _derivative_value(f.coeffs, order, x)
+
+
+def _derivative_value(fc: tuple[float, ...], order: int, x: float) -> float:
+    """The value :func:`evaluate_derivative` describes, of a coefficient
+    tuple."""
     if order == 0:
-        return evaluate(f, x)
-    falls = _falling_factorials(order, f.truncation)
-    coeffs = f.coeffs[order:]
+        return _horner(fc, x)
+    falls = _falling_factorials(order, len(fc) - 1)
+    coeffs = fc[order:]
     code = _horner_kernel(len(coeffs))
     if code:
         return code(coeffs, falls, x)

@@ -19,10 +19,11 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .engine import NonFiniteIterateError, iterate, tangents
-# validate is not called here; perfbench/tracing.py wraps solver.validate by name
+from .engine import NonFiniteIterateError, _tangents, iterate
+# validate and evaluate_derivative are not called here; perfbench/tracing.py
+# wraps them on solver by name
 from .problems import ProblemSpec, validate
-from .series import Series, _Value, evaluate_derivative
+from .series import Series, _derivative_value, _Value, evaluate_derivative
 
 __all__ = [
     "SolveResult",
@@ -67,8 +68,9 @@ class SolveResult(_Value):
 
 def _bc_residuals_of(solution: Series, spec: ProblemSpec) -> tuple[float, ...]:
     """Off-origin condition defects of ``solution``, in bc order."""
+    coeffs = solution.coeffs
     return tuple([
-        evaluate_derivative(solution, bc.derivative_order, bc.point) - bc.value
+        _derivative_value(coeffs, bc.derivative_order, bc.point) - bc.value
         for bc in spec.off_origin_conditions()
     ])
 
@@ -82,9 +84,9 @@ def jacobian(spec: ProblemSpec, iterates: Sequence[Series]) -> list[list[float]]
     iterate along free constant j; one sweep
     (:func:`~vihpm.engine.tangents`) gives every column's tangent.
     """
-    dvs = tangents(spec, iterates)
+    dvs = _tangents(spec, iterates)
     return [
-        [evaluate_derivative(dv, bc.derivative_order, bc.point) for dv in dvs]
+        [_derivative_value(dv, bc.derivative_order, bc.point) for dv in dvs]
         for bc in spec.off_origin_conditions()
     ]
 

@@ -63,6 +63,7 @@ GENERATED_TESTS = (
     "tests/test_trusted_ring.py::TestCauchyProduct::test_dense_first_operand",
 )
 DENSE_SOLVE_TESTS = ("tests/test_trusted_ring.py::TestDenseSolve",)
+RING_CHECK_TESTS = ("tests/test_series.py::TestArithmetic",)
 GEOMETRIC_TESTS = ("tests/test_diagnostics.py",)
 FIELD_TESTS = ("tests/test_series.py", "tests/test_kernel.py", "tests/test_problems.py")
 HORNER_TESTS = (
@@ -143,15 +144,15 @@ MUTANTS = (
         "killed",
     ),
     Mutant(
-        "mul: a kernel result kept without the finiteness check",
+        "_product: a kernel result kept without the finiteness check",
         "vihpm/series.py",
-        "        if math.isfinite(sum(out)):\n            return _trusted(out)\n",
-        "        return _trusted(out)\n",
+        "        if math.isfinite(sum(out)):\n            return out\n",
+        "        return out\n",
         PRODUCT_TESTS,
         "killed",
     ),
     Mutant(
-        "mul: a first operand with as many zero as nonzero rows takes the kernel",
+        "_product: a first operand with as many zero as nonzero rows takes the kernel",
         "vihpm/series.py",
         "2 * fc.count(0.0) < n:",
         "2 * fc.count(0.0) <= n:",
@@ -159,7 +160,7 @@ MUTANTS = (
         "killed",
     ),
     Mutant(
-        "mul: the largest ring left out of the kernels",
+        "_product: the largest ring left out of the kernels",
         "vihpm/series.py",
         "if n <= KERNEL_CAP and",
         "if n < KERNEL_CAP and",
@@ -231,6 +232,14 @@ MUTANTS = (
         "killed",
     ),
     Mutant(
+        "mul: operands of two rings multiplied without the ring check",
+        "vihpm/series.py",
+        "    _check_same_ring(f, g)\n    return _trusted(_product(",
+        "    return _trusted(_product(",
+        RING_CHECK_TESTS,
+        "killed",
+    ),
+    Mutant(
         "_solve_dense: a tie moves the pivot to the lower row",
         "vihpm/solver.py",
         "            if entry > size:\n",
@@ -298,8 +307,8 @@ MUTANTS = (
     Mutant(
         "_apply: the weight kept as the first operand of every tangent product",
         "vihpm/engine.py",
-        "_sparse_first(weight, differentiate(dv, d))",
-        "mul(weight, differentiate(dv, d))",
+        "_sparse_first(weight, _derivative(dv, d))",
+        "_product(weight, _derivative(dv, d))",
         LINEARIZATION_TESTS,
         "killed",
     ),

@@ -33,6 +33,7 @@ from vihpm.problems import (
 )
 from vihpm.series import (
     ExpPoly,
+    _product,
     add,
     differentiate,
     evaluate,
@@ -174,6 +175,26 @@ class TestCorrectOnce:
         out = correct_once(v, spec)
         assert out.coeffs[: v.truncation + 1] == v.coeffs
         assert all(c == 0.0 for c in out.coeffs[v.truncation + 1 :])
+
+    @pytest.mark.parametrize("order,head", [(2, (1.0,)), (3, (1.0, -2.0)), (5, (0.5, 3.0))])
+    def test_series_shorter_than_the_order_is_zero_padded(self, order, head):
+        # F(u) = 1 + u on v in ring W < m - 1: T_{m-1}v is v itself, and
+        # I^m F(v) puts F(v)_j j!/(j+m)! at degree j + m, W + m at the top
+        one = ExpPoly.from_terms([(0.0, (1.0,))])
+        spec = ProblemSpec(
+            order=order,
+            domain_end=1.0,
+            terms=(RhsTerm(one, ()), RhsTerm(one, (0,))),
+            bcs=tuple(BoundaryCondition(0.0, j, 0.0) for j in range(order)),
+        )
+        w = len(head) - 1
+        out = correct_once(make_series(head, w), spec)
+        f = (1.0 + head[0], *head[1:])
+        integral = [c * math.factorial(j) / math.factorial(j + order) for j, c in enumerate(f)]
+        assert out.truncation == w + order
+        assert out.coeffs == pytest.approx(
+            (*head, *[0.0] * (order - len(head)), *integral), rel=1e-15
+        )
 
 
 class TestHeCoefficients:
@@ -612,8 +633,8 @@ class TestLinearization:
         w = spec.truncation
         for _ in range(5):
             v, dv = self.random_series(rng, w), self.random_series(rng, w)
-            got = _apply(_linearization(spec, v), dv).coeffs
-            want = _he_order(spec, (v, dv), 1).coeffs
+            got = _apply(_linearization(spec, v.coeffs), dv.coeffs)
+            want = _he_order(spec, (v.coeffs, dv.coeffs), 1)
             size = max(map(abs, want))
             assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-13 * size
 
@@ -623,13 +644,15 @@ class TestLinearization:
     ):
         spec = cubic_spec([(0.2, (1.0, 0.5), factors)])
         calls = []
-        monkeypatch.setattr(engine, "mul", lambda f, g: calls.append(1) or mul(f, g))
-        linear = _linearization(spec, self.random_series(random.Random(5), 14))
+        monkeypatch.setattr(
+            engine, "_product", lambda f, g: calls.append(1) or _product(f, g)
+        )
+        linear = _linearization(spec, self.random_series(random.Random(5), 14).coeffs)
         assert len(calls) == products
         assert sorted(d for d, _ in linear) == orders
 
     def test_sparser_operand_comes_first(self, monkeypatch):
-        # mul skips the zero coefficients of its first operand only; the
+        # a product skips the zero coefficients of its first operand only; the
         # second spec is affine, with a dense coefficient against seeds x^j
         for spec in (
             with_settings(builtin(2), truncation=30, iterations=3),
@@ -639,10 +662,10 @@ class TestLinearization:
             operands = []
 
             def spy(f, g):
-                operands.append([len(s.coeffs) - s.coeffs.count(0.0) for s in (f, g)])
-                return mul(f, g)
+                operands.append([len(s) - s.count(0.0) for s in (f, g)])
+                return _product(f, g)
 
-            monkeypatch.setattr(engine, "mul", spy)
+            monkeypatch.setattr(engine, "_product", spy)
             tangents(spec, iterates)
             assert all(first <= second for first, second in operands)
             assert any(first < second for first, second in operands)

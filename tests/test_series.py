@@ -187,10 +187,14 @@ class TestArithmetic:
         assert sub(f, g).coeffs == (0.75, -6.5, 4.0)
 
     def test_mismatched_truncation_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="truncation mismatch: 0 vs 1"):
             add(Series((1.0,)), Series((1.0, 2.0)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="truncation mismatch: 0 vs 1"):
             mul(Series((1.0,)), Series((1.0, 2.0)))
+        # a mostly zero first operand runs the row loop, which would read a
+        # longer second operand without complaint
+        with pytest.raises(ValueError, match="truncation mismatch: 2 vs 3"):
+            mul(Series((0.0, 0.0, 1.0)), Series((1.0, 2.0, 3.0, 4.0)))
 
     def test_scale(self):
         assert scale(Series((1.0, -2.0)), -0.5).coeffs == (-0.5, 1.0)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from vihpm import engine, solver
+from vihpm import engine, series, solver
 from vihpm.engine import iterate
 from vihpm.problems import (
     BoundaryCondition,
@@ -19,7 +19,7 @@ from vihpm.problems import (
     parse_problem,
     with_settings,
 )
-from vihpm.series import ExpPoly, evaluate, mul
+from vihpm.series import ExpPoly, _product, evaluate
 from vihpm.solver import SingularJacobianError, fd_jacobian, jacobian, solve
 
 from ring_helpers import bc_residuals, count_computations
@@ -64,6 +64,20 @@ SITE_MADDS = {
     (4, 30, 3): (5523, 456, 12058),
 }
 
+# (builtin, W, k) -> Series wrapped unchecked in one solve from fresh specs:
+# the iterates that iterate returns and the coefficient expansions; the
+# engine and the solver pass every other ring value as a plain tuple
+SOLVE_WRAPS = {
+    (1, 12, 1): 6,
+    (2, 12, 1): 7,
+    (3, 12, 1): 9,
+    (4, 12, 1): 9,
+    (1, 30, 3): 14,
+    (2, 30, 3): 15,
+    (3, 30, 3): 21,
+    (4, 30, 3): 21,
+}
+
 # every 20th problem of perfbench/genproblems.generate(1), each solved once:
 # products, madds, Newton steps and iterate calls summed over the 40
 GENERATED_WORK = (1090, 51762, 29, 69)
@@ -92,9 +106,9 @@ def solve_work_id(case):
 
 
 def row_madds(f):
-    """Madds of ``mul(f, g)``: f_i * g_j for j <= W - i, over the rows i that
-    mul does not skip."""
-    return sum(len(f.coeffs) - i for i, a in enumerate(f.coeffs) if a)
+    """Madds of ``_product(f, g)`` on coefficient tuples: f_i * g_j for
+    j <= W - i, over the rows i that the product does not skip."""
+    return sum(len(f) - i for i, a in enumerate(f) if a)
 
 
 def eval_derivative_direct(coeffs, order, x):
@@ -289,7 +303,9 @@ class TestJacobian:
 
         iterates = iterate(spec, [0.1] * spec.unknown_count())
         calls = []
-        monkeypatch.setattr(engine, "mul", lambda f, g: calls.append(1) or mul(f, g))
+        monkeypatch.setattr(
+            engine, "_product", lambda f, g: calls.append(1) or _product(f, g)
+        )
         jacobian(spec, iterates)
         assert len(calls) == products
 
@@ -312,9 +328,9 @@ class TestJacobian:
 
         def counted_mul(f, g):
             rows.append(row_madds(f))
-            return mul(f, g)
+            return _product(f, g)
 
-        monkeypatch.setattr(engine, "mul", counted_mul)
+        monkeypatch.setattr(engine, "_product", counted_mul)
         result = solve(with_settings(builtin(n), truncation, iterations))
         assert result.converged and result.newton_iterations == steps
         assert calls == {"iterate": steps + 1, "jacobian": steps, "fd_jacobian": 0}
@@ -331,12 +347,30 @@ class TestJacobian:
             while frame.f_code.co_name not in madds:
                 frame = frame.f_back
             madds[frame.f_code.co_name] += row_madds(f)
-            return mul(f, g)
+            return _product(f, g)
 
-        monkeypatch.setattr(engine, "mul", counted_mul)
+        monkeypatch.setattr(engine, "_product", counted_mul)
         solve(with_settings(builtin(n), truncation, iterations))
         assert tuple(madds.values()) == SITE_MADDS[case]
         assert sum(SITE_MADDS[case]) == SOLVE_WORK[case][1]
+
+    @pytest.mark.parametrize("case", SOLVE_WRAPS, ids=solve_work_id)
+    def test_series_wrapped_per_solve(self, monkeypatch, case):
+        n, truncation, iterations = case
+        spec = with_settings(builtin(n), truncation, iterations)
+        wraps = []
+        trusted = series._trusted
+
+        def counted(coeffs):
+            wraps.append(1)
+            return trusted(coeffs)
+
+        # every module of the package that binds the wrapper calls it by name
+        for name, module in list(sys.modules.items()):
+            if name.startswith("vihpm") and getattr(module, "_trusted", None) is trusted:
+                monkeypatch.setattr(module, "_trusted", counted)
+        assert solve(spec).converged
+        assert len(wraps) == SOLVE_WRAPS[case]
 
     def test_generated_slice_work(self, monkeypatch):
         specs = generated_slice(monkeypatch)
@@ -346,13 +380,13 @@ class TestJacobian:
 
         def counted_mul(f, g):
             rows.append(row_madds(f))
-            return mul(f, g)
+            return _product(f, g)
 
         def counted_iterate(*args, **kwargs):
             calls.append(1)
             return iterate(*args, **kwargs)
 
-        monkeypatch.setattr(engine, "mul", counted_mul)
+        monkeypatch.setattr(engine, "_product", counted_mul)
         monkeypatch.setattr(solver, "iterate", counted_iterate)
         steps = 0
         for spec in specs:
