@@ -16,7 +16,7 @@ import itertools
 import math
 import os
 import sys
-from typing import IO, Callable, Sequence
+from typing import IO, Callable, NoReturn, Sequence
 
 from .diagnostics import analyze_convergence, check_depth, default_grid
 from .engine import NonFiniteIterateError
@@ -39,9 +39,17 @@ EXIT_SOLVER_FAILURE = 2
 MAX_GRID_POINTS = 100_000
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose errors raise ``ValueError``, so a bad argument exits
+    1 like any other bad input; its subparsers are of this class too."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ValueError(message)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="vihpm",
         description=(
             "Series solutions of high-order two- and multi-point boundary "
@@ -223,8 +231,8 @@ def _run_convergence(args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.command == "solve":
             return _run_solve(args)
         return _run_convergence(args)

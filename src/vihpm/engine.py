@@ -8,29 +8,27 @@ Picard iteration on Taylor coefficients (the Parker-Sochacki method),
 ``B(v) = T_{m-1} v + I^m F(v)``: v's first m coefficients, which carry the
 origin conditions, are kept and ``c_{n+m} = F(v)_n * n!/(n+m)!``.  So the
 k-th iterate lives at truncation ``W + k*m``, and each correction leaves a
-growing prefix of the previous iterate's coefficients unchanged.  Up to
-the ring's one cap on generated code, ``KERNEL_CAP``, the Picard step's
-``0.0 - f_j * w_j`` terms run as straight-line code generated per length
-(:func:`_picard_kernel`), with the bits of the loop above the cap.
+growing prefix of the previous iterate's coefficients unchanged.  The
+Picard step itself, with its generated code, is :func:`vihpm.kernel._picard`.
 
 Between ring operations the engine passes plain coefficient tuples
 (``Coeffs``) to the tuple functions of :mod:`vihpm.series`, which do not
 check their results.  A :class:`~vihpm.series.Series` is built, unchecked,
 only for a value that leaves the engine: the iterates of :func:`iterate` and
-:func:`correct_once`, and what :func:`tangents`, :func:`residual` and
-:func:`he_coefficients` return.  :func:`iterate` checks every new iterate
-once and raises :class:`NonFiniteIterateError` when the arithmetic has
-overflowed.  A Newton pass's own inputs skip :func:`make_series` too: the
-initial polynomial copies the origin coefficients the spec computed, and
-checked, when it was built and checks only the caller's constants, and a
-tangent seed ``x**j``, zeros and a one, is built once per degree and
-truncation.
+:func:`correct_once`, and what :func:`residual` and :func:`he_coefficients`
+return; the tangents of :func:`_tangents` stay tuples.  :func:`iterate`
+checks every new iterate once and raises :class:`NonFiniteIterateError`
+when the arithmetic has overflowed.  A Newton pass's own inputs skip
+:func:`make_series` too: the initial polynomial copies the origin
+coefficients the spec computed, and checked, when it was built and checks
+only the caller's constants, and a tangent seed ``x**j``, zeros and a one,
+is built once per degree and truncation.
 
 F is evaluated in one place, as He's polynomials: the order-k coefficient
 in p of F on a parameter-embedded sum ``sum_i p**i u_i``.  The correction
 and :func:`residual` take order 0 on the single part v, which is F(v);
 :func:`he_coefficients` collects every order, and order 1 on ``(v, dv)`` is
-the derivative of F at v along dv.  :func:`tangents` differentiates the
+the derivative of F at v along dv.  :func:`_tangents` differentiates the
 whole iteration with respect to every free constant at once: per iterate it
 builds that derivative once, as a sum over derivative orders d of
 ``dv^(d) * L_d``, and carries all the tangents through it and the same
@@ -45,7 +43,7 @@ from functools import lru_cache
 from itertools import combinations, pairwise
 from typing import Sequence
 
-from .kernel import _kernel_weights
+from .kernel import _picard
 from .problems import ProblemSpec
 # pad_to, add, mul and make_series are not called here, and differentiate
 # only by residual; perfbench/tracing.py wraps them on engine by name
@@ -56,10 +54,8 @@ from .series import (
     _checked,
     _count,
     _derivative,
-    _generated,
     _numbers,
     _product,
-    _returning,
     _sum,
     _trusted,
     add,
@@ -78,7 +74,6 @@ __all__ = [
     "correct_once",
     "he_coefficients",
     "iterate",
-    "tangents",
 ]
 
 
@@ -89,7 +84,8 @@ Coeffs = tuple[float, ...]
 class NonFiniteIterateError(ArithmeticError):
     """A correction produced an infinite or NaN series coefficient.
 
-    Also raised when a tangent (:func:`tangents`) or a Newton step overflows.
+    Also raised when a tangent (:func:`_tangents`), a boundary residual or a
+    Newton step overflows.
     """
 
 
@@ -178,29 +174,6 @@ def residual(v: Series, spec: ProblemSpec) -> Series:
     return sub(differentiate(v, spec.order), _trusted(_he_order(spec, (v.coeffs,), 0)))
 
 
-def _picard(v: Coeffs, f: Coeffs, m: int) -> Coeffs:
-    """The Picard step ``T_{m-1} v + I^m f`` at truncation ``W + m``.
-
-    ``f`` shares v's ring W, and v has at least m coefficients.  The result
-    keeps v's first m coefficients and puts ``0.0 - f_j * w_j`` at degree
-    ``j + m``, with ``w_j = -j!/(j+m)!`` from the kernel's weight table: bit
-    for bit the kernel's ``-I^m`` of f lifted to degree W + m and subtracted
-    from v's zero-padded head, built as one tuple.
-    """
-    weights = _kernel_weights(m, len(f) - 1 + m)
-    code = _picard_kernel(len(f))
-    if code:
-        return v[:m] + code(f, weights)
-    return v[:m] + tuple([0.0 - c * w for c, w in zip(f, weights)])
-
-
-@_generated
-def _picard_kernel(n: int) -> tuple[str, list[str]]:
-    """``(0.0 - c0 * w0, 0.0 - c1 * w1, ...)``, the integral :func:`_picard`
-    appends to v's head up to the cap."""
-    return "c, w", _returning([f"0.0 - c{i} * w{i}" for i in range(n)])
-
-
 def correct_once(v: Series, spec: ProblemSpec) -> Series:
     """One correction ``T_{m-1} v + I^m F(v)``, F evaluated in v's own ring
     W, at truncation ``W + m``.  A v of fewer than m coefficients has zeros
@@ -287,7 +260,9 @@ def _seed(degree: int, truncation: int) -> Coeffs:
 
 
 def _tangents(spec: ProblemSpec, iterates: Sequence[Series]) -> list[Coeffs]:
-    """The coefficients of :func:`tangents`, which wraps them."""
+    """The last iterate's derivatives along the free constants, in the
+    order of ``spec.unknown_degrees()``, as coefficient tuples; raises
+    :class:`NonFiniteIterateError` when one overflows."""
     degrees = spec.unknown_degrees()
     w = iterates[0].truncation
     dvs = [_seed(degree, w) for degree in degrees]
@@ -299,25 +274,6 @@ def _tangents(spec: ProblemSpec, iterates: Sequence[Series]) -> list[Coeffs]:
         if not all(map(math.isfinite, dv)):
             raise NonFiniteIterateError(f"the tangent along x^{degree} is non-finite")
     return dvs
-
-
-def tangents(spec: ProblemSpec, iterates: Sequence[Series]) -> tuple[Series, ...]:
-    """Derivatives of the last iterate along every free constant, in one sweep.
-
-    ``iterates`` are v_0..v_n as :func:`iterate` returns them.  Entry j is
-    the derivative with respect to the coefficient of ``x**degree``, for the
-    j-th entry of ``spec.unknown_degrees()``: the seed ``x**degree`` carried
-    through the linearized corrections
-    ``dv_{k+1} = T_{m-1} dv_k + I^m F'(v_k) dv_k``.  This is forward-mode
-    differentiation of the correction map, exact up to rounding, and it
-    re-evaluates none of the iterates.  ``F'(v_k)`` is built once per
-    iterate (:func:`_linearization`) and applied to every tangent, so per
-    iterate a tangent costs one product per distinct derivative order among
-    the terms' factors.  The seeds come from :func:`_seed`.  A tangent can
-    overflow where the iterates do not; :class:`NonFiniteIterateError` is
-    raised then.
-    """
-    return tuple([_trusted(dv) for dv in _tangents(spec, iterates)])
 
 
 def iterate(

@@ -15,11 +15,12 @@ so applying the kernel to ``sum c_j t**j`` yields ``-c_j * j!/(j+m)!`` at
 degree ``j + m``: K is minus the m-fold integral ``I^m`` from 0.  Hence
 ``K(v^(m)) = -(v - T_{m-1} v)`` with ``T_{m-1} v`` the Taylor head of degree
 below m, and the correction ``v + K(v^(m) - F(v))`` equals
-``T_{m-1} v + I^m F(v)``, the form :func:`vihpm.engine.correct_once`
-computes.  :meth:`CorrectionKernel.integrate` applies K on its own, and
-discards degrees beyond the kernel's truncation; the engine's Picard step
-reads the same weights (:func:`_kernel_weights`) and builds the corrected
-series directly, with the same bits.
+``T_{m-1} v + I^m F(v)``.  :meth:`CorrectionKernel.integrate` applies K on
+its own, and discards degrees beyond the kernel's truncation; the Picard
+step :func:`_picard`, which the engine runs for every correction and
+tangent, reads the same weights (:func:`_kernel_weights`) and builds the
+corrected coefficients directly, with the same bits, through code
+generated per length up to ``KERNEL_CAP`` (:func:`_picard_kernel`).
 """
 
 from __future__ import annotations
@@ -28,7 +29,9 @@ import math
 from functools import lru_cache
 from operator import mul
 
-from .series import CACHE_SIZE, Series, _integer, _raise, _trusted, _Value
+from .series import (
+    CACHE_SIZE, Series, _generated, _integer, _raise, _returning, _trusted, _Value
+)
 
 __all__ = ["CorrectionKernel"]
 
@@ -91,3 +94,26 @@ def _kernel_weights(order: int, truncation: int) -> tuple[float, ...]:
             ratio /= i
         table.append(-ratio)
     return tuple(table)
+
+
+def _picard(v: tuple[float, ...], f: tuple[float, ...], m: int) -> tuple[float, ...]:
+    """The Picard step ``T_{m-1} v + I^m f`` at truncation ``W + m``.
+
+    ``f`` shares v's ring W, and v has at least m coefficients.  The result
+    keeps v's first m coefficients and puts ``0.0 - f_j * w_j`` at degree
+    ``j + m``, with ``w_j = -j!/(j+m)!`` from :func:`_kernel_weights`: bit
+    for bit :meth:`CorrectionKernel.integrate` of f lifted to degree W + m
+    and subtracted from v's zero-padded head, built as one tuple.
+    """
+    weights = _kernel_weights(m, len(f) - 1 + m)
+    code = _picard_kernel(len(f))
+    if code:
+        return v[:m] + code(f, weights)
+    return v[:m] + tuple([0.0 - c * w for c, w in zip(f, weights)])
+
+
+@_generated
+def _picard_kernel(n: int) -> tuple[str, list[str]]:
+    """``(0.0 - c0 * w0, 0.0 - c1 * w1, ...)``, the integral :func:`_picard`
+    appends to v's head up to the cap."""
+    return "c, w", _returning([f"0.0 - c{i} * w{i}" for i in range(n)])

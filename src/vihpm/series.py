@@ -30,21 +30,22 @@ first operand per pass, and runs a four-row form of that loop.  Up to
 code generated per length (:func:`_generated`) does the ring's work
 instead: the product of a mostly nonzero first operand, sums, derivatives,
 derivative values of order 1 and up, and the Picard step of
-:mod:`vihpm.engine`.  Each function performs the float operations of the
+:mod:`vihpm.kernel`.  Each function performs the float operations of the
 loop it replaces in the loop's order, so it gives the loop's bits, but for
 the sign of a NaN made from two NaNs, which CPython does not fix between a
-float method and its inline float bytecode.  Above the cap the loop runs.
-:func:`evaluate`, the value of order 0, stays a loop at every length: its
-step is one multiply and one add, and a generated form did not pay on the
-CLI workload.  So does :func:`sub`, which no solve calls.
+float method and its inline float bytecode.  Above the cap the loop runs,
+and a derivative value is :func:`_horner` on the derivative, as is every
+value of order 0: its step is one multiply and one add, and a generated
+form did not pay on the CLI workload.  :func:`sub`, which no solve calls,
+stays a loop too.
 
 Tables that depend only on a few integers are cached with a fixed bound
 of ``CACHE_SIZE`` entries each: the falling factorials and the generated
 functions here (one of each kind per length, each compiled on first use,
-none at import), the kernel weights of :mod:`vihpm.kernel`, the Picard
-functions of :mod:`vihpm.engine`, and the He
-polynomial picks, each factor's tangent chain orders and the tangent
-seeds of :mod:`vihpm.engine` (``_picks``, ``_rests`` and ``_seed``).
+none at import), the kernel weights and Picard functions of
+:mod:`vihpm.kernel`, and the He polynomial picks, each factor's tangent
+chain orders and the tangent seeds of :mod:`vihpm.engine` (``_picks``,
+``_rests`` and ``_seed``).
 Each :class:`ExpPoly` owns its expansion table, which lives as long as the
 value does and keeps the series returned at each degree.  A degree below
 the highest one held is a slice; a higher one is computed afresh, so
@@ -487,13 +488,11 @@ def evaluate(f: Series, x: float) -> float:
 
 
 def evaluate_derivative(f: Series, order: int, x: float) -> float:
-    """Value of the ``order``-th formal derivative at finite ``x``.
-
-    Horner's rule runs over ``f.coeffs[k + order] * fall_k`` for k from
-    ``W - order`` down to 0, without building the derivative series.  The
-    derivative's top ``order`` coefficients are zeros, which would leave
-    the accumulator at +0.0 for any finite ``x``, so skipping them gives
-    the bits of :func:`evaluate` on :func:`differentiate`.
+    """Value of the ``order``-th formal derivative at finite ``x``, with the
+    bits of :func:`evaluate` on :func:`differentiate`.  Below the cap, order
+    1 and up runs Horner over ``f.coeffs[k + order] * fall_k`` for k from
+    ``W - order`` down to 0 without building the derivative: its top
+    ``order`` zeros would leave the accumulator at +0.0 for finite ``x``.
     """
     order = _checked(_count, "order", order)
     return _derivative_value(f.coeffs, order, x)
@@ -501,25 +500,22 @@ def evaluate_derivative(f: Series, order: int, x: float) -> float:
 
 def _derivative_value(fc: tuple[float, ...], order: int, x: float) -> float:
     """The value :func:`evaluate_derivative` describes, of a coefficient
-    tuple."""
+    tuple: generated code for order 1 and up below the cap, and otherwise
+    :func:`_horner` on the derivative, which order 0 skips building."""
     if order == 0:
         return _horner(fc, x)
-    falls = _falling_factorials(order, len(fc) - 1)
     coeffs = fc[order:]
     code = _horner_kernel(len(coeffs))
     if code:
-        return code(coeffs, falls, x)
-    acc = 0.0
-    for c, fall in zip(reversed(coeffs), reversed(falls)):
-        acc = acc * x + c * fall
-    return acc
+        return code(coeffs, _falling_factorials(order, len(fc) - 1), x)
+    return _horner(_derivative(fc, order), x)
 
 
 @_generated
 def _horner_kernel(n: int) -> tuple[str, list[str]]:
-    """Horner's rule at ``x`` on ``c_k * w_k``, the loop of
-    :func:`evaluate_derivative` written out: from ``acc = 0.0`` at the top
-    down to degree 0, one statement per coefficient."""
+    """Horner's rule at ``x`` on ``c_k * w_k``, the value
+    :func:`evaluate_derivative` reads below the cap: from ``acc = 0.0`` at
+    the top down to degree 0, one statement per coefficient."""
     return "c, w, x", [
         "acc = 0.0",
         *[f"acc = acc * x + c{k} * w{k}" for k in reversed(range(n))],

@@ -7,7 +7,7 @@ conditions become a small nonlinear system r(c) = 0, solved by undamped
 Newton iteration with dense Gaussian elimination and partial pivoting.
 The Jacobian is exact: each column is the off-origin condition operators
 applied to the tangent of the last iterate along one constant.  One sweep
-(:func:`~vihpm.engine.tangents`) propagates every constant's tangent
+(:func:`~vihpm.engine._tangents`) propagates every constant's tangent
 through the iterates that the Newton pass already holds.
 :func:`fd_jacobian` is a central-difference cross-check for tests; the
 solver does not call it.  Nor does it check its input: a
@@ -82,7 +82,7 @@ def jacobian(spec: ProblemSpec, iterates: Sequence[Series]) -> list[list[float]]
     at the constants of interest.  Column j applies the off-origin
     condition operators, without their values, to the tangent of the last
     iterate along free constant j; one sweep
-    (:func:`~vihpm.engine.tangents`) gives every column's tangent.
+    (:func:`~vihpm.engine._tangents`) gives every column's tangent.
     """
     dvs = _tangents(spec, iterates)
     return [
@@ -164,9 +164,9 @@ def solve(spec: ProblemSpec) -> SolveResult:
     ``spec`` is valid, since a :class:`~vihpm.problems.ProblemSpec` checks
     itself when built.  Raises :class:`SingularJacobianError` on a
     degenerate Jacobian and :class:`~vihpm.engine.NonFiniteIterateError`
-    when the series arithmetic, a tangent or a Newton step overflows; plain
-    failure to converge is reported through the result flags, not an
-    exception.
+    when the series arithmetic, a boundary residual, a tangent or a Newton
+    step overflows; plain failure to converge is reported through the
+    result flags, not an exception.
     """
     constants = [0.0] * spec.unknown_count()
     steps = 0
@@ -174,9 +174,12 @@ def solve(spec: ProblemSpec) -> SolveResult:
         iterates = iterate(spec, constants)
         solution = iterates[-1]
         r = _bc_residuals_of(solution, spec)
+        if not all(map(math.isfinite, r)):
+            raise NonFiniteIterateError(
+                f"the boundary residual after {steps} Newton steps is non-finite"
+            )
         norm = max(map(abs, r), default=0.0)
-        # a nan norm stops here too and is reported as not converged
-        if not norm > NEWTON_TOLERANCE or steps >= NEWTON_MAX_ITERATIONS:
+        if norm <= NEWTON_TOLERANCE or steps >= NEWTON_MAX_ITERATIONS:
             break
         delta = _solve_dense(jacobian(spec, iterates), [-v for v in r])
         constants = [c + d for c, d in zip(constants, delta)]

@@ -85,6 +85,10 @@ GRID_TESTS = (
     "tests/test_cli.py::TestSolveCommand::test_grid_step_ends_at_the_domain_end",
 )
 TABLE_TESTS = ("tests/test_reporting.py::TestErrorTable",)
+BOUNDARY_RESIDUAL_TESTS = (
+    "tests/test_solver.py::TestSolve::test_non_finite_boundary_residual_raises",
+)
+ARGUMENT_TESTS = ("tests/test_cli.py::TestArguments",)
 
 MUTANTS = (
     Mutant(
@@ -201,7 +205,7 @@ MUTANTS = (
     ),
     Mutant(
         "_picard_kernel: the integral negated as -(f_j * w_j), which is -0.0 at a zero",
-        "vihpm/engine.py",
+        "vihpm/kernel.py",
         'f"0.0 - c{i} * w{i}"',
         'f"-(c{i} * w{i})"',
         PICARD_TESTS,
@@ -209,7 +213,7 @@ MUTANTS = (
     ),
     Mutant(
         "_picard: the integral negated as -(f_j * w_j), which is -0.0 at a zero",
-        "vihpm/engine.py",
+        "vihpm/kernel.py",
         "0.0 - c * w for c, w",
         "-(c * w) for c, w",
         PICARD_TESTS,
@@ -217,17 +221,17 @@ MUTANTS = (
     ),
     Mutant(
         "_picard: the integral added instead of subtracted",
-        "vihpm/engine.py",
+        "vihpm/kernel.py",
         "0.0 - c * w for c, w",
         "c * w for c, w",
         PICARD_TESTS,
         "killed",
     ),
     Mutant(
-        "evaluate_derivative: the falling factorials taken in the wrong order",
+        "_derivative_value: the fallback evaluates the series, not its derivative",
         "vihpm/series.py",
-        "zip(reversed(coeffs), reversed(falls))",
-        "zip(reversed(coeffs), falls)",
+        "return _horner(_derivative(fc, order), x)",
+        "return _horner(fc, x)",
         DERIVATIVE_TESTS,
         "killed",
     ),
@@ -358,6 +362,22 @@ MUTANTS = (
         "if len(kwargs) < count or kwargs.keys()",
         "if kwargs.keys()",
         VALUE_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "solve: only the sup-norm of the boundary residuals checked for finiteness",
+        "vihpm/solver.py",
+        "        if not all(map(math.isfinite, r)):\n",
+        "        if not math.isfinite(max(map(abs, r), default=0.0)):\n",
+        BOUNDARY_RESIDUAL_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "main: a bad argument exits through argparse",
+        "vihpm/cli.py",
+        "        raise ValueError(message)\n",
+        "        super().error(message)\n",
+        ARGUMENT_TESTS,
         "killed",
     ),
     Mutant(

@@ -402,6 +402,21 @@ class TestErrorPaths:
         assert "non-finite" in err
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "residuals", [(0.0, math.nan), (math.nan, 0.0), (0.0, math.inf)]
+    )
+    @pytest.mark.parametrize("command", ["solve", "convergence"])
+    def test_non_finite_boundary_residual_is_solver_failure(
+        self, capsys, monkeypatch, command, residuals
+    ):
+        # a NaN after the first residual would vanish from max()
+        monkeypatch.setattr(solver, "_bc_residuals_of", lambda solution, spec: residuals)
+        code, out, err = run_cli(capsys, command, "--builtin", "1")
+        assert code == 2
+        assert err.startswith("solver failure: ")
+        assert "non-finite" in err
+        assert out == ""
+
     def test_non_finite_boundary_value(self, capsys, tmp_path):
         path = tmp_path / "nan_bc.txt"
         path.write_text("order 2\ndomain 0 1\nbc 0 0 0\nbc 1 0 nan\n")
@@ -625,6 +640,39 @@ class TestErrorPaths:
         assert not path.exists()
 
 
+class TestArguments:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("solve", "--builtin", "x"), "argument --builtin: invalid int value: 'x'"),
+            (
+                ("solve", "--builtin", "1", "--grid-step", "abc"),
+                "argument --grid-step: invalid float value: 'abc'",
+            ),
+            (
+                ("convergence", "--builtin", "1", "--depth", "1.5"),
+                "argument --depth: invalid int value: '1.5'",
+            ),
+            (("solve", "--builtin", "1", "--bogus"), "unrecognized arguments: --bogus"),
+            ((), "the following arguments are required: command"),
+            (("frobnicate",), "argument command: invalid choice: 'frobnicate'"),
+        ],
+        ids=["builtin", "grid-step", "depth", "unknown-option", "no-command", "unknown-command"],
+    )
+    def test_bad_arguments_exit_1(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {message}")
+        assert err.count("\n") == 1
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: vihpm")
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run(
@@ -635,3 +683,14 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "max abs error" in proc.stdout
+
+    def test_bad_argument_exits_1(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "vihpm", "solve", "--builtin", "x"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "error: argument --builtin: invalid int value: 'x'\n"

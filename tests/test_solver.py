@@ -190,6 +190,15 @@ class TestSolve:
         assert a.constants == b.constants
         assert a.solution.coeffs == b.solution.coeffs
 
+    @pytest.mark.parametrize(
+        "residuals", [(0.0, math.nan), (math.nan, 0.0), (0.0, math.inf)]
+    )
+    def test_non_finite_boundary_residual_raises(self, monkeypatch, residuals):
+        # max() over (0.0, nan) is 0.0, so each residual is checked itself
+        monkeypatch.setattr(solver, "_bc_residuals_of", lambda solution, spec: residuals)
+        with pytest.raises(engine.NonFiniteIterateError, match="boundary residual"):
+            solve(builtin(2))
+
     def test_zero_unknown_problem_converges_without_steps(self):
         spec = ProblemSpec(
             order=1,
