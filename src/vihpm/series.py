@@ -28,16 +28,17 @@ no non-finite series reaches the solver or a printed table.
 first operand per pass, and runs a four-row form of that loop.  Up to
 ``KERNEL_CAP`` coefficients, the one cap on generated code, straight-line
 code generated per length (:func:`_generated`) does the ring's work
-instead: the product of a mostly nonzero first operand, sums, derivatives,
-derivative values of order 1 and up, and the Picard step of
-:mod:`vihpm.kernel`.  Each function performs the float operations of the
-loop it replaces in the loop's order, so it gives the loop's bits, but for
-the sign of a NaN made from two NaNs, which CPython does not fix between a
-float method and its inline float bytecode.  Above the cap the loop runs,
-and a derivative value is :func:`_horner` on the derivative, as is every
-value of order 0: its step is one multiply and one add, and a generated
-form did not pay on the CLI workload.  :func:`sub`, which no solve calls,
-stays a loop too.
+instead: the product of a mostly nonzero first operand, the two-row
+product of a first operand that is zero past its rows 0 and 1 (a constant
+or linear coefficient), sums, derivatives, derivative values of order 1
+and up, and the Picard step of :mod:`vihpm.kernel`.  Each function
+performs the float operations of the loop it replaces in the loop's order,
+so it gives the loop's bits, but for the sign of a NaN made from two NaNs,
+which CPython does not fix between a float method and its inline float
+bytecode.  Above the cap the loop runs, and a derivative value is
+:func:`_horner` on the derivative, as is every value of order 0: its step
+is one multiply and one add, and a generated form did not pay on the CLI
+workload.  :func:`sub`, which no solve calls, stays a loop too.
 
 Tables that depend only on a few integers are cached with a fixed bound
 of ``CACHE_SIZE`` entries each: the falling factorials and the generated
@@ -50,6 +51,8 @@ Each :class:`ExpPoly` owns its expansion table, which lives as long as the
 value does and keeps the series returned at each degree.  A degree below
 the highest one held is a slice; a higher one is computed afresh, so
 :func:`vihpm.engine.iterate` asks for its top ring before its corrections.
+An expansion's exponential weights stop at their first zero, so a term of
+rate 0 costs one pass over its polynomial, not one per degree.
 
 :class:`ExpPoly` represents a finite sum of ``exp(rate * x) * p(x)`` terms
 with polynomial ``p``.  It is the closed function class used for forcing
@@ -358,8 +361,12 @@ def mul(f: Series, g: Series) -> Series:
     result whose sum is finite is kept.  Any other kernel result is
     dropped: a zero row meeting an infinite or NaN ``g_j`` gives NaN where
     the loop skips the row, and a NaN's sign can differ between freshly
-    compiled code and warm code.  It and every other product run the row
-    loop of :func:`_rows`.
+    compiled code and warm code.  A first operand that is zero past its rows
+    0 and 1, as a constant or linear coefficient is, goes through the
+    two-row product of :func:`_line_kernel` on the same terms: row 0's term,
+    then row 1's, after the +0.0, and its result is kept only when finite.
+    Every product whose generated result is dropped, and every other
+    product, runs the row loop of :func:`_rows`.
     """
     _check_same_ring(f, g)
     return _trusted(_product(f.coeffs, g.coeffs))
@@ -367,12 +374,20 @@ def mul(f: Series, g: Series) -> Series:
 
 def _product(fc: tuple[float, ...], gc: tuple[float, ...]) -> tuple[float, ...]:
     """The product :func:`mul` describes, of two coefficient tuples of one
-    length."""
+    length.  The two-row shape is tested only when the dense test has
+    failed, in O(1) past the zero count, so a dense product pays nothing
+    for it and a tangent seed ``x**j`` one comparison."""
     n = len(fc)
-    if n <= KERNEL_CAP and 2 * fc.count(0.0) < n:
-        out = _kernel(n)(fc, gc)
-        if math.isfinite(sum(out)):
-            return out
+    if n <= KERNEL_CAP:
+        zeros = fc.count(0.0)
+        if 2 * zeros < n:
+            out = _kernel(n)(fc, gc)
+            if math.isfinite(sum(out)):
+                return out
+        elif n > 1 and zeros - (fc[0] == 0.0) - (fc[1] == 0.0) == n - 2:
+            out = _line_kernel(n)(fc, gc)
+            if math.isfinite(sum(out)):
+                return out
     return _rows(fc, gc)
 
 
@@ -390,6 +405,17 @@ def _kernel(n: int) -> tuple[str, list[str]]:
         "0.0 + " + "\n    + ".join([f"f{i} * g{k - i}" for i in range(k + 1)])
         for k in range(n)
     ])
+
+
+@_generated
+def _line_kernel(n: int) -> tuple[str, list[str]]:
+    """The Cauchy product of two ``n``-coefficient tuples whose first
+    operand is zero past its rows 0 and 1, as straight-line code:
+    ``(0.0 + f0 * g0, 0.0 + f0 * g1 + f1 * g0, ...)``, row 0's term before
+    row 1's, as the row loop adds them."""
+    return "f, g", _returning(
+        ["0.0 + f0 * g0"] + [f"0.0 + f0 * g{k} + f1 * g{k - 1}" for k in range(1, n)]
+    )
 
 
 def _rows(fc: tuple[float, ...], gc: tuple[float, ...]) -> tuple[float, ...]:
@@ -572,6 +598,10 @@ def expand_exppoly(e: ExpPoly, truncation: int) -> Series:
     For a term ``exp(a*x) * sum(p_j x**j)`` the degree-n coefficient is
     ``sum_j p_j * a**(n-j) / (n-j)!``; the exponential weights are built by
     the running recurrence ``a**k / k!`` so nothing large is ever formed.
+    The recurrence stops at its first weight of exactly 0.0, and each
+    ``p_j`` runs over the weights held: every later weight is a zero too,
+    and ``p_j`` times it would add a zero of either sign, which leaves the
+    sum as it is.  So a rate of 0 expands in O(len(p)).
     The sum starts from +0.0 and runs over the terms in order and, within a
     term, over ascending j, skipping zero ``p_j``.  That order does not
     depend on the truncation, so a slice of the highest series in ``e``'s
@@ -595,11 +625,14 @@ def expand_exppoly(e: ExpPoly, truncation: int) -> Series:
         for term in e.terms:
             weights = [1.0]
             for k in range(1, truncation + 1):
-                weights.append(weights[-1] * term.rate / k)
+                weight = weights[-1] * term.rate / k
+                if weight == 0.0:
+                    break
+                weights.append(weight)
             for j, p in enumerate(term.poly):
                 if p == 0.0:
                     continue
-                for n in range(j, truncation + 1):
+                for n in range(j, min(j + len(weights), truncation + 1)):
                     out[n] += p * weights[n - j]
         series = _trusted(tuple(out))
     table[truncation] = series

@@ -150,24 +150,64 @@ MUTANTS = (
     Mutant(
         "_product: a kernel result kept without the finiteness check",
         "vihpm/series.py",
-        "        if math.isfinite(sum(out)):\n            return out\n",
-        "        return out\n",
+        "            out = _kernel(n)(fc, gc)\n"
+        "            if math.isfinite(sum(out)):\n"
+        "                return out\n",
+        "            return _kernel(n)(fc, gc)\n",
         PRODUCT_TESTS,
         "killed",
     ),
     Mutant(
         "_product: a first operand with as many zero as nonzero rows takes the kernel",
         "vihpm/series.py",
-        "2 * fc.count(0.0) < n:",
-        "2 * fc.count(0.0) <= n:",
+        "2 * zeros < n:",
+        "2 * zeros <= n:",
         PRODUCT_TESTS,
         "killed",
     ),
     Mutant(
         "_product: the largest ring left out of the kernels",
         "vihpm/series.py",
-        "if n <= KERNEL_CAP and",
-        "if n < KERNEL_CAP and",
+        "if n <= KERNEL_CAP:",
+        "if n < KERNEL_CAP:",
+        PRODUCT_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "_line_kernel: row 1's term added before row 0's",
+        "vihpm/series.py",
+        'f"0.0 + f0 * g{k} + f1 * g{k - 1}"',
+        'f"0.0 + f1 * g{k - 1} + f0 * g{k}"',
+        PRODUCT_TESTS,
+        "equivalent",
+        "after the +0.0 each output adds two terms, and a float sum of two "
+        "terms does not depend on their order; a zero term of either sign "
+        "added to a +0.0 leaves +0.0 either way, and a NaN result is "
+        "dropped for the loop",
+    ),
+    Mutant(
+        "_line_kernel: an output not started from +0.0",
+        "vihpm/series.py",
+        'f"0.0 + f0 * g{k} + f1 * g{k - 1}"',
+        'f"f0 * g{k} + f1 * g{k - 1}"',
+        PRODUCT_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "_product: the two-row test admits a nonzero row 2",
+        "vihpm/series.py",
+        "- (fc[1] == 0.0) == n - 2:",
+        "- (fc[1] == 0.0) >= n - 3:",
+        PRODUCT_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "_product: a two-row result kept without the finiteness check",
+        "vihpm/series.py",
+        "            out = _line_kernel(n)(fc, gc)\n"
+        "            if math.isfinite(sum(out)):\n"
+        "                return out\n",
+        "            return _line_kernel(n)(fc, gc)\n",
         PRODUCT_TESTS,
         "killed",
     ),
@@ -397,6 +437,14 @@ MUTANTS = (
         "                exact = math.inf\n",
         "            exact = spec.exact.evaluate(x)\n",
         TABLE_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "expand_exppoly: the cutoff at the first zero weight drops the last nonzero one",
+        "vihpm/series.py",
+        "                if weight == 0.0:\n                    break\n",
+        "                if weight == 0.0:\n                    weights.pop()\n                    break\n",
+        EXPANSION_TESTS,
         "killed",
     ),
     Mutant(

@@ -1,10 +1,12 @@
 """Validated edges, unchecked ring operations and cached solve invariants.
 
 The ring operations build their results without validation, the product
-of a mostly nonzero first operand runs straight-line code generated for
-its ring size and every other product adds four adjacent nonzero rows per
-pass and every other row alone, sums, derivatives, Picard steps and
-derivative values run straight-line code generated for their length, and derivative, kernel, expansion and
+of a mostly nonzero first operand, and of one that is zero past its rows
+0 and 1, runs straight-line code generated for its ring size and every
+other product adds four adjacent nonzero rows per pass and every other
+row alone, sums, derivatives, Picard steps and derivative values run
+straight-line code generated for their length, expansions stop at their
+first zero weight, and derivative, kernel, expansion and
 tangent-chain tables are read from caches; specs compute their constant
 tables once; the dense Newton solve picks its pivots with a loop of its
 own.  These tests pin that down: the outputs equal, bit for bit, both the
@@ -48,6 +50,7 @@ from vihpm.series import (
     _derivative_kernel,
     _horner_kernel,
     _kernel,
+    _line_kernel,
     _rows,
     _trusted,
     add,
@@ -411,6 +414,19 @@ class TestExpansionCache:
         assert twin == e and twin._expansion is not expansion
         assert bits(expand_exppoly(twin, 30).coeffs) == bits(returned[3].coeffs)
 
+    @pytest.mark.parametrize("rate", [0.0, -0.0, 1e-200, -1e-200, 1e-160])
+    def test_weights_that_reach_zero(self, rate):
+        # the weights a**k / k! stop at their first zero: at once for a zero
+        # rate, after one or two (the second subnormal) for a tiny one
+        terms = [(rate, (1.5, -0.0, 0.0, -2.0, 0.25)), (0.5, (-1.0, 0.0, 3.0))]
+        for top in (0, 2, 5, 40, 70):
+            e = ExpPoly.from_terms(terms)
+            assert bits(expand_exppoly(e, top).coeffs) == bits(oracle_expand(e, top))
+            # every lower degree is a slice of the expansion at the top
+            for w in range(top + 1):
+                assert bits(expand_exppoly(e, w).coeffs) == bits(oracle_expand(e, w))
+            assert max(e._expansion) == top
+
 
 def field_repr(value):
     return f"{type(value).__name__}(" + ", ".join(
@@ -548,6 +564,45 @@ def kernel_calls():
     return info.hits + info.misses
 
 
+# first operands that are zero past row 1, and one with a nonzero row 2,
+# which the two-row product must leave to the loop
+LINE_ROWS = {
+    "f0": (-1.5, 0.0),
+    "f1": (-0.0, 0.7),
+    "f0 and f1": (-1.5, 0.7),
+    "none": (-0.0, 0.0),
+    "f0, f1 and f2": (-1.5, 0.7, 2.3),
+}
+
+
+def line_columns(n):
+    """``n`` finite values with a -0.0 and a +0.0 in every four, so rows 0
+    and 1 of ``LINE_ROWS`` make terms of -0.0, alone and in pairs, before
+    the +0.0 that starts each output is added."""
+    return tuple([
+        {1: -0.0, 2: 0.0}.get(i % 4, c) for i, c in enumerate(dense_values(n, 2))
+    ])
+
+
+@pytest.fixture
+def line_kernel_results(monkeypatch):
+    """Spies on the two-row product: every tuple its generated code
+    returns, in order."""
+    results = []
+
+    def spied(n):
+        code = _line_kernel(n)
+
+        def run(f, g):
+            results.append(code(f, g))
+            return results[-1]
+
+        return run
+
+    monkeypatch.setattr("vihpm.series._line_kernel", spied)
+    return results
+
+
 class TestCauchyProduct:
     @settings(max_examples=200, deadline=None)
     @given(operands=product_operands())
@@ -633,6 +688,33 @@ class TestCauchyProduct:
         product = mul(_trusted((math.nan, 0.0, 0.0)), _trusted((0.0, 0.0, 0.0)))
         assert all(math.isnan(c) for c in product.coeffs)
 
+    @pytest.mark.parametrize("n", range(1, KERNEL_CAP + 2))
+    @pytest.mark.parametrize("rows", sorted(LINE_ROWS))
+    def test_a_first_operand_in_rows_0_and_1(self, rows, n, line_kernel_results):
+        # the two-row product runs where the dense kernel does not, up to
+        # the cap, and mul returns its result; a nonzero row 2 runs the loop
+        f = (LINE_ROWS[rows] + (0.0, -0.0) * n)[:n]
+        g = line_columns(n)
+        assert_one_row_bits(f, g)
+        before = len(line_kernel_results)
+        product = mul(_trusted(f), _trusted(g)).coeffs
+        taken = 2 <= n <= KERNEL_CAP and 2 * f.count(0.0) >= n and not any(f[2:])
+        assert [out is product for out in line_kernel_results[before:]] == [True] * taken
+
+    @pytest.mark.parametrize("special", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_a_zero_row_0_meets_a_special_value(self, zero, special, line_kernel_results):
+        # row 0 adds 0 * g_k, a NaN at a non-finite g_k, where the loop
+        # skips the row; so the two-row result gives way to the loop
+        for n in (3, 12, KERNEL_CAP):
+            f = (zero, 0.7) + (0.0,) * (n - 2)
+            g = line_columns(n)[: n // 2] + (special,) + line_columns(n)[n // 2 + 1 :]
+            before = len(line_kernel_results)
+            product = mul(_trusted(f), _trusted(g)).coeffs
+            assert len(line_kernel_results) == before + 1
+            assert line_kernel_results[-1] is not product
+            assert_one_row_bits(f, g)
+
 
 # -- straight-line code for the O(W) operations ------------------------------
 
@@ -643,6 +725,7 @@ GENERATED = (
     _derivative_kernel,
     _horner_kernel,
     _picard_kernel,
+    _line_kernel,
 )
 
 
@@ -732,20 +815,20 @@ class TestEveryLength:
 
 
 # (W, k) -> builtin -> how many functions of each of GENERATED one solve()
-# compiles from cold caches: products, sums, derivatives, derivative values
-# and Picard steps
+# compiles from cold caches: products, sums, derivatives, derivative values,
+# Picard steps and two-row products
 COLD_SOLVE_COMPILES = {
     (12, 1): {
-        1: (0, 1, 0, 2, 1),
-        2: (1, 1, 0, 2, 1),
-        3: (0, 1, 1, 2, 1),
-        4: (0, 1, 1, 2, 1),
+        1: (0, 1, 0, 2, 1, 1),
+        2: (1, 1, 0, 2, 1, 0),
+        3: (0, 1, 1, 2, 1, 1),
+        4: (0, 1, 1, 2, 1, 1),
     },
     (30, 3): {
-        1: (0, 3, 0, 2, 3),
-        2: (3, 3, 0, 2, 3),
-        3: (2, 3, 3, 2, 3),
-        4: (2, 3, 3, 2, 3),
+        1: (0, 3, 0, 2, 3, 3),
+        2: (3, 3, 0, 2, 3, 0),
+        3: (2, 3, 3, 2, 3, 3),
+        4: (2, 3, 3, 2, 3, 3),
     },
 }
 
