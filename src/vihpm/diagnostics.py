@@ -15,8 +15,8 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .engine import NonFiniteIterateError, iterate
-from .problems import MAX_SERIES_DEGREE, ProblemSpec
+from .engine import NonFiniteIterateError, _within_degree_cap, iterate
+from .problems import ProblemSpec
 from .series import Series, _checked, _integer, _numbers, _Value, evaluate
 
 __all__ = [
@@ -81,12 +81,7 @@ def check_depth(spec: ProblemSpec, depth: int) -> int:
     depth = _checked(_integer, "depth", depth)
     if depth < 2:
         raise ValueError("need at least two corrections to estimate a ratio")
-    top = spec.truncation + depth * spec.order
-    if top > MAX_SERIES_DEGREE:
-        raise ValueError(
-            f"depth {depth} reaches series degree {top}, above {MAX_SERIES_DEGREE}"
-        )
-    return depth
+    return _within_degree_cap(spec, "depth", depth)
 
 
 def analyze_convergence(

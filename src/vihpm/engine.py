@@ -44,7 +44,7 @@ from itertools import combinations, pairwise
 from typing import Sequence
 
 from .kernel import _picard
-from .problems import ProblemSpec
+from .problems import MAX_SERIES_DEGREE, ProblemSpec
 # pad_to, add, mul and make_series are not called here, and differentiate
 # only by residual; perfbench/tracing.py wraps them on engine by name
 from .series import (
@@ -276,6 +276,15 @@ def _tangents(spec: ProblemSpec, iterates: Sequence[Series]) -> list[Coeffs]:
     return dvs
 
 
+def _within_degree_cap(spec: ProblemSpec, name: str, count: int) -> int:
+    """Return ``count``, or reject it if ``count`` corrections of ``spec``
+    reach a series degree W + count * m above ``MAX_SERIES_DEGREE``."""
+    top = spec.truncation + count * spec.order
+    if top > MAX_SERIES_DEGREE:
+        raise ValueError(f"{name} {count} reaches series degree {top}, above {MAX_SERIES_DEGREE}")
+    return count
+
+
 def iterate(
     spec: ProblemSpec,
     constants: Sequence[float],
@@ -292,9 +301,14 @@ def iterate(
     as a call at these constants returned them, are reused up to v_n.
     Before its first correction, each term's coefficient is expanded to
     ``W + (n-1)m``, the highest ring a correction evaluates F in, so every
-    later expansion at up to n corrections is a slice.
+    later expansion at up to n corrections is a slice.  An ``n_iter`` given
+    here must keep W + n*m within ``MAX_SERIES_DEGREE``, as the spec's own
+    count does.
     """
-    n_iter = spec.iterations if n_iter is None else _checked(_count, "n_iter", n_iter)
+    if n_iter is None:
+        n_iter = spec.iterations
+    else:
+        n_iter = _within_degree_cap(spec, "n_iter", _checked(_count, "n_iter", n_iter))
     iterates = [*known[: n_iter + 1]] or [initial_approx(spec, constants)]
     if len(iterates) <= n_iter:
         for term in spec.terms:

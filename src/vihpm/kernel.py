@@ -19,8 +19,10 @@ below m, and the correction ``v + K(v^(m) - F(v))`` equals
 its own, and discards degrees beyond the kernel's truncation; the Picard
 step :func:`_picard`, which the engine runs for every correction and
 tangent, reads the same weights (:func:`_kernel_weights`) and builds the
-corrected coefficients directly, with the same bits, through code
-generated per length up to ``KERNEL_CAP`` (:func:`_picard_kernel`).
+corrected coefficients directly, with the same bits, through
+:func:`_picard_kernel`: code generated per length up to ``KERNEL_CAP``,
+and above it the comprehension declared with it, as
+:func:`vihpm.series._generated` chooses.
 """
 
 from __future__ import annotations
@@ -106,14 +108,11 @@ def _picard(v: tuple[float, ...], f: tuple[float, ...], m: int) -> tuple[float, 
     and subtracted from v's zero-padded head, built as one tuple.
     """
     weights = _kernel_weights(m, len(f) - 1 + m)
-    code = _picard_kernel(len(f))
-    if code:
-        return v[:m] + code(f, weights)
-    return v[:m] + tuple([0.0 - c * w for c, w in zip(f, weights)])
+    return v[:m] + _picard_kernel(len(f))(f, weights)
 
 
-@_generated
+@_generated(lambda c, w: tuple([0.0 - a * b for a, b in zip(c, w)]))
 def _picard_kernel(n: int) -> tuple[str, list[str]]:
     """``(0.0 - c0 * w0, 0.0 - c1 * w1, ...)``, the integral :func:`_picard`
-    appends to v's head up to the cap."""
+    appends to v's head."""
     return "c, w", _returning([f"0.0 - c{i} * w{i}" for i in range(n)])

@@ -25,25 +25,25 @@ functions directly and wrap only the values that leave them.
 no non-finite series reaches the solver or a printed table.
 
 :func:`mul` gives the bits of the loop that adds one nonzero row of its
-first operand per pass, and runs a four-row form of that loop.  Up to
-``KERNEL_CAP`` coefficients, the one cap on generated code, straight-line
-code generated per length (:func:`_generated`) does the ring's work
-instead: the product of a mostly nonzero first operand, the two-row
+first operand per pass, and runs a four-row form of that loop.  The ring's
+hot work comes in kinds of straight-line code, each declared with the loop
+it replaces: the product of a mostly nonzero first operand, the two-row
 product of a first operand that is zero past its rows 0 and 1 (a constant
 or linear coefficient), sums, derivatives, derivative values of order 1
-and up, and the Picard step of :mod:`vihpm.kernel`.  Each function
-performs the float operations of the loop it replaces in the loop's order,
-so it gives the loop's bits, but for the sign of a NaN made from two NaNs,
-which CPython does not fix between a float method and its inline float
-bytecode.  Above the cap the loop runs, and a derivative value is
-:func:`_horner` on the derivative, as is every value of order 0: its step
-is one multiply and one add, and a generated form did not pay on the CLI
-workload.  :func:`sub`, which no solve calls, stays a loop too.
+and up, and the Picard step of :mod:`vihpm.kernel`.  :func:`_generated`
+alone chooses between the two: code generated per length up to
+``KERNEL_CAP`` coefficients, and the declared loop above.  Each function
+performs the float operations of its loop in the loop's order, so it
+gives the loop's bits, but for the sign of a NaN made from two NaNs, which
+CPython does not fix between a float method and its inline float
+bytecode.  A value of order 0 is :func:`_horner` on the coefficients: its
+step is one multiply and one add, and a generated form did not pay on the
+CLI workload.  :func:`sub`, which no solve calls, stays a loop too.
 
 Tables that depend only on a few integers are cached with a fixed bound
 of ``CACHE_SIZE`` entries each: the falling factorials and the generated
-functions here (one of each kind per length, each compiled on first use,
-none at import), the kernel weights and Picard functions of
+functions here (one of each kind per length up to the cap, each compiled
+on first use, none at import), the kernel weights and Picard functions of
 :mod:`vihpm.kernel`, and the He polynomial picks, each factor's tangent
 chain orders and the tangent seeds of :mod:`vihpm.engine` (``_picks``,
 ``_rests`` and ``_seed``).
@@ -283,39 +283,49 @@ def _check_same_ring(f: Series, g: Series) -> None:
         )
 
 
-def _generated(source: Callable[[int], tuple[str, list[str]]]) -> Callable:
-    """Turn a source builder into a cache of straight-line functions.
+def _generated(loop: Callable) -> Callable[[Callable], Callable]:
+    """Declare a kind of generated code with ``loop``, the function it
+    replaces, which takes the same arguments and gives the same bits.
 
-    ``source(n)`` gives the parameters and the statements of a function on
-    ``n``-coefficient tuples.  Every parameter but ``x`` is such a tuple,
-    unpacked first into locals named after it and the index (``f0, f1,
-    ...``), so each term reads locals alone.  The decorated name maps an
-    ``n`` of at most ``KERNEL_CAP`` to that function, compiled on first use
-    and cached, and a larger ``n`` to ``None``: there its caller runs its
-    loop.  This is the one place the package generates code.
+    The decorated ``source(n)`` gives the parameters and the statements of
+    a function on ``n``-coefficient tuples.  Every parameter but ``x`` is
+    such a tuple, unpacked first into locals named after it and the index
+    (``f0, f1, ...``), so each term reads locals alone.  The decorated name
+    maps an ``n`` of at most ``KERNEL_CAP`` to that function, compiled on
+    first use and cached, and a larger ``n`` to ``loop``.  The cap is tested
+    before the cache, so a length above it takes no cache slot, and
+    ``cache_info().misses`` counts compiles.  This is the one place the
+    package generates code or chooses between code and a loop.
     """
 
-    @lru_cache(maxsize=CACHE_SIZE)
-    @wraps(source)
-    def generated(n: int) -> Callable | None:
-        if n > KERNEL_CAP:
-            return None
-        params, body = source(n)
-        name = source.__name__
-        text = "\n".join([
-            f"def {name}({params}):",
-            *[
-                f"    [{''.join([f'{p}{i}, ' for i in range(n)])}] = {p}"
-                for p in params.split(", ")
-                if p != "x"
-            ],
-            *[f"    {line}" for line in body],
-        ])
-        namespace: dict[str, Callable] = {}
-        exec(compile(text, f"<{source.__module__}.{name}, n={n}>", "exec"), namespace)
-        return namespace[name]
+    def declare(source: Callable[[int], tuple[str, list[str]]]) -> Callable:
+        @lru_cache(maxsize=CACHE_SIZE)
+        def compiled(n: int) -> Callable:
+            params, body = source(n)
+            name = source.__name__
+            text = "\n".join([
+                f"def {name}({params}):",
+                *[
+                    f"    [{''.join([f'{p}{i}, ' for i in range(n)])}] = {p}"
+                    for p in params.split(", ")
+                    if p != "x"
+                ],
+                *[f"    {line}" for line in body],
+            ])
+            namespace: dict[str, Callable] = {}
+            exec(compile(text, f"<{source.__module__}.{name}, n={n}>", "exec"), namespace)
+            return namespace[name]
 
-    return generated
+        @wraps(source)
+        def generated(n: int) -> Callable:
+            return compiled(n) if n <= KERNEL_CAP else loop
+
+        generated.cache_info = compiled.cache_info
+        generated.cache_clear = compiled.cache_clear
+        generated.loop = loop
+        return generated
+
+    return declare
 
 
 def _returning(terms: list[str]) -> list[str]:
@@ -331,13 +341,12 @@ def add(f: Series, g: Series) -> Series:
 
 def _sum(fc: tuple[float, ...], gc: tuple[float, ...]) -> tuple[float, ...]:
     """The sum of two coefficient tuples of one length."""
-    code = _add_kernel(len(fc))
-    return code(fc, gc) if code else tuple([*map(_fadd, fc, gc)])
+    return _add_kernel(len(fc))(fc, gc)
 
 
-@_generated
+@_generated(lambda f, g: tuple([*map(_fadd, f, g)]))
 def _add_kernel(n: int) -> tuple[str, list[str]]:
-    """``(f0 + g0, f1 + g1, ...)``, the sum :func:`add` runs up to the cap."""
+    """``(f0 + g0, f1 + g1, ...)``, the sum :func:`add` runs."""
     return "f, g", _returning([f"f{i} + g{i}" for i in range(n)])
 
 
@@ -353,20 +362,20 @@ def mul(f: Series, g: Series) -> Series:
     Every output coefficient starts from +0.0 and gets its terms
     ``f_i * g_(k-i)`` one at a time in ascending ``i``, and the zero rows of
     the first operand are skipped, so the result has the bits of the
-    one-row-per-pass loop.  In a ring of at most ``KERNEL_CAP``
-    coefficients, a first operand with more nonzero than zero coefficients
-    goes through the straight-line code of :func:`_kernel`.  Its zero rows
-    add ``0 * g_j`` to an accumulator that is never -0.0; while ``g_j`` is
-    finite that is a zero of either sign and changes nothing, so a kernel
-    result whose sum is finite is kept.  Any other kernel result is
-    dropped: a zero row meeting an infinite or NaN ``g_j`` gives NaN where
-    the loop skips the row, and a NaN's sign can differ between freshly
-    compiled code and warm code.  A first operand that is zero past its rows
-    0 and 1, as a constant or linear coefficient is, goes through the
-    two-row product of :func:`_line_kernel` on the same terms: row 0's term,
-    then row 1's, after the +0.0, and its result is kept only when finite.
-    Every product whose generated result is dropped, and every other
-    product, runs the row loop of :func:`_rows`.
+    one-row-per-pass loop.  A first operand with more nonzero than zero
+    coefficients goes through :func:`_kernel`.  Its code adds the zero
+    rows' ``0 * g_j`` to an accumulator that is never -0.0; while ``g_j`` is
+    finite that is a zero of either sign and changes nothing, so a result
+    whose sum is finite is kept.  Any other result is dropped: a zero row
+    meeting an infinite or NaN ``g_j`` gives NaN where the loop skips the
+    row, and a NaN's sign can differ between freshly compiled code and warm
+    code.  A first operand that is zero past its rows 0 and 1, as a
+    constant or linear coefficient is, goes through the two-row product of
+    :func:`_line_kernel` on the same terms: row 0's term, then row 1's,
+    after the +0.0, and its result is kept only when finite.  Both are
+    declared with the row loop of :func:`_rows`, which :func:`_generated`
+    gives in their place above ``KERNEL_CAP``.  Every dropped result, and
+    every other product, runs that loop.
     """
     _check_same_ring(f, g)
     return _trusted(_product(f.coeffs, g.coeffs))
@@ -374,48 +383,20 @@ def mul(f: Series, g: Series) -> Series:
 
 def _product(fc: tuple[float, ...], gc: tuple[float, ...]) -> tuple[float, ...]:
     """The product :func:`mul` describes, of two coefficient tuples of one
-    length.  The two-row shape is tested only when the dense test has
-    failed, in O(1) past the zero count, so a dense product pays nothing
-    for it and a tangent seed ``x**j`` one comparison."""
+    length.  It chooses the kind of product; :func:`_generated` chooses
+    between that kind's code and its loop.  The two-row shape is tested only
+    when the dense test has failed, in O(1) past the zero count, so a dense
+    product pays nothing for it and a tangent seed ``x**j`` one
+    comparison."""
     n = len(fc)
-    if n <= KERNEL_CAP:
-        zeros = fc.count(0.0)
-        if 2 * zeros < n:
-            out = _kernel(n)(fc, gc)
-            if math.isfinite(sum(out)):
-                return out
-        elif n > 1 and zeros - (fc[0] == 0.0) - (fc[1] == 0.0) == n - 2:
-            out = _line_kernel(n)(fc, gc)
-            if math.isfinite(sum(out)):
-                return out
-    return _rows(fc, gc)
-
-
-@_generated
-def _kernel(n: int) -> tuple[str, list[str]]:
-    """The Cauchy product of two ``n``-coefficient tuples as straight-line
-    code, built from integer indices alone.
-
-    It returns ``(0.0 + f0 * g0, 0.0 + f0 * g1 + f1 * g0, ...)``, with
-    every term in ascending row order, as the row loop adds them.  Each
-    term has a source line of its own, which keeps the code object's
-    location table short.
-    """
-    return "f, g", _returning([
-        "0.0 + " + "\n    + ".join([f"f{i} * g{k - i}" for i in range(k + 1)])
-        for k in range(n)
-    ])
-
-
-@_generated
-def _line_kernel(n: int) -> tuple[str, list[str]]:
-    """The Cauchy product of two ``n``-coefficient tuples whose first
-    operand is zero past its rows 0 and 1, as straight-line code:
-    ``(0.0 + f0 * g0, 0.0 + f0 * g1 + f1 * g0, ...)``, row 0's term before
-    row 1's, as the row loop adds them."""
-    return "f, g", _returning(
-        ["0.0 + f0 * g0"] + [f"0.0 + f0 * g{k} + f1 * g{k - 1}" for k in range(1, n)]
-    )
+    zeros = fc.count(0.0)
+    if 2 * zeros < n:
+        out = _kernel(n)(fc, gc)
+    elif n > 1 and zeros - (fc[0] == 0.0) - (fc[1] == 0.0) == n - 2:
+        out = _line_kernel(n)(fc, gc)
+    else:
+        return _rows(fc, gc)
+    return out if math.isfinite(sum(out)) else _rows(fc, gc)
 
 
 def _rows(fc: tuple[float, ...], gc: tuple[float, ...]) -> tuple[float, ...]:
@@ -457,6 +438,33 @@ def _rows(fc: tuple[float, ...], gc: tuple[float, ...]) -> tuple[float, ...]:
     return tuple(out)
 
 
+@_generated(_rows)
+def _kernel(n: int) -> tuple[str, list[str]]:
+    """The Cauchy product of two ``n``-coefficient tuples as straight-line
+    code, built from integer indices alone.
+
+    It returns ``(0.0 + f0 * g0, 0.0 + f0 * g1 + f1 * g0, ...)``, with
+    every term in ascending row order, as the row loop adds them.  Each
+    term has a source line of its own, which keeps the code object's
+    location table short.
+    """
+    return "f, g", _returning([
+        "0.0 + " + "\n    + ".join([f"f{i} * g{k - i}" for i in range(k + 1)])
+        for k in range(n)
+    ])
+
+
+@_generated(_rows)
+def _line_kernel(n: int) -> tuple[str, list[str]]:
+    """The Cauchy product of two ``n``-coefficient tuples whose first
+    operand is zero past its rows 0 and 1, as straight-line code:
+    ``(0.0 + f0 * g0, 0.0 + f0 * g1 + f1 * g0, ...)``, row 0's term before
+    row 1's, as the row loop adds them."""
+    return "f, g", _returning(
+        ["0.0 + f0 * g0"] + [f"0.0 + f0 * g{k} + f1 * g{k - 1}" for k in range(1, n)]
+    )
+
+
 def differentiate(f: Series, order: int) -> Series:
     """Formal ``order``-fold derivative, kept in the same ring.
 
@@ -475,12 +483,11 @@ def _derivative(fc: tuple[float, ...], order: int) -> tuple[float, ...]:
         return fc
     falls = _falling_factorials(order, len(fc) - 1)
     coeffs = fc[order:]
-    code = _derivative_kernel(len(coeffs))
-    out = code(coeffs, falls) if code else tuple(map(_fmul, coeffs, falls))
+    out = _derivative_kernel(len(coeffs))(coeffs, falls)
     return out + (0.0,) * (len(fc) - len(out))
 
 
-@_generated
+@_generated(lambda c, w: tuple(map(_fmul, c, w)))
 def _derivative_kernel(n: int) -> tuple[str, list[str]]:
     """``(c0 * w0, c1 * w1, ...)``: the derivative's coefficients below its
     zeros, from the coefficients ``c`` above the order and the falling
@@ -515,10 +522,10 @@ def evaluate(f: Series, x: float) -> float:
 
 def evaluate_derivative(f: Series, order: int, x: float) -> float:
     """Value of the ``order``-th formal derivative at finite ``x``, with the
-    bits of :func:`evaluate` on :func:`differentiate`.  Below the cap, order
-    1 and up runs Horner over ``f.coeffs[k + order] * fall_k`` for k from
-    ``W - order`` down to 0 without building the derivative: its top
-    ``order`` zeros would leave the accumulator at +0.0 for finite ``x``.
+    bits of :func:`evaluate` on :func:`differentiate`.  Order 1 and up runs
+    Horner over ``f.coeffs[k + order] * fall_k`` for k from ``W - order``
+    down to 0 without building the derivative: its top ``order`` zeros
+    would leave the accumulator at +0.0 for finite ``x``.
     """
     order = _checked(_count, "order", order)
     return _derivative_value(f.coeffs, order, x)
@@ -526,22 +533,20 @@ def evaluate_derivative(f: Series, order: int, x: float) -> float:
 
 def _derivative_value(fc: tuple[float, ...], order: int, x: float) -> float:
     """The value :func:`evaluate_derivative` describes, of a coefficient
-    tuple: generated code for order 1 and up below the cap, and otherwise
-    :func:`_horner` on the derivative, which order 0 skips building."""
+    tuple: :func:`_horner_kernel` for order 1 and up, code or loop as
+    :func:`_generated` chooses, and :func:`_horner` on ``fc`` for order 0."""
     if order == 0:
         return _horner(fc, x)
     coeffs = fc[order:]
-    code = _horner_kernel(len(coeffs))
-    if code:
-        return code(coeffs, _falling_factorials(order, len(fc) - 1), x)
-    return _horner(_derivative(fc, order), x)
+    return _horner_kernel(len(coeffs))(coeffs, _falling_factorials(order, len(fc) - 1), x)
 
 
-@_generated
+@_generated(lambda c, w, x: _horner(tuple(map(_fmul, c, w)), x))
 def _horner_kernel(n: int) -> tuple[str, list[str]]:
     """Horner's rule at ``x`` on ``c_k * w_k``, the value
-    :func:`evaluate_derivative` reads below the cap: from ``acc = 0.0`` at
-    the top down to degree 0, one statement per coefficient."""
+    :func:`evaluate_derivative` reads: from ``acc = 0.0`` at the top down to
+    degree 0, one statement per coefficient, as :func:`_horner` over the
+    products runs it."""
     return "c, w, x", [
         "acc = 0.0",
         *[f"acc = acc * x + c{k} * w{k}" for k in reversed(range(n))],

@@ -150,10 +150,8 @@ MUTANTS = (
     Mutant(
         "_product: a kernel result kept without the finiteness check",
         "vihpm/series.py",
-        "            out = _kernel(n)(fc, gc)\n"
-        "            if math.isfinite(sum(out)):\n"
-        "                return out\n",
-        "            return _kernel(n)(fc, gc)\n",
+        "        out = _kernel(n)(fc, gc)\n",
+        "        return _kernel(n)(fc, gc)\n",
         PRODUCT_TESTS,
         "killed",
     ),
@@ -162,14 +160,6 @@ MUTANTS = (
         "vihpm/series.py",
         "2 * zeros < n:",
         "2 * zeros <= n:",
-        PRODUCT_TESTS,
-        "killed",
-    ),
-    Mutant(
-        "_product: the largest ring left out of the kernels",
-        "vihpm/series.py",
-        "if n <= KERNEL_CAP:",
-        "if n < KERNEL_CAP:",
         PRODUCT_TESTS,
         "killed",
     ),
@@ -204,10 +194,8 @@ MUTANTS = (
     Mutant(
         "_product: a two-row result kept without the finiteness check",
         "vihpm/series.py",
-        "            out = _line_kernel(n)(fc, gc)\n"
-        "            if math.isfinite(sum(out)):\n"
-        "                return out\n",
-        "            return _line_kernel(n)(fc, gc)\n",
+        "        out = _line_kernel(n)(fc, gc)\n",
+        "        return _line_kernel(n)(fc, gc)\n",
         PRODUCT_TESTS,
         "killed",
     ),
@@ -222,8 +210,16 @@ MUTANTS = (
     Mutant(
         "_generated: the largest length left out of the generated code",
         "vihpm/series.py",
-        "        if n > KERNEL_CAP:\n            return None\n",
-        "        if n >= KERNEL_CAP:\n            return None\n",
+        "compiled(n) if n <= KERNEL_CAP else loop",
+        "compiled(n) if n < KERNEL_CAP else loop",
+        GENERATED_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "_add_kernel: declared with the derivative's loop, map(mul)",
+        "vihpm/series.py",
+        "@_generated(lambda f, g: tuple([*map(_fadd, f, g)]))",
+        "@_generated(lambda f, g: tuple(map(_fmul, f, g)))",
         GENERATED_TESTS,
         "killed",
     ),
@@ -238,8 +234,8 @@ MUTANTS = (
     Mutant(
         "differentiate: the generated code reads the falling factorials one place off",
         "vihpm/series.py",
-        "code(coeffs, falls) if code",
-        "code(coeffs, (1.0, *falls[:-1])) if code",
+        "(len(coeffs))(coeffs, falls)",
+        "(len(coeffs))(coeffs, (1.0, *falls[:-1]))",
         DERIVATIVE_TESTS,
         "killed",
     ),
@@ -252,26 +248,26 @@ MUTANTS = (
         "killed",
     ),
     Mutant(
-        "_picard: the integral negated as -(f_j * w_j), which is -0.0 at a zero",
+        "_picard_kernel: the loop above the cap negates as -(f_j * w_j), -0.0 at a zero",
         "vihpm/kernel.py",
-        "0.0 - c * w for c, w",
-        "-(c * w) for c, w",
+        "0.0 - a * b for a, b",
+        "-(a * b) for a, b",
         PICARD_TESTS,
         "killed",
     ),
     Mutant(
-        "_picard: the integral added instead of subtracted",
+        "_picard_kernel: the loop above the cap adds the integral instead of subtracting it",
         "vihpm/kernel.py",
-        "0.0 - c * w for c, w",
-        "c * w for c, w",
+        "0.0 - a * b for a, b",
+        "a * b for a, b",
         PICARD_TESTS,
         "killed",
     ),
     Mutant(
-        "_derivative_value: the fallback evaluates the series, not its derivative",
+        "_horner_kernel: the loop above the cap evaluates c_k without the factorials w_k",
         "vihpm/series.py",
-        "return _horner(_derivative(fc, order), x)",
-        "return _horner(fc, x)",
+        "_horner(tuple(map(_fmul, c, w)), x)",
+        "_horner(c, x)",
         DERIVATIVE_TESTS,
         "killed",
     ),
@@ -389,6 +385,22 @@ MUTANTS = (
         "killed",
     ),
     Mutant(
+        "_within_degree_cap: the top degree of check_depth taken as W + depth / m",
+        "vihpm/engine.py",
+        "spec.truncation + count * spec.order",
+        "spec.truncation + count / spec.order",
+        DEPTH_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "analyze_convergence: the Banach bound's slack subtracted",
+        "vihpm/diagnostics.py",
+        "(1.0 + BOUND_SLACK)",
+        "(1.0 - BOUND_SLACK)",
+        GEOMETRIC_TESTS,
+        "killed",
+    ),
+    Mutant(
         "check_depth: a non-integral depth is not converted or rejected",
         "vihpm/diagnostics.py",
         "    depth = _checked(_integer, \"depth\", depth)\n",
@@ -429,6 +441,14 @@ MUTANTS = (
         "killed",
     ),
     Mutant(
+        "_make_grid: a step giving exactly MAX_GRID_POINTS points rejected",
+        "vihpm/cli.py",
+        "if end / step > MAX_GRID_POINTS - 1:",
+        "if end / step >= MAX_GRID_POINTS - 1:",
+        GRID_TESTS,
+        "killed",
+    ),
+    Mutant(
         "error_table: a reference that overflows raises OverflowError",
         "vihpm/reporting.py",
         "            try:\n"
@@ -457,6 +477,16 @@ MUTANTS = (
         "a zero p_j adds +0.0 or -0.0 to an accumulator that is never -0.0, "
         "so the sum changes only where a weight has overflowed, and such a "
         "run is rejected as non-finite either way",
+    ),
+    Mutant(
+        "expand_exppoly: a degree equal to the top one held taken as a slice",
+        "vihpm/series.py",
+        "    if truncation < top:\n",
+        "    if truncation <= top:\n",
+        EXPANSION_TESTS,
+        "equivalent",
+        "a degree equal to the top one held is a table hit, returned before "
+        "the comparison, so the comparison never sees the two equal",
     ),
 )
 

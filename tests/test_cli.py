@@ -177,6 +177,11 @@ class TestGrid:
             assert grid[0] == 0.0 and grid[-1] == end
             assert all(a < b for a, b in zip(grid, grid[1:]))
 
+    def test_at_most_max_grid_points(self):
+        assert len(cli._make_grid(MAX_GRID_POINTS - 1.0, 1.0)) == MAX_GRID_POINTS
+        with pytest.raises(cli.InvalidProblemError, match=f"over {MAX_GRID_POINTS} points"):
+            cli._make_grid(float(MAX_GRID_POINTS), 1.0)
+
 
 class TestConvergenceCommand:
     def test_reports_contraction(self, capsys):

@@ -6,7 +6,7 @@ import pickle
 import pytest
 
 from vihpm import diagnostics, engine
-from vihpm.diagnostics import analyze_convergence, check_depth, default_grid
+from vihpm.diagnostics import BOUND_SLACK, analyze_convergence, check_depth, default_grid
 from vihpm.engine import NonFiniteIterateError, correct_once, initial_approx
 from vihpm.problems import (
     BoundaryCondition,
@@ -33,6 +33,15 @@ class TestAnalyzeConvergence:
         assert analyze_convergence(spec, constants, 3.0) == analyze_convergence(
             spec, constants, 3
         )
+
+    def test_depth_up_to_the_degree_cap(self):
+        # W = 13 and m = 7: depth 141 reaches degree 1,000, the cap, and 142
+        # reaches 1,007
+        spec = with_settings(builtin(1), truncation=13)
+        assert check_depth(spec, 141) == 141
+        message = "^depth 142 reaches series degree 1007, above 1000$"
+        with pytest.raises(ValueError, match=message):
+            check_depth(spec, 142)
 
     @pytest.mark.parametrize("depth", [2.5, None, "3"])
     def test_non_integral_depth_is_named(self, monkeypatch, depth):
@@ -218,6 +227,12 @@ class TestSolveIterates:
         assert report.gamma_max == math.inf
         assert not report.contraction_ok
         assert not report.banach_bound_ok
+
+    def test_a_gap_within_the_slack_passes_the_bound(self):
+        # gaps 1 and 1 + BOUND_SLACK / 2: the second exceeds its bound
+        # delta_0 * gamma_max**0 = 1, but not that bound times 1 + BOUND_SLACK
+        report = self.report_on_constant_iterates((0.0, 1.0, 2.0 + BOUND_SLACK / 2))
+        assert report.banach_bound_ok
 
     def test_an_overflowing_power_is_infinite_not_an_error(self):
         # gaps 1, 1e200, 1e200, 1e200: gamma_max = 1e200, whose square overflows

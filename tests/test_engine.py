@@ -408,6 +408,22 @@ class TestIterate:
         with pytest.raises(ValueError, match="n_iter must be non-negative"):
             iterate(spec, (0.0, 0.0, 0.0), -1)
 
+    def test_a_given_count_stays_within_the_degree_cap(self, monkeypatch):
+        # builtin 1 has W = 12 and m = 7: 141 corrections reach degree 999,
+        # and 142 reach 1,006, so the count is rejected before any runs
+        class Corrected(Exception):
+            pass
+
+        def correct_once(*args):
+            raise Corrected
+
+        monkeypatch.setattr(engine, "correct_once", correct_once)
+        with pytest.raises(Corrected):
+            iterate(builtin(1), [0.0] * 3, 141)
+        message = "^n_iter 142 reaches series degree 1006, above 1000$"
+        with pytest.raises(ValueError, match=message):
+            iterate(builtin(1), [0.0] * 3, 142)
+
     def test_integral_float_count_runs_as_an_int(self):
         spec, constants = builtin(2), (0.1, -0.2, 0.05)
         assert iterate(spec, constants, 2.0) == iterate(spec, constants, 2)

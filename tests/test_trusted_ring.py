@@ -586,8 +586,8 @@ def line_columns(n):
 
 @pytest.fixture
 def line_kernel_results(monkeypatch):
-    """Spies on the two-row product: every tuple its generated code
-    returns, in order."""
+    """Spies on the two-row product: every tuple it returns, in order,
+    from generated code up to the cap and from its declared loop above."""
     results = []
 
     def spied(n):
@@ -611,8 +611,10 @@ class TestCauchyProduct:
 
     @pytest.mark.parametrize("n", range(1, KERNEL_CAP + 2))
     def test_dense_first_operand(self, n):
-        # a kernel for every ring size up to the cap, then the row loop; in
-        # the loop a four-row block ends at the last row when 4 divides n
+        # a kernel for every ring size up to the cap, then the row loop it
+        # declares; in the loop a four-row block ends at the last row when 4
+        # divides n
+        assert_generated_up_to_the_cap(_kernel, n)
         assert_one_row_bits(dense_values(n, 1), dense_values(n, 2))
 
     def test_a_zero_sum_is_plus_zero(self):
@@ -691,14 +693,16 @@ class TestCauchyProduct:
     @pytest.mark.parametrize("n", range(1, KERNEL_CAP + 2))
     @pytest.mark.parametrize("rows", sorted(LINE_ROWS))
     def test_a_first_operand_in_rows_0_and_1(self, rows, n, line_kernel_results):
-        # the two-row product runs where the dense kernel does not, up to
-        # the cap, and mul returns its result; a nonzero row 2 runs the loop
+        # the two-row product runs where the dense kernel does not, as
+        # generated code up to the cap and as the row loop it declares above,
+        # and mul returns its result; a nonzero row 2 runs the loop alone
+        assert_generated_up_to_the_cap(_line_kernel, n)
         f = (LINE_ROWS[rows] + (0.0, -0.0) * n)[:n]
         g = line_columns(n)
         assert_one_row_bits(f, g)
         before = len(line_kernel_results)
         product = mul(_trusted(f), _trusted(g)).coeffs
-        taken = 2 <= n <= KERNEL_CAP and 2 * f.count(0.0) >= n and not any(f[2:])
+        taken = n >= 2 and 2 * f.count(0.0) >= n and not any(f[2:])
         assert [out is product for out in line_kernel_results[before:]] == [True] * taken
 
     @pytest.mark.parametrize("special", [math.inf, -math.inf, math.nan])
@@ -730,9 +734,11 @@ GENERATED = (
 
 
 def assert_generated_up_to_the_cap(cache, n):
-    """``cache`` holds generated code for length ``n`` up to ``KERNEL_CAP``,
-    and ``None`` past it, where the caller runs its loop."""
-    assert (cache(n) is None) == (n > KERNEL_CAP)
+    """``cache`` gives generated code for length ``n`` up to ``KERNEL_CAP``,
+    and past it the loop declared with it, which leaves its cache as it is."""
+    before = cache.cache_info()
+    assert (cache(n) is cache.loop) == (n > KERNEL_CAP)
+    assert (cache.cache_info() == before) == (n > KERNEL_CAP)
 
 
 def packed_but_nan(values):
@@ -816,7 +822,8 @@ class TestEveryLength:
 
 # (W, k) -> builtin -> how many functions of each of GENERATED one solve()
 # compiles from cold caches: products, sums, derivatives, derivative values,
-# Picard steps and two-row products
+# Picard steps and two-row products; at (60, 4) most rings are above the cap,
+# where each kind runs its loop and compiles nothing
 COLD_SOLVE_COMPILES = {
     (12, 1): {
         1: (0, 1, 0, 2, 1, 1),
@@ -830,6 +837,12 @@ COLD_SOLVE_COMPILES = {
         3: (2, 3, 3, 2, 3, 3),
         4: (2, 3, 3, 2, 3, 3),
     },
+    (60, 4): {
+        1: (0, 1, 0, 0, 1, 1),
+        2: (1, 1, 0, 0, 1, 0),
+        3: (0, 1, 1, 0, 1, 1),
+        4: (0, 1, 1, 0, 1, 1),
+    },
 }
 
 
@@ -842,6 +855,10 @@ def test_functions_compiled_by_a_cold_solve(setting):
         spec = with_settings(builtin(n), truncation=truncation, iterations=iterations)
         assert solve(spec).converged
         assert tuple([cache.cache_info().misses for cache in GENERATED]) == expected, n
+        # no cache holds a length above the cap: asking for one is no hit
+        for cache in GENERATED:
+            for length in range(KERNEL_CAP + 1, 2 * KERNEL_CAP):
+                assert_generated_up_to_the_cap(cache, length)
 
 
 @st.composite
