@@ -298,7 +298,8 @@ def iterate(
     the initial polynomial and each correction are checked, so every
     returned iterate is finite: :class:`NonFiniteIterateError` is raised
     when the iterate produced by a correction is not.  ``known``, v_0..v_j
-    as a call at these constants returned them, are reused up to v_n.
+    as a call at these constants returned them, are reused up to v_n; the
+    constants are checked all the same.
     Before its first correction, each term's coefficient is expanded to
     ``W + (n-1)m``, the highest ring a correction evaluates F in, so every
     later expansion at up to n corrections is a slice.  An ``n_iter`` given
@@ -309,7 +310,9 @@ def iterate(
         n_iter = spec.iterations
     else:
         n_iter = _within_degree_cap(spec, "n_iter", _checked(_count, "n_iter", n_iter))
-    iterates = [*known[: n_iter + 1]] or [initial_approx(spec, constants)]
+    # built first, so constants it rejects raise even when ``known`` is given
+    head = initial_approx(spec, constants)
+    iterates = [*known[: n_iter + 1]] or [head]
     if len(iterates) <= n_iter:
         for term in spec.terms:
             expand_exppoly(term.coeff, spec.truncation + (n_iter - 1) * spec.order)

@@ -20,9 +20,9 @@ its own, and discards degrees beyond the kernel's truncation; the Picard
 step :func:`_picard`, which the engine runs for every correction and
 tangent, reads the same weights (:func:`_kernel_weights`) and builds the
 corrected coefficients directly, with the same bits, through
-:func:`_picard_kernel`: code generated per length up to ``KERNEL_CAP``,
-and above it the comprehension declared with it, as
-:func:`vihpm.series._generated` chooses.
+:func:`_picard_kernel`, a :class:`vihpm.series._Generated` kind that
+gives code generated per length up to ``KERNEL_CAP`` and above it the
+comprehension declared with it.
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ def _picard(v: tuple[float, ...], f: tuple[float, ...], m: int) -> tuple[float, 
     and subtracted from v's zero-padded head, built as one tuple.
     """
     weights = _kernel_weights(m, len(f) - 1 + m)
-    return v[:m] + _picard_kernel(len(f))(f, weights)
+    return v[:m] + _picard_kernel[len(f)](f, weights)
 
 
 @_generated(lambda c, w: tuple([0.0 - a * b for a, b in zip(c, w)]))

@@ -30,23 +30,26 @@ hot work comes in kinds of straight-line code, each declared with the loop
 it replaces: the product of a mostly nonzero first operand, the two-row
 product of a first operand that is zero past its rows 0 and 1 (a constant
 or linear coefficient), sums, derivatives, derivative values of order 1
-and up, and the Picard step of :mod:`vihpm.kernel`.  :func:`_generated`
-alone chooses between the two: code generated per length up to
-``KERNEL_CAP`` coefficients, and the declared loop above.  Each function
-performs the float operations of its loop in the loop's order, so it
-gives the loop's bits, but for the sign of a NaN made from two NaNs, which
-CPython does not fix between a float method and its inline float
-bytecode.  A value of order 0 is :func:`_horner` on the coefficients: its
-step is one multiply and one add, and a generated form did not pay on the
-CLI workload.  :func:`sub`, which no solve calls, stays a loop too.
+and up, and the Picard step of :mod:`vihpm.kernel`.  Each kind is a
+:class:`_Generated` table, and callers subscript it by length: its miss
+handler alone chooses between the two, compiling code per length up to
+``KERNEL_CAP`` coefficients and keeping it, and giving the declared loop
+above.  Each function performs the float operations of its loop in the
+loop's order, so it gives the loop's bits, but for the sign of a NaN made
+from two NaNs, which CPython does not fix between a float method and its
+inline float bytecode.  The code of the two products returns its own
+result only when that is finite, and its loop's result otherwise.  A
+value of order 0 is :func:`_horner` on the coefficients: its step is one
+multiply and one add, and a generated form did not pay on the CLI
+workload.  :func:`sub`, which no solve calls, stays a loop too.
 
 Tables that depend only on a few integers are cached with a fixed bound
-of ``CACHE_SIZE`` entries each: the falling factorials and the generated
-functions here (one of each kind per length up to the cap, each compiled
-on first use, none at import), the kernel weights and Picard functions of
-:mod:`vihpm.kernel`, and the He polynomial picks, each factor's tangent
-chain orders and the tangent seeds of :mod:`vihpm.engine` (``_picks``,
-``_rests`` and ``_seed``).
+of ``CACHE_SIZE`` entries each: the falling factorials here, the kernel
+weights of :mod:`vihpm.kernel`, and the He polynomial picks, each
+factor's tangent chain orders and the tangent seeds of :mod:`vihpm.engine`
+(``_picks``, ``_rests`` and ``_seed``).  A generated kind holds at most
+one function per length up to the cap, each compiled on first use, none
+at import.
 Each :class:`ExpPoly` owns its expansion table, which lives as long as the
 value does and keeps the series returned at each degree.  A degree below
 the highest one held is a slice; a higher one is computed afresh, so
@@ -63,7 +66,7 @@ the series ring.
 from __future__ import annotations
 
 import math
-from functools import lru_cache, wraps
+from functools import lru_cache
 from itertools import compress
 from operator import add as _fadd, mul as _fmul, sub as _fsub
 from typing import Callable, Sequence
@@ -283,54 +286,67 @@ def _check_same_ring(f: Series, g: Series) -> None:
         )
 
 
-def _generated(loop: Callable) -> Callable[[Callable], Callable]:
-    """Declare a kind of generated code with ``loop``, the function it
-    replaces, which takes the same arguments and gives the same bits.
+class _Generated(dict):
+    """A kind of generated code: a table from a length ``n`` to the
+    function ``source`` writes for ``n``-coefficient tuples, declared with
+    ``loop``, the function it replaces, which takes the same arguments and
+    gives the same bits.
 
-    The decorated ``source(n)`` gives the parameters and the statements of
-    a function on ``n``-coefficient tuples.  Every parameter but ``x`` is
-    such a tuple, unpacked first into locals named after it and the index
-    (``f0, f1, ...``), so each term reads locals alone.  The decorated name
-    maps an ``n`` of at most ``KERNEL_CAP`` to that function, compiled on
-    first use and cached, and a larger ``n`` to ``loop``.  The cap is tested
-    before the cache, so a length above it takes no cache slot, and
-    ``cache_info().misses`` counts compiles.  This is the one place the
-    package generates code or chooses between code and a loop.
+    ``kind[n]`` is a plain dict hit once ``n`` is compiled.  On a miss,
+    :meth:`__missing__` compiles and keeps the function for an ``n`` of at
+    most ``KERNEL_CAP``, and gives ``loop`` for a larger ``n`` without
+    keeping it, so ``len(kind)`` counts compiles and ``n in kind`` tells
+    whether ``n`` has been compiled.  The miss handler is the one place
+    the package generates code or chooses between code and a loop, and
+    the one code that reads the cap.
     """
 
-    def declare(source: Callable[[int], tuple[str, list[str]]]) -> Callable:
-        @lru_cache(maxsize=CACHE_SIZE)
-        def compiled(n: int) -> Callable:
-            params, body = source(n)
-            name = source.__name__
-            text = "\n".join([
-                f"def {name}({params}):",
-                *[
-                    f"    [{''.join([f'{p}{i}, ' for i in range(n)])}] = {p}"
-                    for p in params.split(", ")
-                    if p != "x"
-                ],
-                *[f"    {line}" for line in body],
-            ])
-            namespace: dict[str, Callable] = {}
-            exec(compile(text, f"<{source.__module__}.{name}, n={n}>", "exec"), namespace)
-            return namespace[name]
+    __slots__ = ("source", "loop")
 
-        @wraps(source)
-        def generated(n: int) -> Callable:
-            return compiled(n) if n <= KERNEL_CAP else loop
+    def __init__(self, source: Callable, loop: Callable) -> None:
+        self.source, self.loop = source, loop
 
-        generated.cache_info = compiled.cache_info
-        generated.cache_clear = compiled.cache_clear
-        generated.loop = loop
-        return generated
+    def __missing__(self, n: int) -> Callable:
+        """Compile and keep the function for ``n`` up to the cap; above it,
+        ``loop``.  ``source(n)`` gives the parameters and the statements of
+        the function.  Every parameter but ``x`` is an ``n``-coefficient
+        tuple, unpacked first into locals named after it and the index
+        (``f0, f1, ...``), so each term reads locals alone.  The statements
+        may call ``loop`` and ``isfinite``."""
+        if n > KERNEL_CAP:
+            return self.loop
+        params, body = self.source(n)
+        name = self.source.__name__
+        text = "\n".join([
+            f"def {name}({params}):",
+            *[
+                f"    [{''.join([f'{p}{i}, ' for i in range(n)])}] = {p}"
+                for p in params.split(", ")
+                if p != "x"
+            ],
+            *[f"    {line}" for line in body],
+        ])
+        namespace = {"loop": self.loop, "isfinite": math.isfinite}
+        exec(compile(text, f"<{self.source.__module__}.{name}, n={n}>", "exec"), namespace)
+        function = self[n] = namespace[name]
+        return function
 
-    return declare
+
+def _generated(loop: Callable) -> Callable[[Callable], _Generated]:
+    """Declare the decorated ``source(n)`` as a :class:`_Generated` kind
+    with ``loop``, under the source's name."""
+    return lambda source: _Generated(source, loop)
 
 
-def _returning(terms: list[str]) -> list[str]:
-    """Statements that return the tuple of ``terms``, a line for each."""
-    return ["return (", *[f"    {term}," for term in terms], ")"]
+def _returning(terms: list[str], result: str = "out") -> list[str]:
+    """Statements that bind the tuple of ``terms`` to ``out``, a line for
+    each term, and return ``result``."""
+    return ["out = (", *[f"    {term}," for term in terms], ")", f"return {result}"]
+
+
+# what a product's code returns: its own result while that is finite,
+# and otherwise its loop's, which skips the zero rows the code adds
+_FINITE_OR_LOOP = "out if isfinite(sum(out)) else loop(f, g)"
 
 
 def add(f: Series, g: Series) -> Series:
@@ -341,7 +357,7 @@ def add(f: Series, g: Series) -> Series:
 
 def _sum(fc: tuple[float, ...], gc: tuple[float, ...]) -> tuple[float, ...]:
     """The sum of two coefficient tuples of one length."""
-    return _add_kernel(len(fc))(fc, gc)
+    return _add_kernel[len(fc)](fc, gc)
 
 
 @_generated(lambda f, g: tuple([*map(_fadd, f, g)]))
@@ -365,17 +381,18 @@ def mul(f: Series, g: Series) -> Series:
     one-row-per-pass loop.  A first operand with more nonzero than zero
     coefficients goes through :func:`_kernel`.  Its code adds the zero
     rows' ``0 * g_j`` to an accumulator that is never -0.0; while ``g_j`` is
-    finite that is a zero of either sign and changes nothing, so a result
-    whose sum is finite is kept.  Any other result is dropped: a zero row
-    meeting an infinite or NaN ``g_j`` gives NaN where the loop skips the
-    row, and a NaN's sign can differ between freshly compiled code and warm
-    code.  A first operand that is zero past its rows 0 and 1, as a
-    constant or linear coefficient is, goes through the two-row product of
-    :func:`_line_kernel` on the same terms: row 0's term, then row 1's,
-    after the +0.0, and its result is kept only when finite.  Both are
-    declared with the row loop of :func:`_rows`, which :func:`_generated`
-    gives in their place above ``KERNEL_CAP``.  Every dropped result, and
-    every other product, runs that loop.
+    finite that is a zero of either sign and changes nothing, so the code
+    returns a result whose sum is finite.  Any other result is dropped: a
+    zero row meeting an infinite or NaN ``g_j`` gives NaN where the loop
+    skips the row, and a NaN's sign can differ between freshly compiled
+    code and warm code.  A first operand that is zero past its rows 0 and
+    1, as a constant or linear coefficient is, goes through the two-row
+    product of :func:`_line_kernel` on the same terms: row 0's term, then
+    row 1's, after the +0.0, and its code too returns its result only when
+    finite.  Both are declared with the row loop of :func:`_rows`: their
+    code runs it in place of a dropped result, and above ``KERNEL_CAP``
+    each kind is that loop, whose result is returned as it is.  Every other
+    product runs the loop too.
     """
     _check_same_ring(f, g)
     return _trusted(_product(f.coeffs, g.coeffs))
@@ -383,20 +400,18 @@ def mul(f: Series, g: Series) -> Series:
 
 def _product(fc: tuple[float, ...], gc: tuple[float, ...]) -> tuple[float, ...]:
     """The product :func:`mul` describes, of two coefficient tuples of one
-    length.  It chooses the kind of product; :func:`_generated` chooses
-    between that kind's code and its loop.  The two-row shape is tested only
-    when the dense test has failed, in O(1) past the zero count, so a dense
-    product pays nothing for it and a tangent seed ``x**j`` one
-    comparison."""
+    length.  It chooses the kind of product and returns what the kind gives
+    for the length, code or loop, with no check of its own.  The two-row
+    shape is tested only when the dense test has failed, in O(1) past the
+    zero count, so a dense product pays nothing for it and a tangent seed
+    ``x**j`` one comparison."""
     n = len(fc)
     zeros = fc.count(0.0)
     if 2 * zeros < n:
-        out = _kernel(n)(fc, gc)
-    elif n > 1 and zeros - (fc[0] == 0.0) - (fc[1] == 0.0) == n - 2:
-        out = _line_kernel(n)(fc, gc)
-    else:
-        return _rows(fc, gc)
-    return out if math.isfinite(sum(out)) else _rows(fc, gc)
+        return _kernel[n](fc, gc)
+    if n > 1 and zeros - (fc[0] == 0.0) - (fc[1] == 0.0) == n - 2:
+        return _line_kernel[n](fc, gc)
+    return _rows(fc, gc)
 
 
 def _rows(fc: tuple[float, ...], gc: tuple[float, ...]) -> tuple[float, ...]:
@@ -443,15 +458,16 @@ def _kernel(n: int) -> tuple[str, list[str]]:
     """The Cauchy product of two ``n``-coefficient tuples as straight-line
     code, built from integer indices alone.
 
-    It returns ``(0.0 + f0 * g0, 0.0 + f0 * g1 + f1 * g0, ...)``, with
-    every term in ascending row order, as the row loop adds them.  Each
-    term has a source line of its own, which keeps the code object's
+    It builds ``(0.0 + f0 * g0, 0.0 + f0 * g1 + f1 * g0, ...)``, with
+    every term in ascending row order, as the row loop adds them, and
+    returns it when its sum is finite and the row loop's result otherwise.
+    Each term has a source line of its own, which keeps the code object's
     location table short.
     """
     return "f, g", _returning([
         "0.0 + " + "\n    + ".join([f"f{i} * g{k - i}" for i in range(k + 1)])
         for k in range(n)
-    ])
+    ], _FINITE_OR_LOOP)
 
 
 @_generated(_rows)
@@ -459,9 +475,11 @@ def _line_kernel(n: int) -> tuple[str, list[str]]:
     """The Cauchy product of two ``n``-coefficient tuples whose first
     operand is zero past its rows 0 and 1, as straight-line code:
     ``(0.0 + f0 * g0, 0.0 + f0 * g1 + f1 * g0, ...)``, row 0's term before
-    row 1's, as the row loop adds them."""
+    row 1's, as the row loop adds them, returned when its sum is finite
+    and replaced by the row loop's result otherwise."""
     return "f, g", _returning(
-        ["0.0 + f0 * g0"] + [f"0.0 + f0 * g{k} + f1 * g{k - 1}" for k in range(1, n)]
+        ["0.0 + f0 * g0"] + [f"0.0 + f0 * g{k} + f1 * g{k - 1}" for k in range(1, n)],
+        _FINITE_OR_LOOP,
     )
 
 
@@ -483,7 +501,7 @@ def _derivative(fc: tuple[float, ...], order: int) -> tuple[float, ...]:
         return fc
     falls = _falling_factorials(order, len(fc) - 1)
     coeffs = fc[order:]
-    out = _derivative_kernel(len(coeffs))(coeffs, falls)
+    out = _derivative_kernel[len(coeffs)](coeffs, falls)
     return out + (0.0,) * (len(fc) - len(out))
 
 
@@ -533,12 +551,12 @@ def evaluate_derivative(f: Series, order: int, x: float) -> float:
 
 def _derivative_value(fc: tuple[float, ...], order: int, x: float) -> float:
     """The value :func:`evaluate_derivative` describes, of a coefficient
-    tuple: :func:`_horner_kernel` for order 1 and up, code or loop as
-    :func:`_generated` chooses, and :func:`_horner` on ``fc`` for order 0."""
+    tuple: :func:`_horner_kernel` for order 1 and up, code or loop as the
+    kind gives for the length, and :func:`_horner` on ``fc`` for order 0."""
     if order == 0:
         return _horner(fc, x)
     coeffs = fc[order:]
-    return _horner_kernel(len(coeffs))(coeffs, _falling_factorials(order, len(fc) - 1), x)
+    return _horner_kernel[len(coeffs)](coeffs, _falling_factorials(order, len(fc) - 1), x)
 
 
 @_generated(lambda c, w, x: _horner(tuple(map(_fmul, c, w)), x))

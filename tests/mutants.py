@@ -148,10 +148,10 @@ MUTANTS = (
         "killed",
     ),
     Mutant(
-        "_product: a kernel result kept without the finiteness check",
+        "_kernel: its result kept without the finiteness check",
         "vihpm/series.py",
-        "        out = _kernel(n)(fc, gc)\n",
-        "        return _kernel(n)(fc, gc)\n",
+        "    ], _FINITE_OR_LOOP)\n",
+        "    ])\n",
         PRODUCT_TESTS,
         "killed",
     ),
@@ -192,10 +192,18 @@ MUTANTS = (
         "killed",
     ),
     Mutant(
-        "_product: a two-row result kept without the finiteness check",
+        "_line_kernel: its result kept without the finiteness check",
         "vihpm/series.py",
-        "        out = _line_kernel(n)(fc, gc)\n",
-        "        return _line_kernel(n)(fc, gc)\n",
+        "        _FINITE_OR_LOOP,\n    )\n",
+        "    )\n",
+        PRODUCT_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "product code: both kinds return their result without its check",
+        "vihpm/series.py",
+        '_FINITE_OR_LOOP = "out if isfinite(sum(out)) else loop(f, g)"',
+        '_FINITE_OR_LOOP = "out"',
         PRODUCT_TESTS,
         "killed",
     ),
@@ -208,10 +216,18 @@ MUTANTS = (
         "killed",
     ),
     Mutant(
-        "_generated: the largest length left out of the generated code",
+        "_Generated.__missing__: the largest length left out of the generated code",
         "vihpm/series.py",
-        "compiled(n) if n <= KERNEL_CAP else loop",
-        "compiled(n) if n < KERNEL_CAP else loop",
+        "        if n > KERNEL_CAP:\n",
+        "        if n >= KERNEL_CAP:\n",
+        GENERATED_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "_Generated.__missing__: the loop kept for a length above the cap",
+        "vihpm/series.py",
+        "            return self.loop\n",
+        "            return self.setdefault(n, self.loop)\n",
         GENERATED_TESTS,
         "killed",
     ),
@@ -234,8 +250,8 @@ MUTANTS = (
     Mutant(
         "differentiate: the generated code reads the falling factorials one place off",
         "vihpm/series.py",
-        "(len(coeffs))(coeffs, falls)",
-        "(len(coeffs))(coeffs, (1.0, *falls[:-1]))",
+        "[len(coeffs)](coeffs, falls)",
+        "[len(coeffs)](coeffs, (1.0, *falls[:-1]))",
         DERIVATIVE_TESTS,
         "killed",
     ),

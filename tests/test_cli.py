@@ -699,3 +699,35 @@ class TestEntryPoint:
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert proc.stderr == "error: argument --builtin: invalid int value: 'x'\n"
+
+    def solve_file(self, tmp_path, lines):
+        path = tmp_path / "problem.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return subprocess.run(
+            [sys.executable, "-m", "vihpm", "solve", str(path)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+
+    def test_unconverged_solve_exits_2(self, tmp_path):
+        # Newton stalls on [0, 3]; the constants it reached are printed
+        # before the failure is reported
+        proc = self.solve_file(tmp_path, [
+            "order 2", "domain 0 3", "truncation 12", "iterations 2",
+            "term 0.0 50.0 ; 0 0", "term 0.0 1.0", "bc 0 0 0", "bc 3 0 40",
+        ])
+        assert proc.returncode == 2
+        assert proc.stdout.startswith("solved constants:\n")
+        assert proc.stderr == (
+            "solver did not converge: residual 5.119e+02 after 25 iterations\n"
+        )
+
+    def test_non_finite_iterate_exits_2(self, tmp_path):
+        # the first correction of a forcing term of rate 1e308 overflows
+        proc = self.solve_file(tmp_path, [
+            "order 2", "domain 0 1", "term 1e308 1.0", "bc 0 0 0", "bc 1 0 1",
+        ])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "solver failure: correction 1 made the iterate non-finite\n"

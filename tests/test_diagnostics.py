@@ -213,6 +213,22 @@ class TestSolveIterates:
         assert not report.banach_bound_ok
         assert report.fixed_point_reached
 
+    @pytest.mark.parametrize(
+        "constants, message",
+        [
+            (["x"], r"constants must be a sequence of numbers, got \['x'\]"),
+            ([1e9, 2.0], "expected 3 free constants, got 2"),
+        ],
+        ids=["non-numeric", "wrong-count"],
+    )
+    def test_constants_are_checked_with_iterates_given(self, constants, message):
+        # the iterates are reused, but the constants they stand for are
+        # still the ones initial_approx accepts
+        spec = builtin(1)
+        iterates = solve(spec).iterates
+        with pytest.raises(ValueError, match=message):
+            analyze_convergence(spec, constants, 3, None, iterates)
+
     @staticmethod
     def report_on_constant_iterates(values):
         iterates = tuple(Series((v,)) for v in values)

@@ -19,6 +19,7 @@ import math
 import operator
 import random
 import struct
+import sys
 from pathlib import Path
 
 import pytest
@@ -51,6 +52,7 @@ from vihpm.series import (
     _horner_kernel,
     _kernel,
     _line_kernel,
+    _product,
     _rows,
     _trusted,
     add,
@@ -558,10 +560,38 @@ def assert_one_row_bits(f, g=None):
     assert packed(_rows(f.coeffs, g.coeffs)) == expected
 
 
-def kernel_calls():
-    """How many products have asked for a kernel, compiled or cached."""
-    info = _kernel.cache_info()
-    return info.hits + info.misses
+class KindSpy:
+    """Stands in for a generated product kind in ``vihpm.series``: records
+    each length looked up in it and each tuple the function found there
+    returns, generated code up to the cap and the declared loop above."""
+
+    def __init__(self, kind):
+        self.kind = kind
+        self.lengths = []
+        self.results = []
+
+    def __getitem__(self, n):
+        self.lengths.append(n)
+        function = self.kind[n]
+
+        def run(f, g):
+            self.results.append(function(f, g))
+            return self.results[-1]
+
+        return run
+
+
+def spied(monkeypatch, kind):
+    """Put a :class:`KindSpy` of ``kind`` where the products look it up."""
+    spy = KindSpy(kind)
+    monkeypatch.setattr(f"vihpm.series.{kind.source.__name__}", spy)
+    return spy
+
+
+@pytest.fixture
+def kernel_lookups(monkeypatch):
+    """Every length a product looks up in the dense product's table."""
+    return spied(monkeypatch, _kernel).lengths
 
 
 # first operands that are zero past row 1, and one with a nonzero row 2,
@@ -588,19 +618,7 @@ def line_columns(n):
 def line_kernel_results(monkeypatch):
     """Spies on the two-row product: every tuple it returns, in order,
     from generated code up to the cap and from its declared loop above."""
-    results = []
-
-    def spied(n):
-        code = _line_kernel(n)
-
-        def run(f, g):
-            results.append(code(f, g))
-            return results[-1]
-
-        return run
-
-    monkeypatch.setattr("vihpm.series._line_kernel", spied)
-    return results
+    return spied(monkeypatch, _line_kernel).results
 
 
 class TestCauchyProduct:
@@ -624,22 +642,53 @@ class TestCauchyProduct:
         assert_one_row_bits(f.coeffs, g.coeffs)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 63, 64, 65])
-    def test_the_kernel_takes_more_nonzero_than_zero_rows(self, n):
+    def test_the_kernel_takes_more_nonzero_than_zero_rows(self, n, kernel_lookups):
         for zeros in range(n + 1):
             f = (0.0,) * zeros + dense_values(n - zeros, 1)
-            before = kernel_calls()
+            before = len(kernel_lookups)
             assert_one_row_bits(f, dense_values(n, 2))
-            assert kernel_calls() - before == (2 * zeros < n and n <= 64)
+            assert kernel_lookups[before:] == [n] * (2 * zeros < n)
+        # zero rows alone take the kernel, compiled up to 64 coefficients
+        assert (n in _kernel) == (n <= 64)
 
-    def test_one_kernel_per_ring_size(self):
-        _kernel.cache_clear()
+    def test_one_kernel_per_ring_size(self, kernel_lookups):
+        _kernel.clear()
+        compiled = []
         for n in range(1, 67):
             f = _trusted(dense_values(n, 1))
-            mul(f, f)
-            mul(f, f)
-        info = _kernel.cache_info()
-        # compiled once each for n = 1..64 and read again from the cache
-        assert (info.misses, info.hits, info.currsize) == (64, 64, 64)
+            for _ in range(2):
+                mul(f, f)
+                compiled.append(len(_kernel))
+        # each size is looked up twice; the first lookup compiles n = 1..64
+        # and the second finds it in the table, and 65 and 66 are not kept
+        assert kernel_lookups == [n for n in range(1, 67) for _ in range(2)]
+        assert compiled == [min(n, 64) for n in range(1, 67) for _ in range(2)]
+
+    @pytest.mark.parametrize("special", [None, math.inf, math.nan])
+    @pytest.mark.parametrize("rows", ["dense", "two-row"])
+    def test_the_loop_runs_once_above_the_cap(self, rows, special):
+        # above the cap each product kind is its declared loop, whose
+        # result is the product, finite or not: it is neither checked nor
+        # run again
+        n = KERNEL_CAP + 1
+        f = dense_values(n, 1) if rows == "dense" else (1.5, 0.7) + (0.0,) * (n - 2)
+        g = list(dense_values(n, 2))
+        if special is not None:
+            g[n // 2] = special
+        runs = []
+
+        def hook(frame, event, result):
+            if event == "return" and frame.f_code is _rows.__code__:
+                runs.append(result)
+
+        profile = sys.getprofile()
+        sys.setprofile(hook)
+        try:
+            product = _product(f, tuple(g))
+        finally:
+            sys.setprofile(profile)
+        assert math.isfinite(sum(product)) == (special is None)
+        assert len(runs) == 1 and runs[0] is product
 
     @pytest.mark.parametrize("start", [0, 1, 2])
     @pytest.mark.parametrize("run", [1, 2, 3, 4, 5, 6, 7, 8])
@@ -709,14 +758,15 @@ class TestCauchyProduct:
     @pytest.mark.parametrize("zero", [0.0, -0.0])
     def test_a_zero_row_0_meets_a_special_value(self, zero, special, line_kernel_results):
         # row 0 adds 0 * g_k, a NaN at a non-finite g_k, where the loop
-        # skips the row; so the two-row result gives way to the loop
+        # skips the row; so the two-row code gives way to its loop, and
+        # returns the loop's result
         for n in (3, 12, KERNEL_CAP):
             f = (zero, 0.7) + (0.0,) * (n - 2)
             g = line_columns(n)[: n // 2] + (special,) + line_columns(n)[n // 2 + 1 :]
             before = len(line_kernel_results)
             product = mul(_trusted(f), _trusted(g)).coeffs
             assert len(line_kernel_results) == before + 1
-            assert line_kernel_results[-1] is not product
+            assert line_kernel_results[-1] is product
             assert_one_row_bits(f, g)
 
 
@@ -733,12 +783,12 @@ GENERATED = (
 )
 
 
-def assert_generated_up_to_the_cap(cache, n):
-    """``cache`` gives generated code for length ``n`` up to ``KERNEL_CAP``,
-    and past it the loop declared with it, which leaves its cache as it is."""
-    before = cache.cache_info()
-    assert (cache(n) is cache.loop) == (n > KERNEL_CAP)
-    assert (cache.cache_info() == before) == (n > KERNEL_CAP)
+def assert_generated_up_to_the_cap(kind, n):
+    """``kind`` gives generated code for length ``n`` up to ``KERNEL_CAP``,
+    and keeps it; past the cap it gives the loop declared with it, and
+    keeps nothing."""
+    assert (kind[n] is kind.loop) == (n > KERNEL_CAP)
+    assert (n in kind) == (n <= KERNEL_CAP)
 
 
 def packed_but_nan(values):
@@ -821,7 +871,7 @@ class TestEveryLength:
 
 
 # (W, k) -> builtin -> how many functions of each of GENERATED one solve()
-# compiles from cold caches: products, sums, derivatives, derivative values,
+# compiles from empty tables: products, sums, derivatives, derivative values,
 # Picard steps and two-row products; at (60, 4) most rings are above the cap,
 # where each kind runs its loop and compiles nothing
 COLD_SOLVE_COMPILES = {
@@ -850,15 +900,13 @@ COLD_SOLVE_COMPILES = {
 def test_functions_compiled_by_a_cold_solve(setting):
     truncation, iterations = setting
     for n, expected in COLD_SOLVE_COMPILES[setting].items():
-        for cache in GENERATED:
-            cache.cache_clear()
+        for kind in GENERATED:
+            kind.clear()
         spec = with_settings(builtin(n), truncation=truncation, iterations=iterations)
         assert solve(spec).converged
-        assert tuple([cache.cache_info().misses for cache in GENERATED]) == expected, n
-        # no cache holds a length above the cap: asking for one is no hit
-        for cache in GENERATED:
-            for length in range(KERNEL_CAP + 1, 2 * KERNEL_CAP):
-                assert_generated_up_to_the_cap(cache, length)
+        assert tuple([len(kind) for kind in GENERATED]) == expected, n
+        # no kind keeps a length above the cap
+        assert max([max(kind, default=0) for kind in GENERATED]) <= KERNEL_CAP
 
 
 @st.composite
