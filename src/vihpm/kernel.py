@@ -28,11 +28,11 @@ comprehension declared with it.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import mul
 
 from .series import (
-    CACHE_SIZE, Series, _generated, _integer, _raise, _returning, _trusted, _Value
+    CACHE_SIZE, Series, _Generated, _integer, _raise, _returning, _trusted, _Value
 )
 
 __all__ = ["CorrectionKernel"]
@@ -111,7 +111,7 @@ def _picard(v: tuple[float, ...], f: tuple[float, ...], m: int) -> tuple[float, 
     return v[:m] + _picard_kernel[len(f)](f, weights)
 
 
-@_generated(lambda c, w: tuple([0.0 - a * b for a, b in zip(c, w)]))
+@partial(_Generated, loop=lambda c, w: tuple([0.0 - a * b for a, b in zip(c, w)]))
 def _picard_kernel(n: int) -> tuple[str, list[str]]:
     """``(0.0 - c0 * w0, 0.0 - c1 * w1, ...)``, the integral :func:`_picard`
     appends to v's head."""

@@ -31,17 +31,18 @@ it replaces: the product of a mostly nonzero first operand, the two-row
 product of a first operand that is zero past its rows 0 and 1 (a constant
 or linear coefficient), sums, derivatives, derivative values of order 1
 and up, and the Picard step of :mod:`vihpm.kernel`.  Each kind is a
-:class:`_Generated` table, and callers subscript it by length: its miss
-handler alone chooses between the two, compiling code per length up to
-``KERNEL_CAP`` coefficients and keeping it, and giving the declared loop
-above.  Each function performs the float operations of its loop in the
-loop's order, so it gives the loop's bits, but for the sign of a NaN made
-from two NaNs, which CPython does not fix between a float method and its
-inline float bytecode.  The code of the two products returns its own
-result only when that is finite, and its loop's result otherwise.  A
-value of order 0 is :func:`_horner` on the coefficients: its step is one
-multiply and one add, and a generated form did not pay on the CLI
-workload.  :func:`sub`, which no solve calls, stays a loop too.
+:class:`_Generated` table, declared by calling the class on the kind's
+source with ``@partial(_Generated, loop=...)``, and callers subscript it
+by length: its miss handler alone chooses between the two, compiling code
+per length up to ``KERNEL_CAP`` coefficients and keeping it, and giving
+the declared loop above.  Each function performs the float operations of
+its loop in the loop's order, so it gives the loop's bits, but for the
+sign of a NaN made from two NaNs, which CPython does not fix between a
+float method and its inline float bytecode.  The code of the two products
+returns its own result only when that is finite, and its loop's result
+otherwise.  A value of order 0 is :func:`_horner` on the coefficients:
+its step is one multiply and one add, and a generated form did not pay on
+the CLI workload.  :func:`sub`, which no solve calls, stays a loop too.
 
 Tables that depend only on a few integers are cached with a fixed bound
 of ``CACHE_SIZE`` entries each: the falling factorials here, the kernel
@@ -66,7 +67,7 @@ the series ring.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import compress
 from operator import add as _fadd, mul as _fmul, sub as _fsub
 from typing import Callable, Sequence
@@ -292,13 +293,15 @@ class _Generated(dict):
     ``loop``, the function it replaces, which takes the same arguments and
     gives the same bits.
 
-    ``kind[n]`` is a plain dict hit once ``n`` is compiled.  On a miss,
-    :meth:`__missing__` compiles and keeps the function for an ``n`` of at
-    most ``KERNEL_CAP``, and gives ``loop`` for a larger ``n`` without
-    keeping it, so ``len(kind)`` counts compiles and ``n in kind`` tells
-    whether ``n`` has been compiled.  The miss handler is the one place
-    the package generates code or chooses between code and a loop, and
-    the one code that reads the cap.
+    A kind is declared by decorating its ``source`` with
+    ``@partial(_Generated, loop=...)``, so the table takes the source's
+    name.  ``kind[n]`` is a plain dict hit once ``n`` is compiled.  On a
+    miss, :meth:`__missing__` compiles and keeps the function for an
+    ``n`` of at most ``KERNEL_CAP``, and gives ``loop`` for a larger ``n``
+    without keeping it, so ``len(kind)`` counts compiles and ``n in kind``
+    tells whether ``n`` has been compiled.  The miss handler is the one
+    place the package generates code or chooses between code and a loop,
+    and the one code that reads the cap.
     """
 
     __slots__ = ("source", "loop")
@@ -332,12 +335,6 @@ class _Generated(dict):
         return function
 
 
-def _generated(loop: Callable) -> Callable[[Callable], _Generated]:
-    """Declare the decorated ``source(n)`` as a :class:`_Generated` kind
-    with ``loop``, under the source's name."""
-    return lambda source: _Generated(source, loop)
-
-
 def _returning(terms: list[str], result: str = "out") -> list[str]:
     """Statements that bind the tuple of ``terms`` to ``out``, a line for
     each term, and return ``result``."""
@@ -360,7 +357,7 @@ def _sum(fc: tuple[float, ...], gc: tuple[float, ...]) -> tuple[float, ...]:
     return _add_kernel[len(fc)](fc, gc)
 
 
-@_generated(lambda f, g: tuple([*map(_fadd, f, g)]))
+@partial(_Generated, loop=lambda f, g: tuple([*map(_fadd, f, g)]))
 def _add_kernel(n: int) -> tuple[str, list[str]]:
     """``(f0 + g0, f1 + g1, ...)``, the sum :func:`add` runs."""
     return "f, g", _returning([f"f{i} + g{i}" for i in range(n)])
@@ -453,7 +450,7 @@ def _rows(fc: tuple[float, ...], gc: tuple[float, ...]) -> tuple[float, ...]:
     return tuple(out)
 
 
-@_generated(_rows)
+@partial(_Generated, loop=_rows)
 def _kernel(n: int) -> tuple[str, list[str]]:
     """The Cauchy product of two ``n``-coefficient tuples as straight-line
     code, built from integer indices alone.
@@ -470,7 +467,7 @@ def _kernel(n: int) -> tuple[str, list[str]]:
     ], _FINITE_OR_LOOP)
 
 
-@_generated(_rows)
+@partial(_Generated, loop=_rows)
 def _line_kernel(n: int) -> tuple[str, list[str]]:
     """The Cauchy product of two ``n``-coefficient tuples whose first
     operand is zero past its rows 0 and 1, as straight-line code:
@@ -505,7 +502,7 @@ def _derivative(fc: tuple[float, ...], order: int) -> tuple[float, ...]:
     return out + (0.0,) * (len(fc) - len(out))
 
 
-@_generated(lambda c, w: tuple(map(_fmul, c, w)))
+@partial(_Generated, loop=lambda c, w: tuple(map(_fmul, c, w)))
 def _derivative_kernel(n: int) -> tuple[str, list[str]]:
     """``(c0 * w0, c1 * w1, ...)``: the derivative's coefficients below its
     zeros, from the coefficients ``c`` above the order and the falling
@@ -559,7 +556,7 @@ def _derivative_value(fc: tuple[float, ...], order: int, x: float) -> float:
     return _horner_kernel[len(coeffs)](coeffs, _falling_factorials(order, len(fc) - 1), x)
 
 
-@_generated(lambda c, w, x: _horner(tuple(map(_fmul, c, w)), x))
+@partial(_Generated, loop=lambda c, w, x: _horner(tuple(map(_fmul, c, w)), x))
 def _horner_kernel(n: int) -> tuple[str, list[str]]:
     """Horner's rule at ``x`` on ``c_k * w_k``, the value
     :func:`evaluate_derivative` reads: from ``acc = 0.0`` at the top down to

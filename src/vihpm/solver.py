@@ -5,10 +5,13 @@ condition imposed away from the origin.  Since the iteration engine is a
 deterministic map from those constants to a series, the off-origin
 conditions become a small nonlinear system r(c) = 0, solved by undamped
 Newton iteration with dense Gaussian elimination and partial pivoting.
-The Jacobian is exact: each column is the off-origin condition operators
-applied to the tangent of the last iterate along one constant.  One sweep
-(:func:`~vihpm.engine._tangents`) propagates every constant's tangent
-through the iterates that the Newton pass already holds.
+One routine, :func:`_bc_values`, applies the off-origin condition
+operators to a coefficient tuple: the residual subtracts the conditions'
+values from it on the last iterate, and the Jacobian is exact, each of its
+columns being those operators applied to the tangent of the last iterate
+along one constant.  One sweep (:func:`~vihpm.engine._tangents`)
+propagates every constant's tangent through the iterates that the Newton
+pass already holds.
 :func:`fd_jacobian` is a central-difference cross-check for tests; the
 solver does not call it.  Nor does it check its input: a
 :class:`~vihpm.problems.ProblemSpec` is valid once it exists.
@@ -66,29 +69,34 @@ class SolveResult(_Value):
         object.__setattr__(self, "iterates", iterates)
 
 
+def _bc_values(coeffs: tuple[float, ...], spec: ProblemSpec) -> list[float]:
+    """The off-origin condition operators, without their values, applied
+    to a coefficient tuple, in bc order: the one place the solver applies
+    a condition's derivative order and point."""
+    return [
+        _derivative_value(coeffs, bc.derivative_order, bc.point)
+        for bc in spec.off_origin_conditions()
+    ]
+
+
 def _bc_residuals_of(solution: Series, spec: ProblemSpec) -> tuple[float, ...]:
     """Off-origin condition defects of ``solution``, in bc order."""
-    coeffs = solution.coeffs
-    return tuple([
-        _derivative_value(coeffs, bc.derivative_order, bc.point) - bc.value
-        for bc in spec.off_origin_conditions()
-    ])
+    values = _bc_values(solution.coeffs, spec)
+    return tuple([v - bc.value for v, bc in zip(values, spec.off_origin_conditions())])
 
 
 def jacobian(spec: ProblemSpec, iterates: Sequence[Series]) -> list[list[float]]:
     """Exact Jacobian of the off-origin residuals, by tangent propagation.
 
     ``iterates`` are the v_0..v_n that :func:`~vihpm.engine.iterate` returns
-    at the constants of interest.  Column j applies the off-origin
-    condition operators, without their values, to the tangent of the last
-    iterate along free constant j; one sweep
-    (:func:`~vihpm.engine._tangents`) gives every column's tangent.
+    at the constants of interest.  Column j is :func:`_bc_values` of the
+    tangent of the last iterate along free constant j, and the columns are
+    laid out as one row per condition; one sweep
+    (:func:`~vihpm.engine._tangents`) gives every column's tangent.  With
+    no free constants there are no columns and the Jacobian is ``[]``.
     """
-    dvs = _tangents(spec, iterates)
-    return [
-        [_derivative_value(dv, bc.derivative_order, bc.point) for dv in dvs]
-        for bc in spec.off_origin_conditions()
-    ]
+    columns = [_bc_values(dv, spec) for dv in _tangents(spec, iterates)]
+    return [list(row) for row in zip(*columns)]
 
 
 def fd_jacobian(

@@ -89,6 +89,8 @@ BOUNDARY_RESIDUAL_TESTS = (
     "tests/test_solver.py::TestSolve::test_non_finite_boundary_residual_raises",
 )
 ARGUMENT_TESTS = ("tests/test_cli.py::TestArguments",)
+JACOBIAN_TESTS = ("tests/test_solver.py::TestJacobian",)
+BC_VALUE_TESTS = ("tests/test_solver.py",)
 
 MUTANTS = (
     Mutant(
@@ -234,8 +236,8 @@ MUTANTS = (
     Mutant(
         "_add_kernel: declared with the derivative's loop, map(mul)",
         "vihpm/series.py",
-        "@_generated(lambda f, g: tuple([*map(_fadd, f, g)]))",
-        "@_generated(lambda f, g: tuple(map(_fmul, f, g)))",
+        "@partial(_Generated, loop=lambda f, g: tuple([*map(_fadd, f, g)]))",
+        "@partial(_Generated, loop=lambda f, g: tuple(map(_fmul, f, g)))",
         GENERATED_TESTS,
         "killed",
     ),
@@ -438,6 +440,30 @@ MUTANTS = (
         "        if not all(map(math.isfinite, r)):\n",
         "        if not math.isfinite(max(map(abs, r), default=0.0)):\n",
         BOUNDARY_RESIDUAL_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "jacobian: the columns returned as rows, the layout transposed",
+        "vihpm/solver.py",
+        "    return [list(row) for row in zip(*columns)]\n",
+        "    return columns\n",
+        JACOBIAN_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "_bc_values: every condition applied at the domain end, not its point",
+        "vihpm/solver.py",
+        "_derivative_value(coeffs, bc.derivative_order, bc.point)",
+        "_derivative_value(coeffs, bc.derivative_order, spec.domain_end)",
+        BC_VALUE_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "_bc_values: every condition applied as a value, not its derivative order",
+        "vihpm/solver.py",
+        "_derivative_value(coeffs, bc.derivative_order, bc.point)",
+        "_derivative_value(coeffs, 0, bc.point)",
+        BC_VALUE_TESTS,
         "killed",
     ),
     Mutant(

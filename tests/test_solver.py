@@ -137,6 +137,22 @@ class TestBcResiduals:
         )
         assert bc_residuals(spec, ()) == ()
 
+    def test_second_builtin_at_published_constants(self):
+        # README's account of the published table for builtin 2: its
+        # rounded constants leave boundary residuals up to 4.3e-8 at x = 1,
+        # yet the series at them errs by far less than the published
+        # 4.56e-9 at x = 0.3, so the rounding does not explain that error
+        spec = builtin(2)
+        entries = bc_residuals(spec, PUBLISHED_CONSTANTS_2)
+        assert [bc.point for bc in spec.off_origin_conditions()] == [1.0] * 3
+        assert [abs(v) for v in entries] == pytest.approx(
+            [2.00e-9, 1.03e-8, 4.29e-8], rel=5e-3
+        )
+        solution = iterate(spec, PUBLISHED_CONSTANTS_2)[-1]
+        error = abs(evaluate(solution, 0.3) - spec.exact.evaluate(0.3))
+        assert error == pytest.approx(7.48e-12, rel=5e-3)
+        assert error < 4.56139e-9 / 50
+
     def test_entries_follow_declaration_order_and_match_direct_eval(self):
         spec = builtin(1)
         solution = iterate(spec, (0.0, 0.0, 0.0))[-1]
@@ -206,9 +222,12 @@ class TestSolve:
             terms=(RhsTerm(ExpPoly.from_terms([(0.0, (1.0,))]), (0,)),),
             bcs=(BoundaryCondition(0.0, 0, 1.0),),
         )
+        # every condition sits at the origin: no tangents, no Jacobian rows
+        assert jacobian(spec, iterate(spec, [])) == []
         result = solve(spec)
         assert result.converged
         assert result.newton_iterations == 0
+        assert result.bc_residual_norm == 0.0
         assert result.constants == ()
         # first-order approximation of the growth problem
         assert evaluate(result.solution, 1.0) == pytest.approx(2.0, rel=1e-15)
