@@ -95,7 +95,7 @@ def _load_spec(args: argparse.Namespace) -> ProblemSpec:
     if args.builtin is not None:
         spec = builtin(args.builtin)
     else:
-        with open(args.file, "r", encoding="utf-8") as handle:
+        with open(args.file, "r", encoding="utf-8-sig") as handle:
             spec = parse_problem(handle.read())
     return with_settings(spec, truncation=args.truncation, iterations=args.iterations)
 
@@ -176,6 +176,9 @@ def _run_solve(args: argparse.Namespace) -> int:
     # one path would take one output and lose the other
     if len(set(named)) < len(named):
         raise InvalidProblemError(["--emit-csv and --emit-series name the same file"])
+    # the output would replace the problem it was solved from
+    if named and args.file is not None and os.path.realpath(args.file) in named:
+        raise InvalidProblemError(["an output path names the problem file"])
     # a rename would replace a device or a pipe with a file, and a directory
     # would refuse it after the other output had replaced its file
     if any(os.path.exists(p) and not os.path.isfile(p) for p in named):

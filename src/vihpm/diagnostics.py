@@ -5,9 +5,10 @@ benign, which guarantees a unique fixed point; its contraction constant is
 not computable in closed form, so this module estimates it from the decay
 of successive correction magnitudes on an evaluation grid and checks the
 implied geometric-series bound between every pair of iterates, of which
-those :func:`~vihpm.solver.solve` ended with are reused.  All output is
-diagnostic: the estimate is a surrogate for the true Lipschitz constant,
-not a proof.
+those :func:`~vihpm.solver.solve` ended with are reused.  A ``depth`` is
+held to the spec's series-degree cap by the checker of :mod:`vihpm.problems`
+(:func:`check_depth`).  All output is diagnostic: the estimate is a
+surrogate for the true Lipschitz constant, not a proof.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .engine import NonFiniteIterateError, _within_degree_cap, iterate
-from .problems import ProblemSpec
+from .engine import NonFiniteIterateError, iterate
+from .problems import ProblemSpec, _within_degree_cap
 from .series import Series, _checked, _integer, _numbers, _Value, evaluate
 
 __all__ = [
@@ -81,7 +82,7 @@ def check_depth(spec: ProblemSpec, depth: int) -> int:
     depth = _checked(_integer, "depth", depth)
     if depth < 2:
         raise ValueError("need at least two corrections to estimate a ratio")
-    return _within_degree_cap(spec, "depth", depth)
+    return _checked(_within_degree_cap, "depth", depth, spec)
 
 
 def analyze_convergence(

@@ -22,7 +22,10 @@ when the arithmetic has overflowed.  A Newton pass's own inputs skip
 :func:`make_series` too: the initial polynomial copies the origin
 coefficients the spec computed, and checked, when it was built and checks
 only the caller's constants, and a tangent seed ``x**j``, zeros and a one,
-is built once per degree and truncation.
+is built once per degree and truncation.  An ``n_iter`` given to
+:func:`iterate` is held to the spec's series-degree cap by the checker of
+:mod:`vihpm.problems`, so a count that breaks it raises
+:class:`~vihpm.problems.InvalidProblemError` as a spec that breaks it does.
 
 F is evaluated in one place, as He's polynomials: the order-k coefficient
 in p of F on a parameter-embedded sum ``sum_i p**i u_i``.  The correction
@@ -44,7 +47,7 @@ from itertools import combinations, pairwise
 from typing import Sequence
 
 from .kernel import _picard
-from .problems import MAX_SERIES_DEGREE, ProblemSpec
+from .problems import ProblemSpec, _within_degree_cap
 # pad_to, add, mul and make_series are not called here, and differentiate
 # only by residual; perfbench/tracing.py wraps them on engine by name
 from .series import (
@@ -276,15 +279,6 @@ def _tangents(spec: ProblemSpec, iterates: Sequence[Series]) -> list[Coeffs]:
     return dvs
 
 
-def _within_degree_cap(spec: ProblemSpec, name: str, count: int) -> int:
-    """Return ``count``, or reject it if ``count`` corrections of ``spec``
-    reach a series degree W + count * m above ``MAX_SERIES_DEGREE``."""
-    top = spec.truncation + count * spec.order
-    if top > MAX_SERIES_DEGREE:
-        raise ValueError(f"{name} {count} reaches series degree {top}, above {MAX_SERIES_DEGREE}")
-    return count
-
-
 def iterate(
     spec: ProblemSpec,
     constants: Sequence[float],
@@ -309,7 +303,7 @@ def iterate(
     if n_iter is None:
         n_iter = spec.iterations
     else:
-        n_iter = _within_degree_cap(spec, "n_iter", _checked(_count, "n_iter", n_iter))
+        n_iter = _checked(_within_degree_cap, "n_iter", _checked(_count, "n_iter", n_iter), spec)
     # built first, so constants it rejects raise even when ``known`` is given
     head = initial_approx(spec, constants)
     iterates = [*known[: n_iter + 1]] or [head]

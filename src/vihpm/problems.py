@@ -11,8 +11,13 @@ on itself and raises :class:`InvalidProblemError` with every violation, or
 naming each field of the wrong type.  Parsed (the built-ins too), directly
 built specs and their copies all pass through that one check, so the solver
 never re-checks.  The field checkers are :mod:`vihpm.series`'s, as for every
-checked value of the package.  A term is plain data, its coefficient and
-factors; the tables the solver needs from the factors are :mod:`vihpm.engine`'s.
+checked value of the package, and so is :class:`InvalidProblemError`, which
+this module re-exports: every checked value raises the faults it collects
+as one.  The cap on the series degree W + k*m is one checker here,
+``_within_degree_cap``, which :func:`validate` runs on ``iterations`` and
+:mod:`vihpm.engine` and :mod:`vihpm.diagnostics` on a count of their own.
+A term is plain data, its coefficient and factors; the tables the solver
+needs from the factors are :mod:`vihpm.engine`'s.
 """
 
 from __future__ import annotations
@@ -20,7 +25,10 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-from .series import ExpPoly, ExpTerm, _entries, _horner, _integer, _number, _typed, _Value
+from .series import (
+    ExpPoly, ExpTerm, InvalidProblemError, _entries, _horner, _integer, _number, _raise, _typed,
+    _Value,
+)
 
 __all__ = [
     "BoundaryCondition",
@@ -39,20 +47,21 @@ __all__ = [
 MAX_SERIES_DEGREE = 1000
 
 
+def _within_degree_cap(name: str, count: int, spec: ProblemSpec, errors: list[str]) -> int:
+    """Note a fault if ``count`` corrections of ``spec`` reach a series
+    degree W + count * m above ``MAX_SERIES_DEGREE``; return ``count``."""
+    top = spec.truncation + count * spec.order
+    if top > MAX_SERIES_DEGREE:
+        errors.append(f"{name} {count} reaches series degree {top}, above {MAX_SERIES_DEGREE}")
+    return count
+
+
 class ProblemFormatError(ValueError):
     """Problem file could not be parsed; carries the offending line number."""
 
     def __init__(self, line_number: int, message: str) -> None:
         self.line_number = line_number
         super().__init__(f"line {line_number}: {message}")
-
-
-class InvalidProblemError(ValueError):
-    """Problem violates a structural invariant; carries all violations."""
-
-    def __init__(self, errors: Sequence[str]) -> None:
-        self.errors = tuple(errors)
-        super().__init__("; ".join(errors))
 
 
 class BoundaryCondition(_Value):
@@ -65,8 +74,7 @@ class BoundaryCondition(_Value):
         point = _number("point", point, errors)
         derivative_order = _integer("derivative order", derivative_order, errors)
         value = _number("value", value, errors)
-        if errors:
-            raise InvalidProblemError(errors)
+        _raise(errors)
         object.__setattr__(self, "point", point)
         object.__setattr__(self, "derivative_order", derivative_order)
         object.__setattr__(self, "value", value)
@@ -86,8 +94,7 @@ class RhsTerm(_Value):
         _typed("coeff", coeff, ExpPoly, errors)
         factors = _entries("factors", factors, object, errors)
         factors = tuple([_integer("derivative order", d, errors) for d in factors])
-        if errors:
-            raise InvalidProblemError(errors)
+        _raise(errors)
         object.__setattr__(self, "coeff", coeff)
         object.__setattr__(self, "factors", factors)
 
@@ -134,10 +141,7 @@ class ProblemSpec(_Value):
             _integer("truncation", truncation, errors),
             _integer("iterations", iterations, errors),
         )
-        if not errors:
-            errors = validate(self)
-        if errors:
-            raise InvalidProblemError(errors)
+        _raise(errors or validate(self))
         # derived from the fields once; plain attributes, so ==, hash and
         # repr still see the fields alone
         origin = tuple([bc for bc in self.bcs if bc.point == 0.0])
@@ -196,12 +200,7 @@ def validate(spec: ProblemSpec) -> list[str]:
         )
     if spec.iterations < 1:
         errors.append(f"iteration count must be at least 1, got {spec.iterations}")
-    top = spec.truncation + spec.iterations * m
-    if top > MAX_SERIES_DEGREE:
-        errors.append(
-            f"series degree {top} (truncation + iterations * order) "
-            f"exceeds {MAX_SERIES_DEGREE}"
-        )
+    _within_degree_cap("iterations", spec.iterations, spec, errors)
     if len(spec.bcs) != m:
         errors.append(f"expected {m} boundary conditions, found {len(spec.bcs)}")
     seen: set[tuple[float, int]] = set()

@@ -12,7 +12,11 @@ Validation happens where data enters: ``Series(...)`` and
 :func:`make_series` convert every coefficient to float and reject empty or
 non-finite input, with the field checkers defined here that every checked
 value of the package shares, ``_count`` (an integer of at least 0) among
-them; ``_checked`` runs one on a single argument and raises at once.  Each
+them.  A checker notes its fault in a list and returns its argument,
+converted where it can be, so a constructor collects the faults of every
+field; ``_raise`` raises them all as one :class:`InvalidProblemError`, a
+``ValueError`` that lists them in ``errors``, and ``_checked`` runs one
+checker on a single argument and raises the same way.  Each
 ring operation is one function on coefficient tuples (:func:`_sum`,
 :func:`_product`, :func:`_derivative`, :func:`_derivative_value`) that
 trusts its operands.  The public :func:`add`, :func:`mul`,
@@ -232,10 +236,19 @@ def _entries(name: str, values: object, kind: type, errors: list[str]) -> tuple:
     return entries
 
 
-def _raise(errors: list[str]) -> None:
-    """Raise one ``ValueError`` joining the faults noted, if there are any."""
-    if errors:
-        raise ValueError("; ".join(errors))
+class InvalidProblemError(ValueError):
+    """Input violates a structural invariant; carries all violations."""
+
+    def __init__(self, errors: Sequence[str]) -> None:
+        self.errors = tuple(errors)
+        super().__init__("; ".join(errors))
+
+
+def _raise(faults: list[str]) -> None:
+    """Raise one :class:`InvalidProblemError` with the faults noted, if
+    there are any."""
+    if faults:
+        raise InvalidProblemError(faults)
 
 
 def _checked(check: Callable, name: str, value: object, *args: object) -> object:

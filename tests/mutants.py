@@ -79,6 +79,8 @@ LINEARIZATION_TESTS = (
 )
 FROZEN_BITS_TESTS = ("tests/test_trusted_ring.py",)
 DEPTH_TESTS = ("tests/test_diagnostics.py::TestAnalyzeConvergence",)
+CAP_TESTS = ("tests/test_problems.py::TestValidate::test_series_degree_cap",)
+COLLECTED_TESTS = ("tests/test_values.py::test_collected_faults_raise_one_invalid_problem_error",)
 COUNT_TESTS = ("tests/test_series.py::TestInputTypes",)
 GRID_TESTS = (
     "tests/test_cli.py::TestGrid",
@@ -404,10 +406,26 @@ MUTANTS = (
     ),
     Mutant(
         "_within_degree_cap: the top degree of check_depth taken as W + depth / m",
-        "vihpm/engine.py",
+        "vihpm/problems.py",
         "spec.truncation + count * spec.order",
         "spec.truncation + count / spec.order",
         DEPTH_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "validate: the series-degree cap not checked",
+        "vihpm/problems.py",
+        '    _within_degree_cap("iterations", spec.iterations, spec, errors)\n',
+        "",
+        CAP_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "_raise: collected faults raised as a plain ValueError",
+        "vihpm/series.py",
+        "        raise InvalidProblemError(faults)\n",
+        '        raise ValueError("; ".join(faults))\n',
+        COLLECTED_TESTS,
         "killed",
     ),
     Mutant(

@@ -59,6 +59,16 @@ class TestSolveCommand:
         assert code == 0
         assert out.startswith("no free constants (all conditions at the origin)\n")
 
+    def test_byte_order_mark_is_ignored(self, capsys, tmp_path):
+        text = b"order 1\ndomain 0 1\nterm 0 1 ; 0\nbc 0 0 1\nexact 1 1\n"
+        plain = tmp_path / "plain.txt"
+        plain.write_bytes(text)
+        marked = tmp_path / "marked.txt"
+        marked.write_bytes(b"\xef\xbb\xbf" + text)
+        expected = run_cli(capsys, "solve", str(plain))
+        assert expected[0] == 0
+        assert run_cli(capsys, "solve", str(marked)) == expected
+
     def test_emit_files(self, capsys, tmp_path):
         csv_path = tmp_path / "table.csv"
         series_path = tmp_path / "series.csv"
@@ -643,6 +653,28 @@ class TestErrorPaths:
         assert "same file" in err
         assert out == ""
         assert not path.exists()
+
+
+    @pytest.mark.parametrize("link", [False, True], ids=["path", "link"])
+    @pytest.mark.parametrize("flag", ["--emit-csv", "--emit-series"])
+    def test_output_naming_the_problem_file_rejected_before_solving(
+        self, capsys, tmp_path, no_solve, flag, link
+    ):
+        problem = tmp_path / "problem.txt"
+        text = b"order 1\ndomain 0 1\nterm 0 1 ; 0\nbc 0 0 1\n"
+        problem.write_bytes(text)
+        output = problem
+        if link:
+            output = tmp_path / "link.csv"
+            output.symlink_to(problem)
+        code, out, err = run_cli(capsys, "solve", str(problem), flag, str(output))
+        assert code == 1
+        assert err == "error: an output path names the problem file\n"
+        assert out == ""
+        assert problem.read_bytes() == text
+        assert output.resolve() == problem
+        expected = ["link.csv", "problem.txt"] if link else ["problem.txt"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == expected
 
 
 class TestArguments:

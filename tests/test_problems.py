@@ -231,10 +231,12 @@ class TestValidate:
         base = builtin(1)
         at_cap = with_settings(base, truncation=MAX_SERIES_DEGREE - 7)
         assert validate(at_cap) == []
-        with pytest.raises(InvalidProblemError, match="exceeds"):
-            with_settings(base, truncation=MAX_SERIES_DEGREE - 6)
-        with pytest.raises(InvalidProblemError, match="exceeds"):
-            with_settings(base, iterations=MAX_SERIES_DEGREE)
+        assert rejection(with_settings, base, truncation=MAX_SERIES_DEGREE - 6) == [
+            "iterations 1 reaches series degree 1001, above 1000"
+        ]
+        assert rejection(with_settings, base, iterations=MAX_SERIES_DEGREE) == [
+            "iterations 1000 reaches series degree 7012, above 1000"
+        ]
 
     def test_overflowing_exact_term(self):
         exact = ExpPoly.from_terms([(0.0, (1.0,)), (1.0, (2.0,)), (-1.0, (3.0,))])

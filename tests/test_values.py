@@ -4,7 +4,8 @@ replacement, copying and pickling.
 Every value class compares, hashes and prints its constructor fields alone,
 refuses assignment and deletion, and builds copies (``replace``,
 ``copy``, ``pickle``) through its constructor, so a copy is validated and
-derives its own tables.
+derives its own tables.  Every checked value raises the faults its
+checkers collect as one ``InvalidProblemError`` that lists them all.
 """
 
 import copy
@@ -24,7 +25,7 @@ from vihpm.problems import (
     with_settings,
 )
 from vihpm.reporting import ErrorRow, ErrorTable
-from vihpm.series import ExpPoly, ExpTerm, Series, _Value, expand_exppoly
+from vihpm.series import ExpPoly, ExpTerm, Series, _Value, expand_exppoly, make_series
 from vihpm.solver import SolveResult, solve
 
 from ring_helpers import replace
@@ -312,6 +313,28 @@ def test_solve_result_iterates_is_keyword_only_and_not_a_field():
         pickle.loads(pickle.dumps(kept)),
     ):
         assert twin.iterates is None
+
+
+@pytest.mark.parametrize(
+    "build, errors",
+    [
+        (lambda: Series(["x"]), ["coeffs must be a sequence of numbers, got ['x']"]),
+        (
+            lambda: ExpTerm("r", ("p",)),
+            ["rate must be a number, got 'r'", "poly must be a sequence of numbers, got ('p',)"],
+        ),
+        (lambda: CorrectionKernel(0.5, 3), ["order must be an integer, got 0.5"]),
+        (lambda: make_series([1.0], -1), ["truncation must be non-negative, got -1"]),
+        (lambda: BoundaryCondition("x", 0, 0), ["point must be a number, got 'x'"]),
+    ],
+    ids=["series", "exp-term", "kernel", "make-series", "boundary-condition"],
+)
+def test_collected_faults_raise_one_invalid_problem_error(build, errors):
+    with pytest.raises(InvalidProblemError) as caught:
+        build()
+    assert type(caught.value) is InvalidProblemError
+    assert list(caught.value.errors) == errors
+    assert str(caught.value) == "; ".join(errors)
 
 
 class TestReplaceValidates:
