@@ -13,7 +13,6 @@ import argparse
 import contextlib
 import functools
 import itertools
-import math
 import os
 import sys
 from typing import IO, Callable, NoReturn, Sequence
@@ -29,6 +28,7 @@ from .problems import (
     with_settings,
 )
 from .reporting import ErrorTable, emit_csv, emit_series_csv, error_table
+from .series import _checked, _number
 from .solver import SingularJacobianError, SolveResult, solve
 
 EXIT_OK = 0
@@ -101,8 +101,8 @@ def _load_spec(args: argparse.Namespace) -> ProblemSpec:
 
 
 def _make_grid(end: float, step: float) -> tuple[float, ...]:
-    if not (math.isfinite(step) and step > 0.0):
-        raise InvalidProblemError([f"grid step must be positive and finite, got {step}"])
+    if not _checked(_number, "grid step", step) > 0.0:
+        raise InvalidProblemError([f"grid step must be positive, got {step}"])
     # the grid has at most end / step + 1 points
     if end / step > MAX_GRID_POINTS - 1:
         raise InvalidProblemError(

@@ -112,8 +112,8 @@ def analyze_convergence(
     if grid is None:
         grid = default_grid(spec)
     grid = _checked(_numbers, "grid", grid)
-    if not grid or not all(map(math.isfinite, grid)):
-        raise ValueError("grid must be non-empty and finite")
+    if not grid:
+        raise ValueError("grid must be non-empty")
     v = iterate(spec, constants, depth, iterates or ())
     # each iterate is evaluated once; every sup below reads these values
     values = [[evaluate(vk, x) for x in grid] for vk in v]

@@ -102,14 +102,13 @@ def initial_approx(spec: ProblemSpec, constants: Sequence[float]) -> Series:
     caller, while the spec checked its condition values and computed the
     origin coefficients once when it was built, so the coefficients are
     wrapped without re-validating them.  Non-numeric or non-finite
-    constants raise ``ValueError``, as :func:`make_series` would.
+    constants raise :class:`~vihpm.series.InvalidProblemError`, as
+    :func:`make_series` would.
     """
     values = _checked(_numbers, "constants", constants)
     free = spec.unknown_degrees()
     if len(values) != len(free):
         raise ValueError(f"expected {len(free)} free constants, got {len(values)}")
-    if not all(map(math.isfinite, values)):
-        raise ValueError("series coefficients must be finite")
     coeffs = [*spec._origin_head, *[0.0] * (spec.truncation + 1 - spec.order)]
     for degree, value in zip(free, values):
         coeffs[degree] = value

@@ -8,7 +8,8 @@ immutable, so specs can be shared freely across solver runs.
 
 A :class:`ProblemSpec` is valid by construction: it runs :func:`validate`
 on itself and raises :class:`InvalidProblemError` with every violation, or
-naming each field of the wrong type.  Parsed (the built-ins too), directly
+naming each field of the wrong type or, for a number, not finite, which is
+raised before :func:`validate` runs.  Parsed (the built-ins too), directly
 built specs and their copies all pass through that one check, so the solver
 never re-checks.  The field checkers are :mod:`vihpm.series`'s, as for every
 checked value of the package, and so is :class:`InvalidProblemError`, which
@@ -106,14 +107,15 @@ class ProblemSpec(_Value):
     approximation stage; ``iterations`` the number of correction passes.
     ``exact`` optionally carries a closed-form reference solution.
     Construction turns an integral ``order``, ``truncation`` or
-    ``iterations`` into an int and ``domain_end`` into a float, and raises
-    :class:`InvalidProblemError` naming each field of the wrong type, or
-    else listing every violation that :func:`validate` finds.  A valid spec
-    then computes its origin and off-origin conditions, its unknown degrees
-    and ``_origin_head``, the first ``order`` Taylor coefficients
-    ``value / j!`` that its origin conditions pin (zero at the unknown
-    degrees), once, so the solver's every Newton pass reads the same tables
-    instead of rebuilding them; a copy computes its own.
+    ``iterations`` into an int and ``domain_end`` into a finite float, and
+    raises :class:`InvalidProblemError` naming each field of the wrong type
+    or not finite, or else listing every violation that :func:`validate`
+    finds.  A valid spec then computes its origin and off-origin
+    conditions, its unknown degrees and ``_origin_head``, the first
+    ``order`` Taylor coefficients ``value / j!`` that its origin conditions
+    pin (zero at the unknown degrees), once, so the solver's every Newton
+    pass reads the same tables instead of rebuilding them; a copy computes
+    its own.
     """
 
     _fields = (
@@ -190,10 +192,8 @@ def validate(spec: ProblemSpec) -> list[str]:
     if m < 1:
         errors.append(f"operator order must be at least 1, got {m}")
         return errors
-    if not math.isfinite(spec.domain_end) or spec.domain_end <= 0.0:
-        errors.append(
-            f"domain end must be positive and finite, got {spec.domain_end}"
-        )
+    if spec.domain_end <= 0.0:
+        errors.append(f"domain end must be positive, got {spec.domain_end}")
     if spec.truncation < m:
         errors.append(
             f"truncation degree {spec.truncation} is below operator order {m}"
@@ -215,8 +215,6 @@ def validate(spec: ProblemSpec) -> list[str]:
                 f"boundary condition point {bc.point} outside "
                 f"[0, {spec.domain_end}]"
             )
-        if not math.isfinite(bc.value):
-            errors.append(f"boundary condition value must be finite, got {bc.value}")
         key = (bc.point, bc.derivative_order)
         if key in seen:
             errors.append(
@@ -230,7 +228,7 @@ def validate(spec: ProblemSpec) -> list[str]:
                 errors.append(
                     f"term factor derivative order {d} outside 0..{m - 1}"
                 )
-    if spec.exact is not None and math.isfinite(spec.domain_end):
+    if spec.exact is not None:
         errors.extend(_exact_overflows(spec.exact, spec.domain_end))
     return errors
 
@@ -324,24 +322,25 @@ def parse_problem(text: str) -> ProblemSpec:
         if len(rest) != len(kinds):
             raise ProblemFormatError(line_number, wrong_count)
         values = _parse(kinds, rest, line_number)
-        if keyword == "bc":
-            bcs.append(BoundaryCondition(*values))
-        elif keyword in ("term", "exact"):
-            try:
+        # a condition's or a term's field faults read as this line's
+        try:
+            if keyword == "bc":
+                bcs.append(BoundaryCondition(*values))
+            elif keyword in ("term", "exact"):
                 part = ExpTerm(values[0], values[1:])
-            except ValueError as exc:
-                raise ProblemFormatError(line_number, str(exc)) from None
-            if keyword == "exact":
-                exact_terms.append(part)
+                if keyword == "exact":
+                    exact_terms.append(part)
+                else:
+                    factors = _parse([int] * len(tail), tail, line_number)
+                    terms.append(RhsTerm(ExpPoly((part,)), factors))
             else:
-                factors = _parse([int] * len(tail), tail, line_number)
-                terms.append(RhsTerm(ExpPoly((part,)), factors))
-        else:
-            if keyword == "domain" and values[0] != 0.0:
-                raise ProblemFormatError(line_number, "domain must start at 0")
-            if keyword in settings:
-                raise ProblemFormatError(line_number, f"duplicate {keyword!r} line")
-            settings[keyword] = values[-1]
+                if keyword == "domain" and values[0] != 0.0:
+                    raise ProblemFormatError(line_number, "domain must start at 0")
+                if keyword in settings:
+                    raise ProblemFormatError(line_number, f"duplicate {keyword!r} line")
+                settings[keyword] = values[-1]
+        except InvalidProblemError as exc:
+            raise ProblemFormatError(line_number, str(exc)) from None
 
     for keyword in ("order", "domain"):
         if keyword not in settings:

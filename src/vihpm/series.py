@@ -8,11 +8,17 @@ operands whose truncation degrees disagree, so a computation can never
 silently mix rings.  :func:`evaluate_derivative` reads a derivative's value
 straight from the coefficients and builds no series.
 
-Validation happens where data enters: ``Series(...)`` and
-:func:`make_series` convert every coefficient to float and reject empty or
-non-finite input, with the field checkers defined here that every checked
-value of the package shares, ``_count`` (an integer of at least 0) among
-them.  A checker notes its fault in a list and returns its argument,
+Validation happens where data enters, with the field checkers defined
+here that every checked value of the package shares, ``_count`` (an
+integer of at least 0) among them.  Every number the package takes in
+passes ``_number`` or ``_numbers``, which convert to float and hold the
+one rule for it: a number must be finite.  Each notes one fault for a nan
+or an infinity, naming the field and its first value that is not finite
+(``rate must be finite, got nan``, ``each of coeffs must be finite, got
+inf``), so an input number is a finite float or a fault; values the
+program computes are checked where they are computed.  ``Series(...)``
+also rejects empty input, and :func:`make_series` wraps the values it has
+checked.  A checker notes its fault in a list and returns its argument,
 converted where it can be, so a constructor collects the faults of every
 field; ``_raise`` raises them all as one :class:`InvalidProblemError`, a
 ``ValueError`` that lists them in ``errors``, and ``_checked`` runs one
@@ -72,7 +78,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache, partial
-from itertools import compress
+from itertools import compress, filterfalse
 from operator import add as _fadd, mul as _fmul, sub as _fsub
 from typing import Callable, Sequence
 
@@ -156,10 +162,11 @@ class _Value:
 class Series(_Value):
     """Coefficients ``c_0 .. c_W`` of a power series truncated at degree W.
 
-    Constructing one validates its input: coefficients become floats, and
-    empty or non-finite input raises ``ValueError``.  Results of the ring
-    operations skip that check (see the module docstring); their
-    finiteness is checked once per correction by the iteration engine.
+    Constructing one validates its input: coefficients become floats,
+    non-finite ones raise :class:`InvalidProblemError` and empty input
+    ``ValueError``.  Results of the ring operations skip that check (see
+    the module docstring); their finiteness is checked once per correction
+    by the iteration engine.
     """
 
     __slots__ = _fields = ("coeffs",)
@@ -173,8 +180,6 @@ class Series(_Value):
         coeffs = _checked(_numbers, "coeffs", self.coeffs)
         if len(coeffs) == 0:
             raise ValueError("a series needs at least one coefficient")
-        if not all(math.isfinite(c) for c in coeffs):
-            raise ValueError("series coefficients must be finite")
         object.__setattr__(self, "coeffs", coeffs)
 
     @property
@@ -204,18 +209,25 @@ def _count(name: str, value: object, errors: list[str]) -> object:
 
 def _number(name: str, value: object, errors: list[str]) -> object:
     try:
-        return float(value)
+        number = float(value)
     except (TypeError, ValueError, OverflowError):
         errors.append(f"{name} must be a number, got {value!r}")
         return value
+    if not math.isfinite(number):
+        errors.append(f"{name} must be finite, got {number!r}")
+    return number
 
 
 def _numbers(name: str, values: object, errors: list[str]) -> object:
     try:
-        return tuple([float(v) for v in values])
+        numbers = tuple([float(v) for v in values])
     except (TypeError, ValueError, OverflowError):
         errors.append(f"{name} must be a sequence of numbers, got {values!r}")
         return values
+    bad = next(filterfalse(math.isfinite, numbers), None)
+    if bad is not None:
+        errors.append(f"each of {name} must be finite, got {bad!r}")
+    return numbers
 
 
 def _typed(name: str, value: object, kind: type, errors: list[str]) -> object:
@@ -280,7 +292,7 @@ def make_series(coeffs: Sequence[float], truncation: int) -> Series:
         raise ValueError(
             f"{len(values)} coefficients exceed truncation degree {truncation}"
         )
-    return Series(values + (0.0,) * (truncation + 1 - len(values)))
+    return _trusted(values + (0.0,) * (truncation + 1 - len(values)))
 
 
 def pad_to(f: Series, truncation: int) -> Series:
@@ -594,8 +606,6 @@ class ExpTerm(_Value):
         _raise(errors)
         if len(poly) == 0:
             raise ValueError("exponential-polynomial term needs a polynomial part")
-        if not math.isfinite(rate) or not all(math.isfinite(c) for c in poly):
-            raise ValueError("exponential-polynomial data must be finite")
         object.__setattr__(self, "rate", rate)
         object.__setattr__(self, "poly", poly)
 

@@ -82,6 +82,7 @@ DEPTH_TESTS = ("tests/test_diagnostics.py::TestAnalyzeConvergence",)
 CAP_TESTS = ("tests/test_problems.py::TestValidate::test_series_degree_cap",)
 COLLECTED_TESTS = ("tests/test_values.py::test_collected_faults_raise_one_invalid_problem_error",)
 COUNT_TESTS = ("tests/test_series.py::TestInputTypes",)
+FINITE_TESTS = ("tests/test_values.py::test_a_non_finite_number_is_one_fault_naming_its_field",)
 GRID_TESTS = (
     "tests/test_cli.py::TestGrid",
     "tests/test_cli.py::TestSolveCommand::test_grid_step_ends_at_the_domain_end",
@@ -338,6 +339,24 @@ MUTANTS = (
         "        errors.append(f\"{name} must be non-negative, got {count}\")\n",
         "",
         COUNT_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "_number: without its finiteness check",
+        "vihpm/series.py",
+        "    if not math.isfinite(number):\n"
+        "        errors.append(f\"{name} must be finite, got {number!r}\")\n",
+        "",
+        FINITE_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "_numbers: without its finiteness check",
+        "vihpm/series.py",
+        "    if bad is not None:\n"
+        "        errors.append(f\"each of {name} must be finite, got {bad!r}\")\n",
+        "",
+        FINITE_TESTS,
         "killed",
     ),
     Mutant(

@@ -347,7 +347,7 @@ class TestErrorPaths:
         path.write_text("order 1\ndomain 0 inf\nbc 0 0 1\n")
         code, out, err = run_cli(capsys, "solve", str(path))
         assert code == 1
-        assert "domain end must be positive and finite, got inf" in err
+        assert err == "error: domain_end must be finite, got inf\n"
         assert out == ""
 
     def test_singular_jacobian_exit_code(self, capsys, tmp_path):
@@ -437,7 +437,7 @@ class TestErrorPaths:
         path.write_text("order 2\ndomain 0 1\nbc 0 0 0\nbc 1 0 nan\n")
         code, out, err = run_cli(capsys, "solve", str(path))
         assert code == 1
-        assert "boundary condition value must be finite" in err
+        assert err == "error: line 4: value must be finite, got nan\n"
         assert out == ""
 
     @pytest.mark.parametrize(

@@ -115,14 +115,19 @@ class TestAnalyzeConvergence:
         assert len(calls) == (depth + 1) * len(GRID)
 
     @pytest.mark.parametrize(
-        "grid",
-        [(), (0.0, math.nan), (0.0, math.inf), (-math.inf, 0.0)],
+        "grid, message",
+        [
+            ((), "grid must be non-empty"),
+            ((0.0, math.nan), "each of grid must be finite, got nan"),
+            ((0.0, math.inf), "each of grid must be finite, got inf"),
+            ((-math.inf, 0.0), "each of grid must be finite, got -inf"),
+        ],
         ids=["empty", "nan", "inf", "-inf"],
     )
-    def test_bad_grid_rejected_before_any_correction(self, monkeypatch, grid):
+    def test_bad_grid_rejected_before_any_correction(self, monkeypatch, grid, message):
         # a ValueError (exit 1), not a solver failure, and before any iterate
         monkeypatch.setattr(diagnostics, "iterate", lambda *args: pytest.fail("ran"))
-        with pytest.raises(ValueError, match="grid must be non-empty and finite"):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             analyze_convergence(builtin(1), (0.0, 0.0, 0.0), depth=2, grid=grid)
 
     @pytest.mark.parametrize(

@@ -14,7 +14,9 @@ import pickle
 
 import pytest
 
-from vihpm.diagnostics import ConvergenceReport
+from vihpm import cli
+from vihpm.diagnostics import ConvergenceReport, analyze_convergence
+from vihpm.engine import initial_approx, iterate
 from vihpm.kernel import CorrectionKernel
 from vihpm.problems import (
     BoundaryCondition,
@@ -24,7 +26,7 @@ from vihpm.problems import (
     builtin,
     with_settings,
 )
-from vihpm.reporting import ErrorRow, ErrorTable
+from vihpm.reporting import ErrorRow, ErrorTable, error_table
 from vihpm.series import ExpPoly, ExpTerm, Series, _Value, expand_exppoly, make_series
 from vihpm.solver import SolveResult, solve
 
@@ -335,6 +337,42 @@ def test_collected_faults_raise_one_invalid_problem_error(build, errors):
     assert type(caught.value) is InvalidProblemError
     assert list(caught.value.errors) == errors
     assert str(caught.value) == "; ".join(errors)
+
+
+# every number the package takes in: (id, the field its fault names, a
+# build that takes one bad value); builtin 1 has three free constants
+NON_FINITE = [
+    ("series", "coeffs", lambda bad: Series((1.0, bad))),
+    ("make-series", "coeffs", lambda bad: make_series([0.0, bad], 3)),
+    ("exp-term-rate", "rate", lambda bad: ExpTerm(bad, (1.0,))),
+    ("exp-term-poly", "poly", lambda bad: ExpTerm(0.0, (1.0, bad))),
+    ("condition-point", "point", lambda bad: BoundaryCondition(bad, 0, 0.0)),
+    ("condition-value", "value", lambda bad: BoundaryCondition(0.0, 0, bad)),
+    (
+        "domain-end",
+        "domain_end",
+        lambda bad: ProblemSpec(1, bad, (), (BoundaryCondition(0.0, 0, 1.0),)),
+    ),
+    ("initial-approx", "constants", lambda bad: initial_approx(builtin(1), (0.0, bad, 0.0))),
+    ("iterate", "constants", lambda bad: iterate(builtin(1), (bad, 0.0, 0.0), 1)),
+    ("error-table", "grid", lambda bad: error_table(builtin(1), solve(builtin(1)), (0.0, bad))),
+    ("convergence", "grid", lambda bad: analyze_convergence(builtin(1), (0.0,) * 3, grid=(bad,))),
+    ("grid-step", "grid step", lambda bad: cli._make_grid(1.0, bad)),
+]
+# the fields that hold a sequence of numbers
+SEQUENCES = {"coeffs", "poly", "constants", "grid"}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "field, build", [entry[1:] for entry in NON_FINITE], ids=[entry[0] for entry in NON_FINITE]
+)
+def test_a_non_finite_number_is_one_fault_naming_its_field(field, build, bad):
+    with pytest.raises(InvalidProblemError) as caught:
+        build(bad)
+    assert type(caught.value) is InvalidProblemError
+    each = "each of " if field in SEQUENCES else ""
+    assert caught.value.errors == (f"{each}{field} must be finite, got {bad!r}",)
 
 
 class TestReplaceValidates:
