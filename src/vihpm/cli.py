@@ -5,6 +5,13 @@ still fail (grid, error table, output files) before it writes its lines
 to stdout in one write, so an exit-1 path leaves stdout empty.  Output
 files replace their paths all together or not at all.  The parser is
 built on the first call.
+
+Exit 1 means bad input: an :class:`~vihpm.problems.InvalidProblemError`,
+which every input fault of the package raises and a bad argument too, or
+an ``OSError`` from a file.  The ``ValueError`` the standard library
+gives for a path holding a NUL or a problem file that is not UTF-8 is
+raised as one where the path is used.  Any other ``ValueError`` is a
+defect and propagates.  Exit 2 means a solver failure.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ import functools
 import itertools
 import os
 import sys
-from typing import IO, Callable, NoReturn, Sequence
+from typing import IO, Callable, Iterator, NoReturn, Sequence
 
 from .diagnostics import analyze_convergence, check_depth, default_grid
 from .engine import NonFiniteIterateError
@@ -40,11 +47,12 @@ MAX_GRID_POINTS = 100_000
 
 
 class _Parser(argparse.ArgumentParser):
-    """A parser whose errors raise ``ValueError``, so a bad argument exits
-    1 like any other bad input; its subparsers are of this class too."""
+    """A parser whose errors raise :class:`InvalidProblemError`, so a bad
+    argument exits 1 like any other bad input; its subparsers are of this
+    class too."""
 
     def error(self, message: str) -> NoReturn:
-        raise ValueError(message)
+        raise InvalidProblemError([message])
 
 
 @functools.cache
@@ -87,6 +95,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _input_fault() -> Iterator[None]:
+    """Raise a ``ValueError`` of the block, such as ``embedded null byte``
+    or a ``UnicodeDecodeError``, as :class:`InvalidProblemError` with its
+    message."""
+    try:
+        yield
+    except ValueError as exc:
+        raise InvalidProblemError([str(exc)]) from None
+
+
 def _load_spec(args: argparse.Namespace) -> ProblemSpec:
     if (args.file is None) == (args.builtin is None):
         raise InvalidProblemError(
@@ -95,8 +114,9 @@ def _load_spec(args: argparse.Namespace) -> ProblemSpec:
     if args.builtin is not None:
         spec = builtin(args.builtin)
     else:
-        with open(args.file, "r", encoding="utf-8-sig") as handle:
-            spec = parse_problem(handle.read())
+        with _input_fault(), open(args.file, "r", encoding="utf-8-sig") as handle:
+            text = handle.read()
+        spec = parse_problem(text)
     return with_settings(spec, truncation=args.truncation, iterations=args.iterations)
 
 
@@ -171,7 +191,8 @@ def _run_solve(args: argparse.Namespace) -> int:
     spec = _load_spec(args)
     # a symbolic link keeps pointing at the file it names
     given = (args.emit_csv, args.emit_series)
-    paths = [p if p is None else os.path.realpath(p) for p in given]
+    with _input_fault():
+        paths = [p if p is None else os.path.realpath(p) for p in given]
     named = [p for p in paths if p is not None]
     # one path would take one output and lose the other
     if len(set(named)) < len(named):
@@ -239,7 +260,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "solve":
             return _run_solve(args)
         return _run_convergence(args)
-    except (OSError, ValueError) as exc:
+    except (OSError, InvalidProblemError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except (SingularJacobianError, NonFiniteIterateError) as exc:

@@ -18,7 +18,9 @@ from typing import Sequence
 
 from .engine import NonFiniteIterateError, iterate
 from .problems import ProblemSpec, _within_degree_cap
-from .series import Series, _checked, _integer, _numbers, _Value, evaluate
+from .series import (
+    InvalidProblemError, Series, _checked, _integer, _numbers, _Value, evaluate
+)
 
 __all__ = [
     "ConvergenceReport",
@@ -81,7 +83,7 @@ def check_depth(spec: ProblemSpec, depth: int) -> int:
     """
     depth = _checked(_integer, "depth", depth)
     if depth < 2:
-        raise ValueError("need at least two corrections to estimate a ratio")
+        raise InvalidProblemError(["need at least two corrections to estimate a ratio"])
     return _checked(_within_degree_cap, "depth", depth, spec)
 
 
@@ -102,8 +104,9 @@ def analyze_convergence(
     constant gamma_max; the slack absorbs grid evaluation roundoff.  A
     power of gamma_max that overflows is +inf; delta_0 == 0 bounds by 0.
     A grid that is not a sequence of numbers, is empty or has a non-finite
-    point raises ``ValueError`` before any correction runs, as do constants
-    that :func:`~vihpm.engine.initial_approx` rejects.  Raises
+    point raises :class:`~vihpm.series.InvalidProblemError` before any
+    correction runs, as do constants that
+    :func:`~vihpm.engine.initial_approx` rejects.  Raises
     :class:`~vihpm.engine.NonFiniteIterateError` when an iterate's value on
     the grid or a gap between two iterates is not finite.  ``iterates``, such as a :class:`~vihpm.solver.SolveResult`'s,
     are v_0..v_j at ``constants``; only corrections past j are run.
@@ -113,7 +116,7 @@ def analyze_convergence(
         grid = default_grid(spec)
     grid = _checked(_numbers, "grid", grid)
     if not grid:
-        raise ValueError("grid must be non-empty")
+        raise InvalidProblemError(["grid must be non-empty"])
     v = iterate(spec, constants, depth, iterates or ())
     # each iterate is evaluated once; every sup below reads these values
     values = [[evaluate(vk, x) for x in grid] for vk in v]

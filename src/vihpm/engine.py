@@ -52,6 +52,7 @@ from .problems import ProblemSpec, _within_degree_cap
 # only by residual; perfbench/tracing.py wraps them on engine by name
 from .series import (
     CACHE_SIZE,
+    InvalidProblemError,
     Series,
     _check_same_ring,
     _checked,
@@ -108,7 +109,7 @@ def initial_approx(spec: ProblemSpec, constants: Sequence[float]) -> Series:
     values = _checked(_numbers, "constants", constants)
     free = spec.unknown_degrees()
     if len(values) != len(free):
-        raise ValueError(f"expected {len(free)} free constants, got {len(values)}")
+        raise InvalidProblemError([f"expected {len(free)} free constants, got {len(values)}"])
     coeffs = [*spec._origin_head, *[0.0] * (spec.truncation + 1 - spec.order)]
     for degree, value in zip(free, values):
         coeffs[degree] = value
@@ -195,7 +196,7 @@ def he_coefficients(
     correction applies, bit for bit.
     """
     if len(parts) == 0:
-        raise ValueError("need at least one expansion part")
+        raise InvalidProblemError(["need at least one expansion part"])
     for u in parts[1:]:
         _check_same_ring(parts[0], u)
     coeffs = [u.coeffs for u in parts]

@@ -32,7 +32,8 @@ from functools import lru_cache, partial
 from operator import mul
 
 from .series import (
-    CACHE_SIZE, Series, _Generated, _integer, _raise, _returning, _trusted, _Value
+    CACHE_SIZE, InvalidProblemError, Series, _Generated, _integer, _raise, _returning, _trusted,
+    _Value,
 )
 
 __all__ = ["CorrectionKernel"]
@@ -49,10 +50,10 @@ class CorrectionKernel(_Value):
         truncation = _integer("truncation", truncation, errors)
         _raise(errors)
         if order < 1:
-            raise ValueError("operator order must be at least 1")
+            raise InvalidProblemError(["operator order must be at least 1"])
         if truncation < order:
-            raise ValueError(
-                "truncation degree must be at least the operator order"
+            raise InvalidProblemError(
+                ["truncation degree must be at least the operator order"]
             )
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "truncation", truncation)
@@ -71,10 +72,10 @@ class CorrectionKernel(_Value):
         image that exceed the kernel truncation are discarded.
         """
         if f.truncation != self.truncation:
-            raise ValueError(
+            raise InvalidProblemError([
                 f"series truncation {f.truncation} does not match "
                 f"kernel truncation {self.truncation}"
-            )
+            ])
         m = self.order
         out = [0.0] * (self.truncation + 1)
         out[m:] = map(mul, f.coeffs, _kernel_weights(m, self.truncation))

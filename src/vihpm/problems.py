@@ -14,9 +14,12 @@ built specs and their copies all pass through that one check, so the solver
 never re-checks.  The field checkers are :mod:`vihpm.series`'s, as for every
 checked value of the package, and so is :class:`InvalidProblemError`, which
 this module re-exports: every checked value raises the faults it collects
-as one.  The cap on the series degree W + k*m is one checker here,
-``_within_degree_cap``, which :func:`validate` runs on ``iterations`` and
-:mod:`vihpm.engine` and :mod:`vihpm.diagnostics` on a count of their own.
+as one.  A problem file that does not parse raises
+:class:`ProblemFormatError`, an :class:`InvalidProblemError` whose one
+fault names its line.  The cap on the series degree W + k*m is one
+checker here, ``_within_degree_cap``, which :func:`validate` runs on
+``iterations`` and :mod:`vihpm.engine` and :mod:`vihpm.diagnostics` on a
+count of their own.
 A term is plain data, its coefficient and factors; the tables the solver
 needs from the factors are :mod:`vihpm.engine`'s.
 """
@@ -57,12 +60,13 @@ def _within_degree_cap(name: str, count: int, spec: ProblemSpec, errors: list[st
     return count
 
 
-class ProblemFormatError(ValueError):
-    """Problem file could not be parsed; carries the offending line number."""
+class ProblemFormatError(InvalidProblemError):
+    """Problem file could not be parsed; carries the offending line number,
+    and its one fault reads ``line N: ...``."""
 
     def __init__(self, line_number: int, message: str) -> None:
         self.line_number = line_number
-        super().__init__(f"line {line_number}: {message}")
+        super().__init__([f"line {line_number}: {message}"])
 
 
 class BoundaryCondition(_Value):
@@ -339,6 +343,8 @@ def parse_problem(text: str) -> ProblemSpec:
                 if keyword in settings:
                     raise ProblemFormatError(line_number, f"duplicate {keyword!r} line")
                 settings[keyword] = values[-1]
+        except ProblemFormatError:
+            raise
         except InvalidProblemError as exc:
             raise ProblemFormatError(line_number, str(exc)) from None
 
@@ -429,7 +435,9 @@ BUILTIN_COUNT = len(_BUILTINS)
 def builtin(n: int) -> ProblemSpec:
     """Benchmark problem ``n`` of 1..4, parsed from its text above."""
     if n not in range(1, BUILTIN_COUNT + 1):
-        raise ValueError(f"builtin problem number must be 1..{BUILTIN_COUNT}, got {n!r}")
+        raise InvalidProblemError(
+            [f"builtin problem number must be 1..{BUILTIN_COUNT}, got {n!r}"]
+        )
     return parse_problem(_BUILTINS[int(n) - 1])
 
 

@@ -7,7 +7,7 @@ from typing import IO, Sequence
 
 from .engine import NonFiniteIterateError
 from .problems import ProblemSpec
-from .series import Series, _checked, _numbers, _Value, evaluate
+from .series import InvalidProblemError, Series, _checked, _numbers, _Value, evaluate
 from .solver import SolveResult
 
 __all__ = [
@@ -45,9 +45,9 @@ def error_table(
     """
     grid = _checked(_numbers, "grid", grid)
     if not grid:
-        raise ValueError("grid must be non-empty")
+        raise InvalidProblemError(["grid must be non-empty"])
     if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("grid must be strictly increasing")
+        raise InvalidProblemError(["grid must be strictly increasing"])
     rows = []
     worst: float | None = None
     for x in grid:

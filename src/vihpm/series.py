@@ -22,7 +22,11 @@ checked.  A checker notes its fault in a list and returns its argument,
 converted where it can be, so a constructor collects the faults of every
 field; ``_raise`` raises them all as one :class:`InvalidProblemError`, a
 ``ValueError`` that lists them in ``errors``, and ``_checked`` runs one
-checker on a single argument and raises the same way.  Each
+checker on a single argument and raises the same way.
+:class:`InvalidProblemError` is the package's one type for bad input: a
+fault found outside the checkers, such as an empty series or operands of
+two truncation degrees, raises it with one entry in ``errors``, and so do
+the problem-file parser and the command line.  Each
 ring operation is one function on coefficient tuples (:func:`_sum`,
 :func:`_product`, :func:`_derivative`, :func:`_derivative_value`) that
 trusts its operands.  The public :func:`add`, :func:`mul`,
@@ -162,9 +166,8 @@ class _Value:
 class Series(_Value):
     """Coefficients ``c_0 .. c_W`` of a power series truncated at degree W.
 
-    Constructing one validates its input: coefficients become floats,
-    non-finite ones raise :class:`InvalidProblemError` and empty input
-    ``ValueError``.  Results of the ring operations skip that check (see
+    Constructing one validates its input: coefficients become floats, and
+    non-finite ones or empty input raise :class:`InvalidProblemError`.  Results of the ring operations skip that check (see
     the module docstring); their finiteness is checked once per correction
     by the iteration engine.
     """
@@ -179,7 +182,7 @@ class Series(_Value):
     def __post_init__(self) -> None:
         coeffs = _checked(_numbers, "coeffs", self.coeffs)
         if len(coeffs) == 0:
-            raise ValueError("a series needs at least one coefficient")
+            raise InvalidProblemError(["a series needs at least one coefficient"])
         object.__setattr__(self, "coeffs", coeffs)
 
     @property
@@ -289,8 +292,8 @@ def make_series(coeffs: Sequence[float], truncation: int) -> Series:
     truncation = _count("truncation", truncation, errors)
     _raise(errors)
     if len(values) > truncation + 1:
-        raise ValueError(
-            f"{len(values)} coefficients exceed truncation degree {truncation}"
+        raise InvalidProblemError(
+            [f"{len(values)} coefficients exceed truncation degree {truncation}"]
         )
     return _trusted(values + (0.0,) * (truncation + 1 - len(values)))
 
@@ -299,7 +302,7 @@ def pad_to(f: Series, truncation: int) -> Series:
     """Re-embed ``f`` in a ring of higher truncation degree (exact)."""
     truncation = _checked(_count, "truncation", truncation)
     if truncation < f.truncation:
-        raise ValueError("padding cannot lower the truncation degree")
+        raise InvalidProblemError(["padding cannot lower the truncation degree"])
     out = [0.0] * (truncation + 1)
     out[: len(f.coeffs)] = f.coeffs
     return _trusted(tuple(out))
@@ -307,9 +310,7 @@ def pad_to(f: Series, truncation: int) -> Series:
 
 def _check_same_ring(f: Series, g: Series) -> None:
     if len(f.coeffs) != len(g.coeffs):
-        raise ValueError(
-            f"truncation mismatch: {f.truncation} vs {g.truncation}"
-        )
+        raise InvalidProblemError([f"truncation mismatch: {f.truncation} vs {g.truncation}"])
 
 
 class _Generated(dict):
@@ -605,7 +606,7 @@ class ExpTerm(_Value):
         poly = _numbers("poly", poly, errors)
         _raise(errors)
         if len(poly) == 0:
-            raise ValueError("exponential-polynomial term needs a polynomial part")
+            raise InvalidProblemError(["exponential-polynomial term needs a polynomial part"])
         object.__setattr__(self, "rate", rate)
         object.__setattr__(self, "poly", poly)
 

@@ -92,6 +92,13 @@ BOUNDARY_RESIDUAL_TESTS = (
     "tests/test_solver.py::TestSolve::test_non_finite_boundary_residual_raises",
 )
 ARGUMENT_TESTS = ("tests/test_cli.py::TestArguments",)
+DEFECT_TESTS = (
+    "tests/test_cli.py::TestErrorPaths::test_value_error_inside_solve_is_not_bad_input",
+)
+PATH_FAULT_TESTS = (
+    "tests/test_cli.py::TestErrorPaths::test_file_that_is_not_utf8",
+    "tests/test_cli.py::TestErrorPaths::test_path_with_a_nul_byte",
+)
 JACOBIAN_TESTS = ("tests/test_solver.py::TestJacobian",)
 BC_VALUE_TESTS = ("tests/test_solver.py",)
 
@@ -506,9 +513,33 @@ MUTANTS = (
     Mutant(
         "main: a bad argument exits through argparse",
         "vihpm/cli.py",
-        "        raise ValueError(message)\n",
+        "        raise InvalidProblemError([message])\n",
         "        super().error(message)\n",
         ARGUMENT_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "main: catches ValueError again, so a defect exits 1 as bad input",
+        "vihpm/cli.py",
+        "    except (OSError, InvalidProblemError) as exc:",
+        "    except (OSError, ValueError) as exc:",
+        DEFECT_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "_input_fault: a NUL in a path or a file that is not UTF-8 escapes main",
+        "vihpm/cli.py",
+        "        raise InvalidProblemError([str(exc)]) from None\n",
+        "        raise\n",
+        PATH_FAULT_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "parse_problem: a line's own format fault is named with its line twice",
+        "vihpm/problems.py",
+        "        except ProblemFormatError:\n            raise\n",
+        "",
+        PARSE_TESTS,
         "killed",
     ),
     Mutant(

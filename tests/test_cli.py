@@ -6,6 +6,7 @@ import os
 import stat
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,8 @@ from vihpm.diagnostics import default_grid
 from vihpm.problems import BoundaryCondition, ProblemSpec
 
 from ring_helpers import count_computations
+
+LINEAR_COEFFICIENT = Path(__file__).parent / "data" / "linear_coefficient.txt"
 
 
 def run_cli(capsys, *argv):
@@ -327,6 +330,38 @@ class TestErrorPaths:
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "solve", "/nonexistent/problem.txt")
         assert code == 1
+
+    def test_file_that_is_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "latin.txt"
+        path.write_bytes(b"order 1\ndomain 0 1\n\xff\xfe bc 0 0 1\n")
+        code, out, err = run_cli(capsys, "solve", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "error: 'utf-8' codec can't decode byte 0xff in position 19: invalid start byte\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("solve", "a\0b"), ("solve", "--builtin", "1", "--emit-csv", "a\0b")],
+        ids=["problem-file", "output"],
+    )
+    def test_path_with_a_nul_byte(self, capsys, no_solve, argv):
+        # only reachable in-process: an argv string of a process holds no NUL
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == "error: embedded null byte\n"
+
+    def test_value_error_inside_solve_is_not_bad_input(self, capsys, monkeypatch):
+        # a ValueError that is not an InvalidProblemError is a defect
+        def broken(spec):
+            raise ValueError("a defect inside solve")
+
+        monkeypatch.setattr(cli, "solve", broken)
+        with pytest.raises(ValueError, match="^a defect inside solve$"):
+            main(["solve", "--builtin", "1"])
+        assert capsys.readouterr() == ("", "")
 
     def test_malformed_file(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"
@@ -711,23 +746,24 @@ class TestArguments:
 
 
 class TestEntryPoint:
-    def test_module_invocation(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "vihpm", "solve", "--builtin", "1"],
+    """The exit-code contract at the process boundary, through ``python -m``."""
+
+    @staticmethod
+    def vihpm(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "vihpm", *argv],
             capture_output=True,
             text=True,
             timeout=60,
         )
+
+    def test_module_invocation(self):
+        proc = self.vihpm("solve", "--builtin", "1")
         assert proc.returncode == 0
         assert "max abs error" in proc.stdout
 
     def test_bad_argument_exits_1(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "vihpm", "solve", "--builtin", "x"],
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
+        proc = self.vihpm("solve", "--builtin", "x")
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert proc.stderr == "error: argument --builtin: invalid int value: 'x'\n"
@@ -735,12 +771,33 @@ class TestEntryPoint:
     def solve_file(self, tmp_path, lines):
         path = tmp_path / "problem.txt"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        return subprocess.run(
-            [sys.executable, "-m", "vihpm", "solve", str(path)],
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
+        return self.vihpm("solve", str(path))
+
+    NON_FINITE_FILES = {
+        "value": ["order 2", "domain 0 1", "bc 0 0 0", "bc 1 0 nan"],
+        "domain_end": ["order 2", "domain 0 inf", "bc 0 0 0", "bc 1 0 1"],
+        "rate": ["order 2", "domain 0 1", "term inf 1.0", "bc 0 0 0", "bc 1 0 1"],
+    }
+
+    @pytest.mark.parametrize("field", NON_FINITE_FILES)
+    def test_non_finite_input_exits_1(self, tmp_path, field):
+        # a number that is not finite is bad input wherever it stands
+        proc = self.solve_file(tmp_path, self.NON_FINITE_FILES[field])
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert f"{field} must be finite" in proc.stderr
+
+    def test_output_over_the_problem_file_exits_1(self, tmp_path):
+        problem = tmp_path / "problem.txt"
+        problem.write_bytes(LINEAR_COEFFICIENT.read_bytes())
+        proc = self.vihpm("solve", str(problem), "--emit-csv", str(problem))
+        assert proc.returncode == 1
+        assert problem.read_bytes() == LINEAR_COEFFICIENT.read_bytes()
+
+    def test_problem_file_with_a_byte_order_mark_solves(self, tmp_path):
+        marked = tmp_path / "bom.txt"
+        marked.write_bytes(b"\xef\xbb\xbf" + LINEAR_COEFFICIENT.read_bytes())
+        assert self.vihpm("solve", str(marked)).returncode == 0
 
     def test_unconverged_solve_exits_2(self, tmp_path):
         # Newton stalls on [0, 3]; the constants it reached are printed

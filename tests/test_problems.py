@@ -523,6 +523,9 @@ class TestParse:
             parse_problem("order 7\ndomain 0 1\nterm nope 1\n")
         assert info.value.line_number == 3
         assert "nope" in str(info.value)
+        # a format fault is an input fault like any other, with one entry
+        assert isinstance(info.value, InvalidProblemError)
+        assert info.value.errors == ("line 3: not a number: 'nope'",)
 
     NON_FINITE_LINES = {
         "term inf 1.0": "rate must be finite, got inf",

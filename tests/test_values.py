@@ -5,7 +5,8 @@ Every value class compares, hashes and prints its constructor fields alone,
 refuses assignment and deletion, and builds copies (``replace``,
 ``copy``, ``pickle``) through its constructor, so a copy is validated and
 derives its own tables.  Every checked value raises the faults its
-checkers collect as one ``InvalidProblemError`` that lists them all.
+checkers collect as one ``InvalidProblemError`` that lists them all, and
+every other input fault raises one with a single entry.
 """
 
 import copy
@@ -15,8 +16,8 @@ import pickle
 import pytest
 
 from vihpm import cli
-from vihpm.diagnostics import ConvergenceReport, analyze_convergence
-from vihpm.engine import initial_approx, iterate
+from vihpm.diagnostics import ConvergenceReport, analyze_convergence, check_depth
+from vihpm.engine import he_coefficients, initial_approx, iterate
 from vihpm.kernel import CorrectionKernel
 from vihpm.problems import (
     BoundaryCondition,
@@ -27,7 +28,9 @@ from vihpm.problems import (
     with_settings,
 )
 from vihpm.reporting import ErrorRow, ErrorTable, error_table
-from vihpm.series import ExpPoly, ExpTerm, Series, _Value, expand_exppoly, make_series
+from vihpm.series import (
+    ExpPoly, ExpTerm, Series, _Value, add, expand_exppoly, make_series, pad_to
+)
 from vihpm.solver import SolveResult, solve
 
 from ring_helpers import replace
@@ -328,8 +331,46 @@ def test_solve_result_iterates_is_keyword_only_and_not_a_field():
         (lambda: CorrectionKernel(0.5, 3), ["order must be an integer, got 0.5"]),
         (lambda: make_series([1.0], -1), ["truncation must be non-negative, got -1"]),
         (lambda: BoundaryCondition("x", 0, 0), ["point must be a number, got 'x'"]),
+        # faults found outside the field checkers, one each
+        (lambda: Series(()), ["a series needs at least one coefficient"]),
+        (lambda: make_series([1.0, 2.0, 3.0], 1), ["3 coefficients exceed truncation degree 1"]),
+        (lambda: pad_to(Series((1.0, 2.0)), 0), ["padding cannot lower the truncation degree"]),
+        (lambda: add(Series((1.0,)), Series((1.0, 2.0))), ["truncation mismatch: 0 vs 1"]),
+        (lambda: ExpTerm(1.0, ()), ["exponential-polynomial term needs a polynomial part"]),
+        (lambda: CorrectionKernel(0, 3), ["operator order must be at least 1"]),
+        (
+            lambda: CorrectionKernel(3, 2),
+            ["truncation degree must be at least the operator order"],
+        ),
+        (
+            lambda: CorrectionKernel(1, 3).integrate(Series((1.0, 2.0, 3.0))),
+            ["series truncation 2 does not match kernel truncation 3"],
+        ),
+        (lambda: builtin(5), ["builtin problem number must be 1..4, got 5"]),
+        (lambda: initial_approx(builtin(1), (0.0,)), ["expected 3 free constants, got 1"]),
+        (lambda: he_coefficients(builtin(1), ()), ["need at least one expansion part"]),
+        (
+            lambda: check_depth(builtin(1), 1),
+            ["need at least two corrections to estimate a ratio"],
+        ),
+        (lambda: analyze_convergence(builtin(1), (0.0,) * 3, grid=()), ["grid must be non-empty"]),
+        (lambda: error_table(builtin(1), solve(builtin(1)), ()), ["grid must be non-empty"]),
+        (
+            lambda: error_table(builtin(1), solve(builtin(1)), (1.0, 0.5)),
+            ["grid must be strictly increasing"],
+        ),
+        (
+            lambda: cli._build_parser().parse_args(["solve", "--builtin", "x"]),
+            ["argument --builtin: invalid int value: 'x'"],
+        ),
     ],
-    ids=["series", "exp-term", "kernel", "make-series", "boundary-condition"],
+    ids=[
+        "series", "exp-term", "kernel", "make-series", "boundary-condition",
+        "empty-series", "make-series-length", "pad-to", "same-ring", "exp-term-empty",
+        "kernel-order", "kernel-truncation", "kernel-integrate", "builtin", "initial-approx",
+        "he-coefficients", "check-depth", "convergence-grid", "table-grid", "table-grid-order",
+        "argument",
+    ],
 )
 def test_collected_faults_raise_one_invalid_problem_error(build, errors):
     with pytest.raises(InvalidProblemError) as caught:
