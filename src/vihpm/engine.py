@@ -203,7 +203,7 @@ def he_coefficients(
     return tuple([_trusted(_he_order(spec, coeffs, k)) for k in range(len(parts))])
 
 
-def _sparse_first(f: Coeffs, g: Coeffs) -> Coeffs:
+def _sparse_first(f: Coeffs, g: Coeffs, f_zeros: int) -> Coeffs:
     """``f * g`` with the operand of fewer nonzero coefficients first.
 
     The product of :mod:`vihpm.series` skips the zero coefficients of its
@@ -211,15 +211,23 @@ def _sparse_first(f: Coeffs, g: Coeffs) -> Coeffs:
     of O(W**2).  Taking four adjacent nonzero rows per pass, or a ring
     size's straight-line kernel when both operands are mostly nonzero, makes
     each row cheaper, not fewer, so the count of rows to add stays the cost.
-    A tie keeps ``f`` first.
+    A tie keeps ``f`` first.  ``f_zeros`` is ``f.count(0.0)``, which the
+    caller has; ``g``'s zeros are counted here, and the product is handed
+    the count of the operand it takes first, so each operand is counted
+    once.
     """
-    if g.count(0.0) > f.count(0.0):
-        return _product(g, f)
-    return _product(f, g)
+    g_zeros = g.count(0.0)
+    if g_zeros > f_zeros:
+        return _product(g, f, g_zeros)
+    return _product(f, g, f_zeros)
 
 
-def _linearization(spec: ProblemSpec, v: Coeffs) -> tuple[tuple[int, Coeffs], ...]:
-    """F'(v) as pairs ``(d, L_d)``, ``F'(v) dv = sum_d dv^(d) L_d``.
+def _linearization(
+    spec: ProblemSpec, v: Coeffs
+) -> tuple[tuple[int, Coeffs, int], ...]:
+    """F'(v) as triples ``(d, L_d, zeros)``, ``F'(v) dv = sum_d dv^(d) L_d``,
+    where ``zeros`` is ``L_d.count(0.0)``, counted once here for every
+    tangent that :func:`_apply` takes through it.
 
     Putting dv into factor i of a term ``c * prod_l u^(d_l)`` leaves the
     chain ``c * prod_{l != i} v^(d_l)``.  Each distinct chain of a term (a
@@ -238,17 +246,19 @@ def _linearization(spec: ProblemSpec, v: Coeffs) -> tuple[tuple[int, Coeffs], ..
                 for e in rest:
                     if e not in derivatives:
                         derivatives[e] = _derivative(v, e)
-                    chain = _sparse_first(chain, derivatives[e])
+                    chain = _sparse_first(chain, derivatives[e], chain.count(0.0))
                 chains[rest] = chain
             linear[d] = _sum(linear[d], chain) if d in linear else chain
-    return tuple(linear.items())
+    return tuple([(d, weight, weight.count(0.0)) for d, weight in linear.items()])
 
 
-def _apply(linear: tuple[tuple[int, Coeffs], ...], dv: Coeffs) -> Coeffs:
-    """``F'(v) dv`` from the pairs of :func:`_linearization`."""
+def _apply(linear: tuple[tuple[int, Coeffs, int], ...], dv: Coeffs) -> Coeffs:
+    """``F'(v) dv`` from the triples of :func:`_linearization`: one product
+    per order d, which counts only the zeros of ``dv^(d)``, since the
+    weight ``L_d`` comes with its count."""
     total: Coeffs | None = None
-    for d, weight in linear:
-        term = _sparse_first(weight, _derivative(dv, d))
+    for d, weight, zeros in linear:
+        term = _sparse_first(weight, _derivative(dv, d), zeros)
         total = term if total is None else _sum(total, term)
     if total is None:
         total = (0.0,) * len(dv)

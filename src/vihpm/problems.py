@@ -68,6 +68,10 @@ class ProblemFormatError(InvalidProblemError):
         self.line_number = line_number
         super().__init__([f"line {line_number}: {message}"])
 
+    def __reduce__(self) -> tuple:
+        message = self.errors[0].removeprefix(f"line {self.line_number}: ")
+        return type(self), (self.line_number, message), self.__dict__
+
 
 class BoundaryCondition(_Value):
     """Condition ``u^(derivative_order)(point) = value``."""

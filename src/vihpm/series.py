@@ -27,9 +27,11 @@ checker on a single argument and raises the same way.
 fault found outside the checkers, such as an empty series or operands of
 two truncation degrees, raises it with one entry in ``errors``, and so do
 the problem-file parser and the command line.  Each
-ring operation is one function on coefficient tuples (:func:`_sum`,
-:func:`_product`, :func:`_derivative`, :func:`_derivative_value`) that
-trusts its operands.  The public :func:`add`, :func:`mul`,
+ring operation is one function on coefficient tuples that trusts its
+operands: :func:`_sum`, :func:`_product`, which takes its first operand's
+zero count from a caller that has it, :func:`_derivative`, and
+:func:`_derivative_values`, which reads one derivative's value at one
+point from each of several tuples.  The public :func:`add`, :func:`mul`,
 :func:`differentiate` and :func:`evaluate_derivative` are shells over them:
 they check their arguments and wrap the result through :func:`_trusted`
 without re-checking it, so an overflow inside the arithmetic propagates as
@@ -258,6 +260,11 @@ class InvalidProblemError(ValueError):
         self.errors = tuple(errors)
         super().__init__("; ".join(errors))
 
+    def __reduce__(self) -> tuple:
+        # copied and unpickled through the constructor's own arguments,
+        # not the joined message that ``args`` holds
+        return type(self), (self.errors,), self.__dict__
+
 
 def _raise(faults: list[str]) -> None:
     """Raise one :class:`InvalidProblemError` with the faults noted, if
@@ -421,15 +428,19 @@ def mul(f: Series, g: Series) -> Series:
     return _trusted(_product(f.coeffs, g.coeffs))
 
 
-def _product(fc: tuple[float, ...], gc: tuple[float, ...]) -> tuple[float, ...]:
+def _product(
+    fc: tuple[float, ...], gc: tuple[float, ...], zeros: int | None = None
+) -> tuple[float, ...]:
     """The product :func:`mul` describes, of two coefficient tuples of one
     length.  It chooses the kind of product and returns what the kind gives
-    for the length, code or loop, with no check of its own.  The two-row
-    shape is tested only when the dense test has failed, in O(1) past the
-    zero count, so a dense product pays nothing for it and a tangent seed
-    ``x**j`` one comparison."""
+    for the length, code or loop, with no check of its own.  ``zeros`` is
+    ``fc.count(0.0)``, given by a caller that has counted it already and
+    counted here otherwise.  The two-row shape is tested only when the
+    dense test has failed, in O(1) past the zero count, so a dense product
+    pays nothing for it and a tangent seed ``x**j`` one comparison."""
     n = len(fc)
-    zeros = fc.count(0.0)
+    if zeros is None:
+        zeros = fc.count(0.0)
     if 2 * zeros < n:
         return _kernel[n](fc, gc)
     if n > 1 and zeros - (fc[0] == 0.0) - (fc[1] == 0.0) == n - 2:
@@ -569,17 +580,29 @@ def evaluate_derivative(f: Series, order: int, x: float) -> float:
     would leave the accumulator at +0.0 for finite ``x``.
     """
     order = _checked(_count, "order", order)
-    return _derivative_value(f.coeffs, order, x)
+    return _derivative_values((f.coeffs,), order, x)[0]
 
 
-def _derivative_value(fc: tuple[float, ...], order: int, x: float) -> float:
-    """The value :func:`evaluate_derivative` describes, of a coefficient
-    tuple: :func:`_horner_kernel` for order 1 and up, code or loop as the
-    kind gives for the length, and :func:`_horner` on ``fc`` for order 0."""
+def _derivative_values(
+    fcs: Sequence[tuple[float, ...]], order: int, x: float
+) -> list[float]:
+    """The value :func:`evaluate_derivative` describes, of each of the
+    coefficient tuples ``fcs``, all of one length and at least one:
+    :func:`_horner_kernel` for order 1 and up, code or loop as the kind
+    gives for the length, and :func:`_horner` for order 0.  The falling
+    factorials and the function are looked up once for all the tuples."""
+    # loops, not comprehensions: a comprehension is a call of its own on
+    # CPython 3.11, and the residual passes a single tuple
+    values = []
     if order == 0:
-        return _horner(fc, x)
-    coeffs = fc[order:]
-    return _horner_kernel[len(coeffs)](coeffs, _falling_factorials(order, len(fc) - 1), x)
+        for fc in fcs:
+            values.append(_horner(fc, x))
+        return values
+    falls = _falling_factorials(order, len(fcs[0]) - 1)
+    horner = _horner_kernel[len(falls)]
+    for fc in fcs:
+        values.append(horner(fc[order:], falls, x))
+    return values
 
 
 @partial(_Generated, loop=lambda c, w, x: _horner(tuple(map(_fmul, c, w)), x))

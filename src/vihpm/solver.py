@@ -6,12 +6,14 @@ deterministic map from those constants to a series, the off-origin
 conditions become a small nonlinear system r(c) = 0, solved by undamped
 Newton iteration with dense Gaussian elimination and partial pivoting.
 One routine, :func:`_bc_values`, applies the off-origin condition
-operators to a coefficient tuple: the residual subtracts the conditions'
-values from it on the last iterate, and the Jacobian is exact, each of its
-columns being those operators applied to the tangent of the last iterate
-along one constant.  One sweep (:func:`~vihpm.engine._tangents`)
-propagates every constant's tangent through the iterates that the Newton
-pass already holds.
+operators to coefficient tuples of one length, each condition to all of
+them, and returns one row per condition with one value per tuple.  The
+residual subtracts the conditions' values from the one-entry rows of the
+last iterate.  The Jacobian is exact: its rows are those operators applied
+to the tangents of the last iterate along the constants, one entry per
+constant.  One sweep (:func:`~vihpm.engine._tangents`) propagates every
+constant's tangent through the iterates that the Newton pass already
+holds.
 :func:`fd_jacobian` is a central-difference cross-check for tests; the
 solver does not call it.  Nor does it check its input: a
 :class:`~vihpm.problems.ProblemSpec` is valid once it exists.
@@ -26,7 +28,7 @@ from .engine import NonFiniteIterateError, _tangents, iterate
 # validate and evaluate_derivative are not called here; perfbench/tracing.py
 # wraps them on solver by name
 from .problems import ProblemSpec, validate
-from .series import Series, _derivative_value, _Value, evaluate_derivative
+from .series import Series, _derivative_values, _Value, evaluate_derivative
 
 __all__ = [
     "SolveResult",
@@ -69,34 +71,39 @@ class SolveResult(_Value):
         object.__setattr__(self, "iterates", iterates)
 
 
-def _bc_values(coeffs: tuple[float, ...], spec: ProblemSpec) -> list[float]:
+def _bc_values(
+    coeffs: Sequence[tuple[float, ...]], spec: ProblemSpec
+) -> list[list[float]]:
     """The off-origin condition operators, without their values, applied
-    to a coefficient tuple, in bc order: the one place the solver applies
-    a condition's derivative order and point."""
+    to each of the coefficient tuples ``coeffs``, all of one length: one
+    row per condition, in bc order, holding one value per tuple.  The one
+    place the solver applies a condition's derivative order and point;
+    each condition looks its tables up once for all the tuples."""
     return [
-        _derivative_value(coeffs, bc.derivative_order, bc.point)
+        _derivative_values(coeffs, bc.derivative_order, bc.point)
         for bc in spec.off_origin_conditions()
     ]
 
 
 def _bc_residuals_of(solution: Series, spec: ProblemSpec) -> tuple[float, ...]:
     """Off-origin condition defects of ``solution``, in bc order."""
-    values = _bc_values(solution.coeffs, spec)
-    return tuple([v - bc.value for v, bc in zip(values, spec.off_origin_conditions())])
+    rows = _bc_values((solution.coeffs,), spec)
+    return tuple([
+        value - bc.value for (value,), bc in zip(rows, spec.off_origin_conditions())
+    ])
 
 
 def jacobian(spec: ProblemSpec, iterates: Sequence[Series]) -> list[list[float]]:
     """Exact Jacobian of the off-origin residuals, by tangent propagation.
 
     ``iterates`` are the v_0..v_n that :func:`~vihpm.engine.iterate` returns
-    at the constants of interest.  Column j is :func:`_bc_values` of the
-    tangent of the last iterate along free constant j, and the columns are
-    laid out as one row per condition; one sweep
-    (:func:`~vihpm.engine._tangents`) gives every column's tangent.  With
-    no free constants there are no columns and the Jacobian is ``[]``.
+    at the constants of interest.  The rows are :func:`_bc_values` of the
+    tangents of the last iterate, one per condition, and entry j of a row
+    is taken on the tangent along free constant j; one sweep
+    (:func:`~vihpm.engine._tangents`) gives every tangent.  With no free
+    constants there are no off-origin conditions and the Jacobian is ``[]``.
     """
-    columns = [_bc_values(dv, spec) for dv in _tangents(spec, iterates)]
-    return [list(row) for row in zip(*columns)]
+    return _bc_values(_tangents(spec, iterates), spec)
 
 
 def fd_jacobian(

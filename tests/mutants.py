@@ -393,8 +393,16 @@ MUTANTS = (
     Mutant(
         "_apply: the weight kept as the first operand of every tangent product",
         "vihpm/engine.py",
-        "_sparse_first(weight, _derivative(dv, d))",
-        "_product(weight, _derivative(dv, d))",
+        "_sparse_first(weight, _derivative(dv, d), zeros)",
+        "_product(weight, _derivative(dv, d), zeros)",
+        LINEARIZATION_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "_sparse_first: the weight's zero count used for the tangent's derivative",
+        "vihpm/engine.py",
+        "        return _product(g, f, g_zeros)\n",
+        "        return _product(g, f, f_zeros)\n",
         LINEARIZATION_TESTS,
         "killed",
     ),
@@ -487,26 +495,35 @@ MUTANTS = (
         "killed",
     ),
     Mutant(
-        "jacobian: the columns returned as rows, the layout transposed",
+        "jacobian: the rows returned as columns, the layout transposed",
         "vihpm/solver.py",
-        "    return [list(row) for row in zip(*columns)]\n",
-        "    return columns\n",
+        "    return _bc_values(_tangents(spec, iterates), spec)\n",
+        "    return [list(row) for row in zip(*_bc_values(_tangents(spec, iterates), spec))]\n",
         JACOBIAN_TESTS,
         "killed",
     ),
     Mutant(
         "_bc_values: every condition applied at the domain end, not its point",
         "vihpm/solver.py",
-        "_derivative_value(coeffs, bc.derivative_order, bc.point)",
-        "_derivative_value(coeffs, bc.derivative_order, spec.domain_end)",
+        "_derivative_values(coeffs, bc.derivative_order, bc.point)",
+        "_derivative_values(coeffs, bc.derivative_order, spec.domain_end)",
         BC_VALUE_TESTS,
         "killed",
     ),
     Mutant(
         "_bc_values: every condition applied as a value, not its derivative order",
         "vihpm/solver.py",
-        "_derivative_value(coeffs, bc.derivative_order, bc.point)",
-        "_derivative_value(coeffs, 0, bc.point)",
+        "_derivative_values(coeffs, bc.derivative_order, bc.point)",
+        "_derivative_values(coeffs, 0, bc.point)",
+        BC_VALUE_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "_bc_values: the first condition's falling factorials (its derivative "
+        "order) used for every condition",
+        "vihpm/solver.py",
+        "_derivative_values(coeffs, bc.derivative_order, bc.point)",
+        "_derivative_values(coeffs, spec.off_origin_conditions()[0].derivative_order, bc.point)",
         BC_VALUE_TESTS,
         "killed",
     ),

@@ -1,7 +1,10 @@
 """Series helpers, reference formulas and problem rendering that only the
 tests use, kept out of the package."""
 
+import importlib.util
 import math
+import sys
+from pathlib import Path
 from typing import Iterable, Sequence
 
 from vihpm.problems import ProblemSpec
@@ -130,3 +133,17 @@ def render_problem(spec: ProblemSpec) -> str:
         for part in spec.exact.terms:
             lines.append(f"exact {_render_numbers((part.rate,) + part.poly)}")
     return "\n".join(lines) + "\n"
+
+
+def generated_problems(monkeypatch, seed: int) -> list:
+    """``perfbench/genproblems.generate(seed)``, its manufactured problems.
+
+    The generator is loaded from its file, read only, so it needs no import
+    path; its dataclass looks its module up in ``sys.modules`` while the
+    module runs."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "genproblems.py"
+    spec = importlib.util.spec_from_file_location("genproblems", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module.generate(seed)

@@ -10,12 +10,12 @@ from pathlib import Path
 
 import pytest
 
-from vihpm import cli, engine, solver
+from vihpm import cli, engine, kernel, series, solver
 from vihpm.cli import MAX_GRID_POINTS, main
 from vihpm.diagnostics import default_grid
 from vihpm.problems import BoundaryCondition, ProblemSpec
 
-from ring_helpers import count_computations
+from ring_helpers import count_computations, generated_problems
 
 LINEAR_COEFFICIENT = Path(__file__).parent / "data" / "linear_coefficient.txt"
 
@@ -820,3 +820,34 @@ class TestEntryPoint:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr == "solver failure: correction 1 made the iterate non-finite\n"
+
+
+class TestCachedTables:
+    """``CACHE_SIZE`` bounds the ``lru_cache`` tables that depend only on a
+    few integers; each must hold what a family pass needs."""
+
+    TABLES = {
+        "_falling_factorials": series._falling_factorials,
+        "_kernel_weights": kernel._kernel_weights,
+        "_picks": engine._picks,
+        "_rests": engine._rests,
+        "_seed": engine._seed,
+    }
+
+    def test_a_second_family_pass_misses_none(self, monkeypatch, tmp_path, capsys):
+        # seed 1's family problems run twice through main in one process; a
+        # table that evicts what the workload needs again misses on the
+        # second pass
+        argvs = []
+        for problem in generated_problems(monkeypatch, 1):
+            path = tmp_path / f"{problem.name}.txt"
+            path.write_text(problem.text, encoding="utf-8")
+            argvs.append(problem.argv(str(path)))
+        misses = []
+        for _ in range(2):
+            for argv in argvs:
+                main(argv)
+                capsys.readouterr()
+            misses.append({name: t.cache_info().misses for name, t in self.TABLES.items()})
+        again = {name: misses[1][name] - misses[0][name] for name in self.TABLES}
+        assert again == dict.fromkeys(self.TABLES, 0)

@@ -633,6 +633,17 @@ LINEARIZED = pytest.mark.parametrize(
 )
 
 
+# the builtins at the paper's and the stretched settings, and the mixed terms
+JACOBIAN_SPECS = {
+    **{
+        f"{n}-{w}-{k}": lambda n=n, w=w, k=k: with_settings(builtin(n), w, k)
+        for n in range(1, 5)
+        for w, k in ((12, 1), (30, 3))
+    },
+    "mixed": lambda: cubic_spec(MIXED_TERMS),
+}
+
+
 class TestLinearization:
     """``F'(v) dv = sum_d dv^(d) L_d`` against order 1 of He's polynomials,
     which forms every pick's products afresh, and against central
@@ -661,11 +672,15 @@ class TestLinearization:
         spec = cubic_spec([(0.2, (1.0, 0.5), factors)])
         calls = []
         monkeypatch.setattr(
-            engine, "_product", lambda f, g: calls.append(1) or _product(f, g)
+            engine,
+            "_product",
+            lambda f, g, zeros=None: calls.append(1) or _product(f, g, zeros),
         )
         linear = _linearization(spec, self.random_series(random.Random(5), 14).coeffs)
         assert len(calls) == products
-        assert sorted(d for d, _ in linear) == orders
+        assert sorted(d for d, _, _ in linear) == orders
+        # each weight comes with its own zero count
+        assert all(zeros == weight.count(0.0) for _, weight, zeros in linear)
 
     def test_sparser_operand_comes_first(self, monkeypatch):
         # a product skips the zero coefficients of its first operand only; the
@@ -677,14 +692,33 @@ class TestLinearization:
             iterates = iterate(spec, [0.1] * spec.unknown_count())
             operands = []
 
-            def spy(f, g):
+            def spy(f, g, zeros=None):
+                # every tangent product is handed its first operand's count
+                assert zeros == f.count(0.0)
                 operands.append([len(s) - s.count(0.0) for s in (f, g)])
-                return _product(f, g)
+                return _product(f, g, zeros)
 
-            monkeypatch.setattr(engine, "_product", spy)
-            _tangents(spec, iterates)
+            with monkeypatch.context() as patch:
+                patch.setattr(engine, "_product", spy)
+                _tangents(spec, iterates)
             assert all(first <= second for first, second in operands)
             assert any(first < second for first, second in operands)
+
+    @pytest.mark.parametrize("case", sorted(JACOBIAN_SPECS))
+    def test_jacobian_entries_are_the_tangents_values(self, case):
+        # entry (i, j) is condition i's derivative value on the tangent
+        # along constant j, bit for bit as evaluate_derivative reads it
+        spec = JACOBIAN_SPECS[case]()
+        rng = random.Random(7)
+        iterates = iterate(spec, [rng.uniform(-0.5, 0.5) for _ in range(spec.unknown_count())])
+        tangents = [make_series(dv, len(dv) - 1) for dv in _tangents(spec, iterates)]
+        want = [
+            [evaluate_derivative(dv, bc.derivative_order, bc.point).hex() for dv in tangents]
+            for bc in spec.off_origin_conditions()
+        ]
+        rows = jacobian(spec, iterates)
+        assert len(rows) == spec.unknown_count() > 0
+        assert [[entry.hex() for entry in row] for row in rows] == want
 
     @LINEARIZED
     def test_jacobian_matches_central_differences(self, terms):

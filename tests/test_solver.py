@@ -1,10 +1,8 @@
 """Newton shooting on the off-origin boundary conditions."""
 
-import importlib.util
 import math
 import random
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -22,7 +20,7 @@ from vihpm.problems import (
 from vihpm.series import ExpPoly, _product, evaluate
 from vihpm.solver import SingularJacobianError, fd_jacobian, jacobian, solve
 
-from ring_helpers import bc_residuals, count_computations
+from ring_helpers import bc_residuals, count_computations, generated_problems
 
 # constants reported with the published benchmark solutions
 PUBLISHED_CONSTANTS_1 = (
@@ -84,17 +82,8 @@ GENERATED_WORK = (1090, 51762, 29, 69)
 
 
 def generated_slice(monkeypatch):
-    """Every 20th problem of ``perfbench/genproblems.generate(1)``, parsed.
-
-    The generator is loaded from its file, read only, so it needs no import
-    path; its dataclass looks its module up in ``sys.modules`` while the
-    module runs."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "genproblems.py"
-    spec = importlib.util.spec_from_file_location("genproblems", path)
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, module)
-    spec.loader.exec_module(module)
-    return [parse_problem(p.text) for p in module.generate(1)[::20]]
+    """Every 20th problem of ``perfbench/genproblems.generate(1)``, parsed."""
+    return [parse_problem(p.text) for p in generated_problems(monkeypatch, 1)[::20]]
 
 
 def solve_work_id(case):
@@ -332,7 +321,9 @@ class TestJacobian:
         iterates = iterate(spec, [0.1] * spec.unknown_count())
         calls = []
         monkeypatch.setattr(
-            engine, "_product", lambda f, g: calls.append(1) or _product(f, g)
+            engine,
+            "_product",
+            lambda f, g, zeros=None: calls.append(1) or _product(f, g, zeros),
         )
         jacobian(spec, iterates)
         assert len(calls) == products
@@ -354,9 +345,9 @@ class TestJacobian:
             monkeypatch.setattr(solver, name, counted(name, getattr(solver, name)))
         rows = []
 
-        def counted_mul(f, g):
+        def counted_mul(f, g, zeros=None):
             rows.append(row_madds(f))
-            return _product(f, g)
+            return _product(f, g, zeros)
 
         monkeypatch.setattr(engine, "_product", counted_mul)
         result = solve(with_settings(builtin(n), truncation, iterations))
@@ -369,13 +360,13 @@ class TestJacobian:
         n, truncation, iterations = case
         madds = dict.fromkeys(("_he_order", "_linearization", "_apply"), 0)
 
-        def counted_mul(f, g):
+        def counted_mul(f, g, zeros=None):
             # booked to the nearest of the three on the call stack
             frame = sys._getframe(1)
             while frame.f_code.co_name not in madds:
                 frame = frame.f_back
             madds[frame.f_code.co_name] += row_madds(f)
-            return _product(f, g)
+            return _product(f, g, zeros)
 
         monkeypatch.setattr(engine, "_product", counted_mul)
         solve(with_settings(builtin(n), truncation, iterations))
@@ -406,9 +397,9 @@ class TestJacobian:
         rows = []
         calls = []
 
-        def counted_mul(f, g):
+        def counted_mul(f, g, zeros=None):
             rows.append(row_madds(f))
-            return _product(f, g)
+            return _product(f, g, zeros)
 
         def counted_iterate(*args, **kwargs):
             calls.append(1)

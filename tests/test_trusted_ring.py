@@ -741,6 +741,23 @@ class TestCauchyProduct:
         product = mul(_trusted((math.nan, 0.0, 0.0)), _trusted((0.0, 0.0, 0.0)))
         assert all(math.isnan(c) for c in product.coeffs)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 12, KERNEL_CAP, KERNEL_CAP + 1])
+    def test_a_zero_count_passed_in_gives_the_same_bits(self, n):
+        # first operands for each path: dense, zero past rows 0 and 1,
+        # sparse rows for the loop, zeros of both signs alone; then the
+        # ring operands with +-inf and nan laid into both
+        dense, g = dense_values(n, 1), dense_values(n, 2)
+        firsts = (
+            dense,
+            (LINE_ROWS["f0 and f1"] + (0.0, -0.0) * n)[:n],
+            tuple([c if i % 3 == 2 else 0.0 for i, c in enumerate(dense)]),
+            ((-0.0, 0.0) * n)[:n],
+        )
+        for f, g in [*[(f, g) for f in firsts], *ring_operands(n)]:
+            counted_here = _product(f, g)
+            passed_in = _product(f, g, f.count(0.0))
+            assert packed_but_nan(passed_in) == packed_but_nan(counted_here)
+
     @pytest.mark.parametrize("n", range(1, KERNEL_CAP + 2))
     @pytest.mark.parametrize("rows", sorted(LINE_ROWS))
     def test_a_first_operand_in_rows_0_and_1(self, rows, n, line_kernel_results):

@@ -22,6 +22,7 @@ from vihpm.kernel import CorrectionKernel
 from vihpm.problems import (
     BoundaryCondition,
     InvalidProblemError,
+    ProblemFormatError,
     ProblemSpec,
     RhsTerm,
     builtin,
@@ -249,6 +250,25 @@ def test_copies_are_equal(name, duplicate):
             assert expand_exppoly(twin, 8) == expand_exppoly(value, 8)
         else:
             assert getattr(twin, attr) == getattr(value, attr)
+
+
+# input faults: several entries, and one fault of a file line whose own
+# message repeats the line prefix
+FAULTS = {
+    "InvalidProblemError": lambda: InvalidProblemError(["a b", "c; d"]),
+    "ProblemFormatError": lambda: ProblemFormatError(3, "line 3: bad value"),
+}
+
+
+@duplicates
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_copied_faults_keep_their_entries_and_message(fault, duplicate):
+    error = FAULTS[fault]()
+    twin = duplicate(error)
+    assert type(twin) is type(error)
+    assert twin.errors == error.errors and twin.args == error.args
+    assert str(twin) == str(error)
+    assert getattr(twin, "line_number", None) == getattr(error, "line_number", None)
 
 
 @duplicates
