@@ -100,6 +100,10 @@ PATH_FAULT_TESTS = (
     "tests/test_cli.py::TestErrorPaths::test_path_with_a_nul_byte",
 )
 JACOBIAN_TESTS = ("tests/test_solver.py::TestJacobian",)
+FRESH_PROCESS_TESTS = (
+    "tests/test_cli_frozen.py::test_cli_output_frozen_in_a_fresh_process",
+)
+EMIT_TESTS = ("tests/test_cli.py::TestSolveCommand::test_emit_files",)
 BC_VALUE_TESTS = ("tests/test_solver.py",)
 
 MUTANTS = (
@@ -241,6 +245,14 @@ MUTANTS = (
         "            return self.loop\n",
         "            return self.setdefault(n, self.loop)\n",
         GENERATED_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "_Generated.__missing__: the source given for a length above the cap, not the loop",
+        "vihpm/series.py",
+        "            return self.loop\n",
+        "            return self.source\n",
+        FRESH_PROCESS_TESTS,
         "killed",
     ),
     Mutant(
@@ -541,6 +553,22 @@ MUTANTS = (
         "    except (OSError, InvalidProblemError) as exc:",
         "    except (OSError, ValueError) as exc:",
         DEFECT_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "_write_outputs: a staged file replaced by its path, not the path by the file",
+        "vihpm/cli.py",
+        "            os.replace(temp, path)\n",
+        "            os.replace(path, temp)\n",
+        EMIT_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "_fmt: 16 significant digits, which do not round-trip every double",
+        "vihpm/reporting.py",
+        'format(value, ".17g")',
+        'format(value, ".16g")',
+        EMIT_TESTS,
         "killed",
     ),
     Mutant(

@@ -72,23 +72,36 @@ class TestSolveCommand:
         assert expected[0] == 0
         assert run_cli(capsys, "solve", str(marked)) == expected
 
-    def test_emit_files(self, capsys, tmp_path):
+    @pytest.mark.parametrize("n", ["1", "2", "3", "4"])
+    def test_emit_files(self, capsys, tmp_path, n):
+        # the CSV of README's "Reproducing the benchmark tables" holds the
+        # printed table's values
         csv_path = tmp_path / "table.csv"
         series_path = tmp_path / "series.csv"
-        code, _, _ = run_cli(
+        code, out, _ = run_cli(
             capsys,
             "solve",
             "--builtin",
-            "2",
+            n,
             "--emit-csv",
             str(csv_path),
             "--emit-series",
             str(series_path),
         )
         assert code == 0
-        table_lines = csv_path.read_text().strip().split("\n")
-        assert table_lines[0] == "x,exact,approx,abs_error"
-        assert len(table_lines) == 12
+        header, *rows = csv_path.read_text().splitlines()
+        assert header == "x,exact,approx,abs_error"
+        printed = out.split("abs_error\n")[1].splitlines()[:-1]
+        assert len(rows) == len(printed) == 11
+        for row, line in zip(rows, printed):
+            x, exact, approx, abs_error = row.split(",")
+            shown_x, shown_exact, shown_approx, _ = line.split()
+            assert format(float(x), ".3f") == shown_x
+            # 17 significant digits both ways, so each reads back as the other
+            for written, shown in ((exact, shown_exact), (approx, shown_approx)):
+                assert format(float(shown), ".17g") == written
+                assert format(float(written), ".16e") == shown
+            assert float(abs_error) == abs(float(approx) - float(exact))
         series_lines = series_path.read_text().strip().split("\n")
         assert series_lines[0] == "degree,coefficient"
         # one correction raises the degree from 12 to 19

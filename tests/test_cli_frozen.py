@@ -3,12 +3,12 @@ problem, frozen byte for byte.
 
 Each entry of ``data/cli_outputs.json`` is the SHA-256 of one
 :func:`vihpm.cli.main` run: its exit code, stdout and stderr, serialized
-by :func:`digest`.  The runs cover builtins 1-4 with ``solve``,
+by :func:`record_digest`.  The runs cover builtins 1-4 with ``solve``,
 ``convergence --depth 4`` and ``convergence --depth 6`` at (W=12, k=1) and
 (W=30, k=3), depths above the solve's k, with ``convergence --depth 2``
-at (W=30, k=3), a depth below it, and with ``solve`` at (W=60, k=4), whose
-rings of 61-88 coefficients straddle the largest ring whose products
-:func:`vihpm.series.mul` hands to a generated kernel.  Besides the solved
+at (W=30, k=3), a depth below it, and with ``solve`` at (W=60, k=4).
+``convergence --depth 4`` continues from the solve's last iterate, and
+``--depth 2`` reads a prefix of the solve's iterates.  Besides the solved
 constants and coefficients, which ``data/solve_bits.json`` pins too, they
 pin the printed error tables and convergence reports.  The digests were
 recorded before the Newton pass stopped rebuilding its spec-constant
@@ -17,6 +17,25 @@ iterates, the (W=60, k=4) runs before the product had kernels), and hold
 on CPython 3.10-3.13.
 Each run is repeated with the builtin's problem text written to a file and
 named in place of ``--builtin N``, and must print the same bytes.
+
+These runs are the commands of README.md's "Reproducing the benchmark
+tables" (``solve`` and ``convergence --depth 4`` at the default (W=12,
+k=1); ``--emit-csv`` changes no printed byte, and ``test_cli.py`` checks
+the file it writes) and the same commands at (W=30, k=3), where the
+initial polynomial and the tangent seeds pass through several
+corrections.  Every ring of the (W=30, k=3) runs, 31 to 52 coefficients,
+is at most ``KERNEL_CAP`` long, so they run generated code throughout.
+The (W=60, k=4) iterates hold 61, 68, 75, 82 and 89 coefficients, on
+both sides of the cap.  In ring 61 the dense products of builtin 2, the
+two-row products of builtins 1, 3 and 4 by their constant coefficients,
+the sums, the derivatives and the Picard steps run generated code; in
+rings 68-89 each kind's table (:class:`vihpm.series._Generated`) gives
+the loop it was declared with, whose result a product returns unchecked.
+Every derivative value is taken in ring 89, so it runs its loop, Horner's
+rule on the coefficients times their falling factorials; the (W=30, k=3)
+solves take theirs in generated code.  The (W=60, k=4) runs are made a
+second time through ``python -m vihpm`` in a new interpreter, where
+every kernel they use is compiled during the run.
 
 The builtins' operator coefficients are constants.  ``solve/linear/W``
 runs ``data/linear_coefficient.txt`` at ``--truncation W``: a fourth-order
@@ -31,6 +50,8 @@ import contextlib
 import hashlib
 import io
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -73,13 +94,18 @@ def argv_of(case, source=None):
     ]
 
 
+def record_digest(code, out, err):
+    """SHA-256 of ``[exit code, stdout, stderr]`` as JSON."""
+    record = json.dumps([code, out, err])
+    return hashlib.sha256(record.encode("utf-8")).hexdigest()
+
+
 def digest(argv):
-    """SHA-256 of ``[exit code, stdout, stderr]`` as JSON, of one main() run."""
+    """:func:`record_digest` of one main() run."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    record = json.dumps([code, out.getvalue(), err.getvalue()])
-    return hashlib.sha256(record.encode("utf-8")).hexdigest()
+    return record_digest(code, out.getvalue(), err.getvalue())
 
 
 def test_every_run_is_recorded():
@@ -103,3 +129,13 @@ def test_cli_output_frozen_from_the_builtin_text(case, tmp_path):
     path = tmp_path / f"builtin-{n}.txt"
     path.write_text(_BUILTINS[n - 1], encoding="utf-8")
     assert digest(argv_of(case, str(path))) == CLI_OUTPUTS[case]
+
+
+@pytest.mark.parametrize("case", [f"solve/{n}/60-4" for n in "1234"])
+def test_cli_output_frozen_in_a_fresh_process(case):
+    # no kernel of the run is compiled before it starts
+    proc = subprocess.run(
+        [sys.executable, "-m", "vihpm", *argv_of(case)], capture_output=True, timeout=60
+    )
+    code, out, err = proc.returncode, proc.stdout.decode(), proc.stderr.decode()
+    assert record_digest(code, out, err) == CLI_OUTPUTS[case]
